@@ -218,43 +218,33 @@ def cmd_moments(args) -> str:
     params = make_process(args.sign, args.b, args.n, args.p)
     if args.r < 0 or args.s < 0:
         raise ValueError("step counts must be nonnegative")
-    closed = has_quadratic_eigenfunction(params)
     if args.stationary:
-        if closed:
-            mean, cov = stationary_moments(params, args.r)
-            _, var = stationary_moments(params, 0)
-        else:  # n = 1: no closed second moments; fall back to matrix powers
-            oracle = moments_oracle(params, args.r, start="stationary")
-            mean, var, cov = oracle.mean, oracle.variance, oracle.covariance
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "params": _params_obj(params),
-            "start": "stationary",
-            "r": args.r,
-            "mean": _render(mean, args),
-            "variance": _render(var, args),
-            "cov": _render(cov, args),
-        }
+        start, lag = "stationary", {}
+    elif not 0 <= args.i < params.state_count:
+        raise ValueError(f"start state must lie in 0..{params.state_count - 1}")
     else:
-        if not 0 <= args.i < params.state_count:
-            raise ValueError(f"start state must lie in 0..{params.state_count - 1}")
-        if closed:
-            mean = mean_conditional(params, args.r, args.i)
-            var = variance_conditional(params, args.r, args.i)
-            cov = covariance_conditional(params, args.s, args.r, args.i)
-        else:
-            oracle = moments_oracle(params, args.r, args.s, args.i)
-            mean, var, cov = oracle.mean, oracle.variance, oracle.covariance
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "params": _params_obj(params),
-            "start": args.i,
-            "r": args.r,
-            "s": args.s,
-            "mean": _render(mean, args),
-            "variance": _render(var, args),
-            "cov": _render(cov, args),
-        }
+        start, lag = args.i, {"s": args.s}
+    if not has_quadratic_eigenfunction(params):
+        # n = 1: no closed second moments; fall back to matrix powers
+        oracle = moments_oracle(params, args.r, lag.get("s", 0), start)
+        mean, var, cov = oracle.mean, oracle.variance, oracle.covariance
+    elif args.stationary:
+        mean, cov = stationary_moments(params, args.r)
+        _, var = stationary_moments(params, 0)
+    else:
+        mean = mean_conditional(params, args.r, args.i)
+        var = variance_conditional(params, args.r, args.i)
+        cov = covariance_conditional(params, args.s, args.r, args.i)
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "params": _params_obj(params),
+        "start": start,
+        "r": args.r,
+        **lag,
+        "mean": _render(mean, args),
+        "variance": _render(var, args),
+        "cov": _render(cov, args),
+    }
     if args.format == "csv":
         lines = [f"{key},{value}" for key, value in obj.items() if key != "params"]
         return "\n".join(lines) + "\n"
@@ -340,6 +330,10 @@ def cmd_digits(args) -> str:
     return _json(obj)
 
 
+# Verify flags that set a suite's grid bound, and the keyword each sets.
+_BOUND_OPTIONS = {"b": "b_max", "n": "n_max", "p": "p_max", "r": "r_max", "s": "s_max"}
+
+
 def _verify_options(args) -> dict:
     """Map verify flags onto the chosen suite's keyword arguments."""
     allowed = inspect.signature(SUITES[args.suite]).parameters
@@ -357,11 +351,10 @@ def _verify_options(args) -> dict:
             options["cases"] = (tuple(given[name] for name in names),)
             if "mc_case" in allowed:
                 options["mc_case"] = None  # a single explicit case, no sampled tier
-    bounds = {"b": "b_max", "n": "n_max", "p": "p_max", "r": "r_max", "s": "s_max"}
     for flag, value in provided.items():
         if value is None:
             continue
-        key = bounds.get(flag)
+        key = _BOUND_OPTIONS.get(flag)
         if key in allowed:
             options[key] = value
         else:
@@ -394,10 +387,9 @@ def _reproduce_command(suite: str, options: dict) -> str:
     if "cases" in options:
         for flag, value in zip(("--b", "--n", "--p", "--N"), options["cases"][0]):
             bits.append(f"{flag} {value}")
-    for key, flag in (("b_max", "--b"), ("n_max", "--n"), ("p_max", "--p"),
-                      ("r_max", "--r"), ("s_max", "--s")):
+    for flag, key in _BOUND_OPTIONS.items():
         if key in options:
-            bits.append(f"{flag} {options[key]}")
+            bits.append(f"--{flag} {options[key]}")
     if "cutoff" in options:
         bits.append(f"--cutoff {options['cutoff'][0]}")
     for key in ("samples", "seed"):

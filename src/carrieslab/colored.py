@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 from typing import Iterator, Sequence
 
 GROUP_ENUMERATION_LIMIT = 10**7
@@ -46,12 +47,6 @@ class ColoredPermutation:
     @classmethod
     def identity(cls, n: int, p: int) -> "ColoredPermutation":
         return cls(n, p, tuple((i, 0) for i in range(1, n + 1)))
-
-    def position(self, i: int) -> int:
-        return self.pairs[i - 1][0]
-
-    def color(self, i: int) -> int:
-        return self.pairs[i - 1][1]
 
     def __mul__(self, other: "ColoredPermutation") -> "ColoredPermutation":
         return compose(self, other)
@@ -156,9 +151,7 @@ def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     """Yield all p^n n! elements; guarded against oversized groups."""
     if not (isinstance(p, int) and p >= 1):
         raise ValueError(f"color count p must be a positive integer, got {p!r}")
-    size = p**n
-    for i in range(2, n + 1):
-        size *= i
+    size = factorial(n) * p**n
     if size > GROUP_ENUMERATION_LIMIT:
         raise ValueError(f"group of size {size} exceeds enumeration limit")
     for positions in permutations(range(1, n + 1)):

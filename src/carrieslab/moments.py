@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .process import ProcessParams
+from .ratmat import RationalMatrix
 from .spectral import stationary_distribution, transition_matrix
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "covariance_conditional",
     "stationary_moments",
     "MomentReport",
+    "MomentOracle",
     "moments_oracle",
 ]
 
@@ -127,6 +130,73 @@ class MomentReport:
             raise ValueError("an exact variance cannot be negative")
 
 
+class MomentOracle:
+    """Moments of one chain from exact powers of its transition matrix.
+
+    No closed form is involved.  Each power of P, the mean and variance per
+    (start, k) and the conditional-mean vector per r are computed once, so
+    many (start, r, s) queries on one chain cost only its distinct powers.
+    A start is a state or ``"stationary"``; the stationary law does not
+    move with k.
+    """
+
+    def __init__(self, params: ProcessParams) -> None:
+        self.params = params
+        self.matrix = transition_matrix(params)
+        self.dim = self.matrix.dim
+        self._powers = {0: RationalMatrix.identity(self.dim), 1: self.matrix}
+        self._law_moments: dict[tuple[int | str, int], tuple[Fraction, Fraction]] = {}
+        self._mean_after: dict[int, list[Fraction]] = {}
+
+    def power(self, k: int) -> RationalMatrix:
+        """P^k; one multiplication when P^(k-1) is already known."""
+        if k not in self._powers:
+            below = self._powers.get(k - 1)
+            self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
+        return self._powers[k]
+
+    @cached_property
+    def stationary(self) -> tuple[Fraction, ...]:
+        """The stationary law of the chain."""
+        return stationary_distribution(self.params)
+
+    def law(self, start: int | str, k: int) -> tuple[Fraction, ...]:
+        """Law of the state after k steps from ``start``."""
+        if start == "stationary":
+            return self.stationary
+        if not (isinstance(start, int) and 0 <= start < self.dim):
+            raise ValueError(f"start must be a state or 'stationary', got {start!r}")
+        return self.power(k)[start]
+
+    def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
+        """Mean and variance of the state after k steps from ``start``."""
+        key = (start, 0 if start == "stationary" else k)
+        if key not in self._law_moments:
+            law = self.law(start, k)
+            mean = sum(law[j] * j for j in range(self.dim))
+            second = sum(law[j] * j * j for j in range(self.dim))
+            self._law_moments[key] = (mean, second - mean * mean)
+        return self._law_moments[key]
+
+    def covariance(self, start: int | str, s: int, r: int) -> Fraction:
+        """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary."""
+        law = self.law(start, s)
+        if r not in self._mean_after:
+            # E[state after r steps | start j], for each state j.
+            power = self.power(r)
+            self._mean_after[r] = [
+                sum(power[j][k] * k for k in range(self.dim)) for j in range(self.dim)
+            ]
+        after = self._mean_after[r]
+        mean_s = self.law_moments(start, s)[0]
+        # Under the stationary law the mean r steps on is the mean itself.
+        mean_sr = mean_s if start == "stationary" else sum(
+            law[j] * after[j] for j in range(self.dim)
+        )
+        cross = sum(law[j] * j * after[j] for j in range(self.dim))
+        return cross - mean_s * mean_sr
+
+
 def moments_oracle(
     params: ProcessParams, r: int, s: int = 0, start: int | str = 0
 ) -> MomentReport:
@@ -138,32 +208,7 @@ def moments_oracle(
     """
     if not (0 <= r <= MAX_ORACLE_POWER and 0 <= s <= MAX_ORACLE_POWER):
         raise ValueError(f"oracle powers limited to {MAX_ORACLE_POWER}")
-    matrix = transition_matrix(params)
-    dim = matrix.dim
-    power_r = matrix.power(r)
-
-    def law_moments(law) -> tuple[Fraction, Fraction]:
-        mean = sum(law[j] * j for j in range(dim))
-        second = sum(law[j] * j * j for j in range(dim))
-        return mean, second - mean * mean
-
-    # E[state after r steps | start j], for each j: used by the covariance.
-    mean_after_r = [sum(power_r[j][k] * k for k in range(dim)) for j in range(dim)]
-
-    if start == "stationary":
-        pi = stationary_distribution(params)
-        mean, variance = law_moments(pi)
-        cross = sum(pi[j] * j * mean_after_r[j] for j in range(dim))
-        covariance = cross - mean * mean
-        return MomentReport(params, start, r, s, mean, variance, covariance)
-
-    if not (isinstance(start, int) and 0 <= start < dim):
-        raise ValueError(f"start must be a state or 'stationary', got {start!r}")
-    law_r = power_r[start]
-    mean, variance = law_moments(law_r)
-    law_s = matrix.power(s)[start]
-    mean_s = sum(law_s[j] * j for j in range(dim))
-    mean_sr = sum(law_s[j] * mean_after_r[j] for j in range(dim))
-    cross = sum(law_s[j] * j * mean_after_r[j] for j in range(dim))
-    covariance = cross - mean_s * mean_sr
+    oracle = MomentOracle(params)
+    mean, variance = oracle.law_moments(start, r)
+    covariance = oracle.covariance(start, s, r)
     return MomentReport(params, start, r, s, mean, variance, covariance)

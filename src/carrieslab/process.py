@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -131,6 +131,8 @@ class ProcessParams:
     n: int
     p: Fraction
     d: int | None = None
+    #: Constant added to every column sum: (b-1)(1 - 1/p) or (b+1)/p - 1.
+    column_shift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_sign(self.sign)
@@ -147,6 +149,9 @@ class ProcessParams:
                 f"invalid parameter: {side} must be a positive integer, "
                 f"got {ratio} for sign={self.sign} b={self.b} p={self.p}"
             )
+        # (b-1)(1 - 1/p) = (b-1) - ratio and (b+1)/p - 1 = ratio - 1.
+        shift = self.b - 1 - int(ratio) if self.sign == "+" else int(ratio) - 1
+        object.__setattr__(self, "column_shift", shift)
         if self.d is not None:
             _check_offset(self.b, self.d)
             expected = derive_p(self.sign, self.b, self.d, self.n)
@@ -167,16 +172,6 @@ class ProcessParams:
     @property
     def signed_base(self) -> int:
         return self.b if self.sign == "+" else -self.b
-
-    @property
-    def column_shift(self) -> int:
-        """Constant added to every column sum: (b-1)(1 - 1/p) or (b+1)/p - 1."""
-        if self.sign == "+":
-            value = (self.b - 1) * (1 - Fraction(1, 1) / self.p)
-        else:
-            value = Fraction(self.b + 1) / self.p - 1
-        assert value.denominator == 1
-        return int(value)
 
     @property
     def reflected_column_shift(self) -> int:

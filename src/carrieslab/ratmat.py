@@ -83,12 +83,7 @@ class RationalMatrix:
 
     def row_mul(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """vector @ self for a row vector."""
-        if len(vector) != self.dim:
-            raise ValueError("vector length mismatch")
-        vec = [Fraction(v) for v in vector]
-        return tuple(
-            sum(vec[i] * self.rows[i][j] for i in range(self.dim)) for j in range(self.dim)
-        )
+        return self.transpose().col_mul(vector)
 
     def col_mul(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """self @ vector for a column vector."""
@@ -110,21 +105,7 @@ class RationalMatrix:
 
     def inverse(self) -> "RationalMatrix":
         """Gauss-Jordan inverse; raises ValueError if singular."""
-        dim = self.dim
-        work = [list(row) + [Fraction(int(i == j)) for j in range(dim)]
-                for i, row in enumerate(self.rows)]
-        for col in range(dim):
-            pivot = next((r for r in range(col, dim) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            scale = work[col][col]
-            work[col] = [x / scale for x in work[col]]
-            for r in range(dim):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return RationalMatrix([row[dim:] for row in work])
+        return RationalMatrix(_gauss_jordan(self, RationalMatrix.identity(self.dim).rows))
 
     # --- serialization ---------------------------------------------------
 
@@ -163,12 +144,14 @@ class RationalMatrix:
         return matrix
 
 
-def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Solve matrix @ x = rhs exactly; raises ValueError if singular."""
+def _gauss_jordan(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:
+    """Reduce the rows [matrix | extra] until the left block is the identity.
+
+    Returns the reduced right block, matrix^-1 @ extra; raises ValueError
+    if ``matrix`` is singular.
+    """
     dim = matrix.dim
-    if len(rhs) != dim:
-        raise ValueError("right-hand side length mismatch")
-    work = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(matrix.rows)]
+    work = [list(row) + [Fraction(x) for x in tail] for row, tail in zip(matrix.rows, extra)]
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if work[r][col] != 0), None)
         if pivot is None:
@@ -180,4 +163,11 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple
             if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(work[i][dim] for i in range(dim))
+    return [row[dim:] for row in work]
+
+
+def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """Solve matrix @ x = rhs exactly; raises ValueError if singular."""
+    if len(rhs) != matrix.dim:
+        raise ValueError("right-hand side length mismatch")
+    return tuple(row[0] for row in _gauss_jordan(matrix, [[x] for x in rhs]))

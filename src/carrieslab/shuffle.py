@@ -25,9 +25,8 @@ from .colored import (
     enumerate_group,
     inverse,
     reverse_map,
-    standard_key,
 )
-from .process import DEFAULT_SEED
+from .process import DEFAULT_SEED, digit_value
 
 __all__ = [
     "MultiDigitWord",
@@ -88,13 +87,7 @@ class MultiDigitWord:
         return [self.column(j) for j in range(1, self.places + 1)]
 
     def row_values(self) -> tuple[int, ...]:
-        out = []
-        for row in self.rows:
-            value = 0
-            for digit in reversed(row):
-                value = value * self.b + digit
-            out.append(value)
-        return tuple(out)
+        return tuple(digit_value(row, "+", self.b) for row in self.rows)
 
     @classmethod
     def from_values(cls, b: int, places: int, values: Sequence[int]) -> "MultiDigitWord":
@@ -241,24 +234,18 @@ def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
     if variant == "plain":
         if (b - 1) % p != 0:
             raise ValueError(f"variant 'plain' needs b = 1 mod p, got b={b} p={p}")
-        threshold = (b - 1) // p
-        count = sum(1 for x, y in zip(values, values[1:]) if x > y)
-        return count + (1 if values[-1] > threshold else 0)
-    if variant == "plain-dash":
+        keys, end = values, values[-1] > (b - 1) // p
+    elif variant == "plain-dash":
         if (b + 1) % p != 0:
             raise ValueError(f"variant 'plain-dash' needs b = -1 mod p, got b={b} p={p}")
-        threshold = b - 1 - ((b + 1) // p - 1)
-        count = sum(1 for x, y in zip(values, values[1:]) if x > y)
-        return count + (1 if values[-1] > threshold else 0)
-    if variant == "mixed":
-        keys = [(_block_rank(x % p, p), x // p) for x in values]
-        count = sum(1 for a, c in zip(keys, keys[1:]) if a > c)
-        return count + (1 if values[-1] % p != 0 else 0)
-    if variant == "mixed-dash":
-        keys = [(x % p, x // p) for x in values]
-        count = sum(1 for a, c in zip(keys, keys[1:]) if a > c)
-        return count + (1 if values[-1] % p == p - 1 else 0)
-    raise ValueError(f"unknown variant {variant!r}")
+        keys, end = values, values[-1] > b - 1 - ((b + 1) // p - 1)
+    elif variant == "mixed":
+        keys, end = [(_block_rank(x % p, p), x // p) for x in values], values[-1] % p != 0
+    elif variant == "mixed-dash":
+        keys, end = [(x % p, x // p) for x in values], values[-1] % p == p - 1
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return sum(1 for x, y in zip(keys, keys[1:]) if x > y) + (1 if end else 0)
 
 
 @dataclass(frozen=True)
@@ -298,6 +285,8 @@ def trace_from_words(
     """Compose the shuffles driven by ``words`` and record descent values."""
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if b < 2 or n < 1:
+        raise ValueError(f"need a base b >= 2 and n >= 1 cards, got b={b} n={n}")
     frozen = tuple(tuple(int(x) for x in w) for w in words)
     for w in frozen:
         if len(w) != n or any(not 0 <= x < b for x in w):
@@ -339,6 +328,38 @@ def sample_sequence(
     return trace_from_words(b, n, p, words, sign)
 
 
+def _bijection_stages(
+    summands: MultiDigitWord, p: int, sign: str
+) -> tuple[MultiDigitWord, MultiDigitWord, MultiDigitWord, list[tuple[int, ...]]]:
+    """The stages of the carries-to-shuffles construction for either sign.
+
+    For '-' every digit at an even place is first reversed (x -> b-1-x);
+    then summands become running totals (bar), each total is multiplied
+    by p mod b^N, and the digit columns, read as starred levels, are
+    unstarred.  Returns the (flipped) summands, the totals, the products
+    and the words in application order.
+    """
+    b, places = summands.b, summands.places
+    if sign == "+" and (b - 1) % p != 0:
+        raise ValueError(f"positive-base construction needs b = 1 mod p, got b={b} p={p}")
+    if sign == "-" and (b + 1) % p != 0:
+        raise ValueError(f"negative-base construction needs b = -1 mod p, got b={b} p={p}")
+    if sign == "-":
+        summands = MultiDigitWord(
+            b,
+            tuple(
+                tuple(b - 1 - x if idx % 2 == 1 else x for idx, x in enumerate(row))
+                for row in summands.rows
+            ),
+        )
+    totals = bar_map(summands)
+    modulus = b**places
+    mixed = MultiDigitWord.from_values(
+        b, places, [f_map(v, modulus, p) for v in totals.row_values()]
+    )
+    return summands, totals, mixed, unstar_map(mixed.columns())
+
+
 def bijection_plus(summands: MultiDigitWord, p: int) -> list[tuple[int, ...]]:
     """Digit words whose shuffles track the carries of adding the summands.
 
@@ -348,14 +369,7 @@ def bijection_plus(summands: MultiDigitWord, p: int) -> list[tuple[int, ...]]:
     order, and the descent count after r shuffles equals the r-th carry of
     the positive-base chain fed the same digit columns.
     """
-    b, places = summands.b, summands.places
-    if (b - 1) % p != 0:
-        raise ValueError(f"positive-base construction needs b = 1 mod p, got b={b} p={p}")
-    modulus = b**places
-    totals = bar_map(summands)
-    mixed = [f_map(v, modulus, p) for v in totals.row_values()]
-    levels = MultiDigitWord.from_values(b, places, mixed).columns()
-    return unstar_map(levels)
+    return _bijection_stages(summands, p, "+")[3]
 
 
 def bijection_minus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
@@ -366,20 +380,8 @@ def bijection_minus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
     unstars; the resulting words drive a '-' trace whose recorded values
     equal the negative-base carries of the original summands, step by step.
     """
-    b, places = summands.b, summands.places
-    if (b + 1) % p != 0:
-        raise ValueError(f"negative-base construction needs b = -1 mod p, got b={b} p={p}")
-    flipped_rows = tuple(
-        tuple(b - 1 - x if idx % 2 == 1 else x for idx, x in enumerate(row))
-        for row in summands.rows
-    )
-    flipped = MultiDigitWord(b, flipped_rows)
-    modulus = b**places
-    totals = bar_map(flipped)
-    mixed = [f_map(v, modulus, p) for v in totals.row_values()]
-    levels = MultiDigitWord.from_values(b, places, mixed).columns()
-    words = unstar_map(levels)
-    return trace_from_words(b, summands.count, p, words, sign="-")
+    words = _bijection_stages(summands, p, "-")[3]
+    return trace_from_words(summands.b, summands.count, p, words, sign="-")
 
 
 def shuffle_probability(sigma: ColoredPermutation, b: int, r: int = 1) -> Fraction:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .process import ENUMERATION_LIMIT, ProcessParams, step_carry
+from .process import ENUMERATION_LIMIT, ProcessParams, make_process, step_carry
 from .ratmat import RationalMatrix, solve_linear
 
 __all__ = [
@@ -240,23 +240,34 @@ def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
     return solve_linear(RationalMatrix(rows), rhs)
 
 
-def duality_check_left(n: int, p) -> bool:
-    """Check L(p*) against the reflection identity in L(p); p must exceed 1.
+def _conjugate_reflection(n: int, p, build, reflect) -> bool:
+    """Whether build(n, p*) equals reflect(build(n, p), i, j, p*/p) entrywise.
 
-    The identity: v[i, j] at p* equals (-1)^i (p*/p)^(n-i) v[i, n-j] at p.
+    ``build`` is ``left_eigen_matrix`` or ``right_eigen_matrix``; p must
+    exceed 1 so that the conjugate p* = p/(p-1) exists.
     """
     p = Fraction(p)
     if p == 1:
         raise ValueError("p = 1 is self-conjugate in the degenerate sense; no dual matrix")
     conj = p / (p - 1)
-    left_p = left_eigen_matrix(n, p)
-    left_c = left_eigen_matrix(n, conj)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            expected = (-1) ** i * (conj / p) ** (n - i) * left_p[i][n - j]
-            if left_c[i][j] != expected:
-                return False
-    return True
+    at_p = build(n, p)
+    at_conj = build(n, conj)
+    return all(
+        at_conj[i][j] == reflect(at_p, i, j, conj / p)
+        for i in range(n + 1)
+        for j in range(n + 1)
+    )
+
+
+def duality_check_left(n: int, p) -> bool:
+    """Check L(p*) against the reflection identity in L(p); p must exceed 1.
+
+    The identity: v[i, j] at p* equals (-1)^i (p*/p)^(n-i) v[i, n-j] at p.
+    """
+    return _conjugate_reflection(
+        n, p, left_eigen_matrix,
+        lambda left, i, j, ratio: (-1) ** i * ratio ** (n - i) * left[i][n - j],
+    )
 
 
 def duality_check_right(n: int, p) -> bool:
@@ -264,18 +275,10 @@ def duality_check_right(n: int, p) -> bool:
 
     The identity: u[i, j] at p* equals (-1)^j (p/p*)^(n-j) u[n-i, j] at p.
     """
-    p = Fraction(p)
-    if p == 1:
-        raise ValueError("p = 1 is self-conjugate in the degenerate sense; no dual matrix")
-    conj = p / (p - 1)
-    right_p = right_eigen_matrix(n, p)
-    right_c = right_eigen_matrix(n, conj)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            expected = (-1) ** j * (p / conj) ** (n - j) * right_p[n - i][j]
-            if right_c[i][j] != expected:
-                return False
-    return True
+    return _conjugate_reflection(
+        n, p, right_eigen_matrix,
+        lambda right, i, j, ratio: (-1) ** j * ratio ** (j - n) * right[n - i][j],
+    )
 
 
 def symmetry_check(params: ProcessParams) -> dict[str, bool]:
@@ -289,33 +292,25 @@ def symmetry_check(params: ProcessParams) -> dict[str, bool]:
     - ``"sign-flip-p2"`` (p = 2): P-(i, j) = P+(i, n-j).
     - ``"conjugate"`` (p > 1): P_p(i, j) = P_p*(n-i, n-j), same sign.
     """
-    from .process import make_process  # local import to avoid cycle at module load
-
     b, n, p = params.b, params.n, params.p
     results: dict[str, bool] = {}
     matrix = transition_matrix(params)
     dim = params.state_count
-    if p == 1:
-        plus = matrix if params.sign == "+" else transition_matrix(make_process("+", b, n, 1))
-        minus = matrix if params.sign == "-" else transition_matrix(make_process("-", b, n, 1))
-        results["centro"] = all(
-            plus[i][j] == plus[n - 1 - i][n - 1 - j] for i in range(dim) for j in range(dim)
+    cells = [(i, j) for i in range(dim) for j in range(dim)]
+    if p in (1, 2):
+        plus, minus = (
+            matrix if params.sign == sign else transition_matrix(make_process(sign, b, n, p))
+            for sign in ("+", "-")
         )
-        results["sign-flip-p1"] = all(
-            minus[i][j] == plus[i][n - 1 - j] for i in range(dim) for j in range(dim)
-        )
-    if p == 2:
-        plus = matrix if params.sign == "+" else transition_matrix(make_process("+", b, n, 2))
-        minus = matrix if params.sign == "-" else transition_matrix(make_process("-", b, n, 2))
-        results["sign-flip-p2"] = all(
-            minus[i][j] == plus[i][n - j] for i in range(dim) for j in range(dim)
-        )
+        # The last state is n - 1 for p = 1 and n for p = 2.
+        last = dim - 1
+        if p == 1:
+            results["centro"] = all(plus[i][j] == plus[last - i][last - j] for i, j in cells)
+        results[f"sign-flip-p{p}"] = all(minus[i][j] == plus[i][last - j] for i, j in cells)
     if p > 1:
         conj = make_process(params.sign, b, n, p / (p - 1))
         conj_matrix = transition_matrix(conj)
-        results["conjugate"] = all(
-            matrix[i][j] == conj_matrix[n - i][n - j] for i in range(dim) for j in range(dim)
-        )
+        results["conjugate"] = all(matrix[i][j] == conj_matrix[n - i][n - j] for i, j in cells)
     return results
 
 
@@ -334,6 +329,22 @@ class StatTable:
         return tuple(int(v) for v in self.values)
 
 
+def _triangle_row(n: int, stay, step) -> tuple[Fraction, ...]:
+    """Row n of w_k(m) = stay(m, k) w_k(m-1) + step(m, k) w_{k-1}(m-1), w_0(0) = 1."""
+    row = [Fraction(1)]
+    for m in range(1, n + 1):
+        nxt = []
+        for k in range(m + 1):
+            acc = Fraction(0)
+            if k <= m - 1:
+                acc += stay(m, k) * row[k]
+            if 0 <= k - 1 <= m - 1:
+                acc += step(m, k) * row[k - 1]
+            nxt.append(acc)
+        row = nxt
+    return tuple(row)
+
+
 def stirling_frobenius(n: int, p) -> StatTable:
     """Row (w_0, ..., w_n) of the p-deformed first-kind triangle.
 
@@ -341,18 +352,8 @@ def stirling_frobenius(n: int, p) -> StatTable:
     For p in N and p > 1 these equal n! p^n times the reversed top row of R.
     """
     p = Fraction(p)
-    row = [Fraction(1)]
-    for m in range(1, n + 1):
-        nxt = []
-        for j in range(m + 1):
-            acc = Fraction(0)
-            if j <= m - 1:
-                acc += (p * m - 1) * row[j]
-            if j - 1 >= 0 and j - 1 <= m - 1:
-                acc += row[j - 1]
-            nxt.append(acc)
-        row = nxt
-    return StatTable(n, p, "stirling-frobenius", tuple(row))
+    row = _triangle_row(n, lambda m, j: p * m - 1, lambda m, j: 1)
+    return StatTable(n, p, "stirling-frobenius", row)
 
 
 def descent_statistics(n: int, p, variant: str = "standard") -> StatTable:
@@ -371,15 +372,5 @@ def descent_statistics(n: int, p, variant: str = "standard") -> StatTable:
         return StatTable(n, p, "descents", top)
     if variant != "dash":
         raise ValueError(f"unknown variant {variant!r}")
-    row = [Fraction(1)]
-    for m in range(1, n + 1):
-        nxt = []
-        for k in range(m + 1):
-            acc = Fraction(0)
-            if k <= m - 1:
-                acc += (p * k + p - 1) * row[k]
-            if 0 <= k - 1 <= m - 1:
-                acc += (p * (m - k) + 1) * row[k - 1]
-            nxt.append(acc)
-        row = nxt
-    return StatTable(n, p, "dash-descents", tuple(row))
+    row = _triangle_row(n, lambda m, k: p * k + p - 1, lambda m, k: p * (m - k) + 1)
+    return StatTable(n, p, "dash-descents", row)

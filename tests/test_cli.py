@@ -5,7 +5,7 @@ import json
 import pytest
 
 from carrieslab import cli
-from carrieslab.verify import SuiteCase, SuiteReport
+from carrieslab.verify import SuiteCase, SuiteReport, run_suite
 
 
 def run(capsys, *argv):
@@ -184,6 +184,31 @@ def test_verify_partial_case_flags_rejected(capsys):
 def test_verify_unused_flag_rejected(capsys):
     code, _, err = run(capsys, "verify", "eigen", "--samples", "10")
     assert code == 2 and "--samples" in err
+
+
+def test_verify_refuses_options_that_leave_no_case(capsys):
+    assert not SuiteReport("eigen", "empty grid").passed
+    with pytest.raises(ValueError):
+        run_suite("eigen", n_max=0)
+    for argv in (["transition", "--b", "1"], ["eigen", "--n", "0"],
+                 ["descent-stats", "--n", "0"], ["gessel", "--n", "0"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "no cases" in err
+
+
+def test_verify_refuses_sample_counts_below_one(capsys):
+    for argv in (["bijection-plus", "--samples", "0"], ["bijection-minus", "--samples", "0"],
+                 ["bijection-plus", "--samples", "-3"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "samples >= 1" in err
+
+
+def test_shuffle_refuses_empty_deck_and_unit_base(capsys):
+    for argv in (["--b", "4", "--n", "0", "--p", "3", "--N", "2"],
+                 ["--sign", "-", "--b", "5", "--n", "0", "--p", "3", "--N", "2"],
+                 ["--b", "1", "--n", "2", "--p", "1", "--N", "2"]):
+        code, out, err = run(capsys, "shuffle", *argv)
+        assert code == 2 and out == "" and err.startswith("carries-lab:")
 
 
 def test_verify_failure_exits_one_with_reproduce_line(capsys, monkeypatch):

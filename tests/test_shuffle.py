@@ -122,6 +122,13 @@ def test_trace_composes_factors():
     assert trace.descents == (descent_count(first), descent_count(second * first))
 
 
+def test_trace_refuses_empty_deck_and_unit_base():
+    with pytest.raises(ValueError):
+        trace_from_words(4, 0, 3, [(), ()], "+")
+    with pytest.raises(ValueError):
+        trace_from_words(1, 2, 1, [(0, 0)], "+")
+
+
 def test_shuffle_step_extends():
     base = sample_sequence(4, 3, 3, 2, seed=5)
     longer = shuffle_step(base, word=(1, 1, 0))
