@@ -21,6 +21,8 @@ from typing import Iterator, Sequence
 
 GROUP_ENUMERATION_LIMIT = 10**7
 
+Pairs = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class ColoredPermutation:
@@ -28,7 +30,7 @@ class ColoredPermutation:
 
     n: int
     p: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: Pairs
 
     def __post_init__(self) -> None:
         if not (isinstance(self.p, int) and self.p >= 1):
@@ -62,16 +64,16 @@ class ColoredPermutation:
         return cls(n, p, tuple((int(k), int(c)) for k, c in pairs))
 
 
+def _compose_pairs(tau_pairs: Pairs, sigma_pairs: Pairs, p: int) -> Pairs:
+    """Window of tau after sigma: position tau(sigma(i)), color tau_c(sigma(i)) + sigma_c(i)."""
+    return tuple((tau_pairs[k - 1][0], (tau_pairs[k - 1][1] + c) % p) for k, c in sigma_pairs)
+
+
 def compose(tau: ColoredPermutation, sigma: ColoredPermutation) -> ColoredPermutation:
     """tau after sigma: position tau(sigma(i)), color tau_c(sigma(i)) + sigma_c(i)."""
     if tau.n != sigma.n or tau.p != sigma.p:
         raise ValueError(f"cannot compose elements of ({tau.n},{tau.p}) and ({sigma.n},{sigma.p})")
-    p = tau.p
-    pairs = []
-    for k, c in sigma.pairs:
-        kt, ct = tau.pairs[k - 1]
-        pairs.append((kt, (ct + c) % p))
-    return ColoredPermutation(tau.n, p, tuple(pairs))
+    return ColoredPermutation(tau.n, tau.p, _compose_pairs(tau.pairs, sigma.pairs, tau.p))
 
 
 def inverse(sigma: ColoredPermutation) -> ColoredPermutation:
@@ -94,18 +96,31 @@ def dash_key(pair: tuple[int, int], p: int) -> tuple[int, int]:
     return (c, k)
 
 
+def _descents(pairs: Pairs, p: int) -> int:
+    """Standard descents of a window; see ``descent_count``."""
+    keys = [standard_key(pair, p) for pair in pairs]
+    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
+    if pairs[-1][1] != 0:
+        count += 1
+    return count
+
+
+def _dash_descents(pairs: Pairs, p: int) -> int:
+    """Dash descents of a window, the end counted at color p-1 even when p = 1."""
+    keys = [dash_key(pair, p) for pair in pairs]
+    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
+    if pairs[-1][1] == p - 1:
+        count += 1
+    return count
+
+
 def descent_count(sigma: ColoredPermutation) -> int:
     """Descents of the window word in the standard order.
 
     Counts i < n with pair i above pair i+1, plus the end position n when
     its color is nonzero.
     """
-    p = sigma.p
-    keys = [standard_key(pair, p) for pair in sigma.pairs]
-    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
-    if sigma.pairs[-1][1] != 0:
-        count += 1
-    return count
+    return _descents(sigma.pairs, sigma.p)
 
 
 def dash_descent_count(sigma: ColoredPermutation) -> int:
@@ -116,12 +131,7 @@ def dash_descent_count(sigma: ColoredPermutation) -> int:
     """
     if sigma.p == 1:
         return descent_count(sigma)
-    p = sigma.p
-    keys = [dash_key(pair, p) for pair in sigma.pairs]
-    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
-    if sigma.pairs[-1][1] == p - 1:
-        count += 1
-    return count
+    return _dash_descents(sigma.pairs, sigma.p)
 
 
 def reverse_map(sigma: ColoredPermutation, variant: str) -> ColoredPermutation:

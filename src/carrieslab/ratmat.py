@@ -1,8 +1,7 @@
 """Dense square matrices of exact rationals.
 
 Just enough linear algebra for the spectral analysis: multiplication,
-integer powers, Gauss-Jordan inversion, exact linear solves, and a
-num/den string form for JSON and CSV interchange.
+integer powers, Gauss-Jordan inversion and exact linear solves.
 """
 
 from __future__ import annotations
@@ -65,14 +64,18 @@ class RationalMatrix:
     def power(self, k: int) -> "RationalMatrix":
         if k < 0:
             raise ValueError("negative powers are not supported; invert first")
-        result = RationalMatrix.identity(self.dim)
-        base = self
-        while k:
+        if k == 0:
+            return RationalMatrix.identity(self.dim)
+        # No identity start and no square past the top bit: k costs
+        # bit_length(k) - 1 squarings and popcount(k) - 1 products.
+        base, result = self, None
+        while True:
             if k & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(zip(*self.rows))
@@ -106,42 +109,6 @@ class RationalMatrix:
     def inverse(self) -> "RationalMatrix":
         """Gauss-Jordan inverse; raises ValueError if singular."""
         return RationalMatrix(_gauss_jordan(self, RationalMatrix.identity(self.dim).rows))
-
-    # --- serialization ---------------------------------------------------
-
-    def to_string_rows(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_string_rows(cls, rows: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return cls([[Fraction(x) for x in row] for row in rows])
-
-    def to_json_obj(self) -> dict:
-        return {"dim": self.dim, "rows": self.to_string_rows()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalMatrix":
-        matrix = cls.from_string_rows(obj["rows"])
-        if matrix.dim != obj.get("dim", matrix.dim):
-            raise ValueError("dimension header disagrees with row data")
-        return matrix
-
-    def to_csv(self) -> str:
-        lines = [f"dim,{self.dim}"]
-        lines += [",".join(str(x) for x in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "RationalMatrix":
-        lines = [line for line in text.strip().splitlines() if line]
-        header = lines[0].split(",")
-        if header[0] != "dim":
-            raise ValueError("missing dimension header")
-        dim = int(header[1])
-        matrix = cls([[Fraction(x) for x in line.split(",")] for line in lines[1:]])
-        if matrix.dim != dim:
-            raise ValueError("dimension header disagrees with row data")
-        return matrix
 
 
 def _gauss_jordan(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:

@@ -15,16 +15,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .colored import (
     ColoredPermutation,
+    Pairs,
+    _compose_pairs,
+    _dash_descents,
+    _descents,
     compose,
-    dash_descent_count,
+    dash_key,
     descent_count,
     enumerate_group,
     inverse,
     reverse_map,
+    standard_key,
 )
 from .process import DEFAULT_SEED, digit_value
 
@@ -212,10 +217,6 @@ def unbar_map(word: MultiDigitWord) -> MultiDigitWord:
     return MultiDigitWord.from_values(word.b, word.places, values)
 
 
-def _block_rank(color: int, p: int) -> int:
-    return 0 if color == 0 else p - color
-
-
 def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
     """Descent statistics of a word in {0..b-1}^n, in four variants.
 
@@ -240,9 +241,9 @@ def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
             raise ValueError(f"variant 'plain-dash' needs b = -1 mod p, got b={b} p={p}")
         keys, end = values, values[-1] > b - 1 - ((b + 1) // p - 1)
     elif variant == "mixed":
-        keys, end = [(_block_rank(x % p, p), x // p) for x in values], values[-1] % p != 0
+        keys, end = [standard_key(divmod(x, p), p) for x in values], values[-1] % p != 0
     elif variant == "mixed-dash":
-        keys, end = [(x % p, x // p) for x in values], values[-1] % p == p - 1
+        keys, end = [dash_key(divmod(x, p), p) for x in values], values[-1] % p == p - 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return sum(1 for x, y in zip(keys, keys[1:]) if x > y) + (1 if end else 0)
@@ -270,13 +271,38 @@ class ShuffleTrace:
     descents: tuple[int, ...]
 
 
-def _minus_step_value(element: ColoredPermutation, step: int) -> int:
-    n, p = element.n, element.p
-    if step % 2 == 1:
-        if p == 1:
-            return n - 1 - descent_count(element)
-        return n - dash_descent_count(element)
-    return descent_count(element)
+def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list[Pairs], list[int]]]:
+    """The trace engine: words in application order -> (window after each step, step values).
+
+    Factors and values follow the sign rule described on ``ShuffleTrace``.
+    Factor windows per word, negated or not, and step values per window and
+    statistic are memoised for as long as the returned callable lives.
+    """
+    minus = sign == "-"
+    factors: tuple[dict, dict] = ({}, {})  # by negation: word -> factor window
+    values: tuple[dict, dict] = ({}, {})  # descents, n - dash descents: window -> value
+
+    def run(words: Sequence[tuple[int, ...]]) -> tuple[list[Pairs], list[int]]:
+        elements: list[Pairs] = []
+        steps: list[int] = []
+        current: Pairs | None = None
+        for r, word in enumerate(words, start=1):
+            negate, dash = minus and r % 2 == 0, minus and r % 2 == 1
+            pairs = factors[negate].get(word)
+            if pairs is None:
+                factor = gsr_to_permutation(word, p)
+                pairs = (reverse_map(factor, "prime") if negate else factor).pairs
+                factors[negate][word] = pairs
+            current = pairs if current is None else _compose_pairs(pairs, current, p)
+            value = values[dash].get(current)
+            if value is None:
+                value = n - _dash_descents(current, p) if dash else _descents(current, p)
+                values[dash][current] = value
+            elements.append(current)
+            steps.append(value)
+        return elements, steps
+
+    return run
 
 
 def trace_from_words(
@@ -291,20 +317,9 @@ def trace_from_words(
     for w in frozen:
         if len(w) != n or any(not 0 <= x < b for x in w):
             raise ValueError(f"bad word {w} for b={b} n={n}")
-    elements: list[ColoredPermutation] = []
-    descents: list[int] = []
-    current: ColoredPermutation | None = None
-    for r, w in enumerate(frozen, start=1):
-        factor = gsr_to_permutation(w, p)
-        if sign == "-" and r % 2 == 0:
-            factor = reverse_map(factor, "prime")
-        current = factor if current is None else compose(factor, current)
-        elements.append(current)
-        if sign == "+":
-            descents.append(descent_count(current))
-        else:
-            descents.append(_minus_step_value(current, r))
-    return ShuffleTrace(b, n, p, sign, frozen, tuple(elements), tuple(descents))
+    windows, descents = _composer(n, p, sign)(frozen)
+    elements = tuple(ColoredPermutation(n, p, pairs) for pairs in windows)
+    return ShuffleTrace(b, n, p, sign, frozen, elements, tuple(descents))
 
 
 def shuffle_step(

@@ -43,6 +43,7 @@ from .ratmat import RationalMatrix
 from .shuffle import (
     MultiDigitWord,
     _bijection_stages,
+    _composer,
     bijection_minus,
     bijection_plus,
     gessel_coefficients,
@@ -281,7 +282,15 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
     for p in range(1, p_max + 1):
         for n in range(1, n_max + 1):
             standard = descent_statistics(n, p, "standard").ints()
-            counts = Counter(descent_count(e) for e in enumerate_group(n, p))
+            dash = descent_statistics(n, p, "dash").ints()
+            counts: Counter = Counter()
+            dash_counts: Counter = Counter()
+            same = True
+            for e in enumerate_group(n, p):
+                d, d_dash = descent_count(e), dash_descent_count(e)
+                counts[d] += 1
+                dash_counts[d_dash] += 1
+                same = same and d == d_dash
             observed = tuple(counts.get(k, 0) for k in range(len(standard)))
             total = factorial(n) * p**n
             report.add(
@@ -289,9 +298,7 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
                 standard == observed and sum(standard) == total,
                 f"table {standard} vs counts {observed}",
             )
-            dash = descent_statistics(n, p, "dash").ints()
             if p > 1:
-                dash_counts = Counter(dash_descent_count(e) for e in enumerate_group(n, p))
                 observed_dash = tuple(dash_counts.get(k, 0) for k in range(n + 1))
                 reversal = all(
                     dash[k] == standard[n - k] if n - k < len(standard) else dash[k] == 0
@@ -303,9 +310,6 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
                     f"table {dash} vs counts {observed_dash}",
                 )
             else:
-                same = all(
-                    dash_descent_count(e) == descent_count(e) for e in enumerate_group(n, 1)
-                )
                 report.add(f"dash==standard counting n={n} p=1", same)
     return report
 
@@ -437,75 +441,15 @@ def _sample_descent_joint(
     """Empirical joint law of per-step descent values under uniform words.
 
     Digits are drawn card by card, word by word, sample by sample from one
-    ``random.Random(seed)`` stream.  Lean reimplementation of
-    ``trace_from_words`` for throughput; agreement with the trace builder
-    is asserted on the first sample of each run.
+    ``random.Random(seed)`` stream; every sample runs on one trace engine,
+    the one ``trace_from_words`` runs.
     """
     rng = Random(seed)
-    factor_cache: dict[tuple[int, ...], tuple] = {}
-    primed_cache: dict[tuple, tuple] = {}
-    descent_cache: dict[tuple, int] = {}
-    dash_cache: dict[tuple, int] = {}
-
-    def factor_pairs(word: tuple[int, ...]) -> tuple:
-        pairs = factor_cache.get(word)
-        if pairs is None:
-            pairs = gsr_to_permutation(word, p).pairs
-            factor_cache[word] = pairs
-        return pairs
-
-    def primed(pairs: tuple) -> tuple:
-        out = primed_cache.get(pairs)
-        if out is None:
-            out = tuple((k, (-c) % p) for k, c in pairs)
-            primed_cache[pairs] = out
-        return out
-
-    def pair_descents(pairs: tuple) -> int:
-        d = descent_cache.get(pairs)
-        if d is None:
-            d = descent_count(ColoredPermutation(n, p, pairs))
-            descent_cache[pairs] = d
-        return d
-
-    def pair_dash(pairs: tuple) -> int:
-        d = dash_cache.get(pairs)
-        if d is None:
-            d = dash_descent_count(ColoredPermutation(n, p, pairs))
-            dash_cache[pairs] = d
-        return d
-
+    run = _composer(n, p, sign)
     counts: Counter = Counter()
-    checked = False
     for _ in range(samples):
         words = [tuple(rng.randrange(b) for _ in range(n)) for _ in range(steps)]
-        current: tuple | None = None
-        values = []
-        for r, word in enumerate(words, start=1):
-            pairs = factor_pairs(word)
-            if sign == "-" and r % 2 == 0:
-                pairs = primed(pairs)
-            if current is None:
-                current = pairs
-            else:
-                current = tuple(
-                    (pairs[k - 1][0], (pairs[k - 1][1] + c) % p) for k, c in current
-                )
-            if sign == "+":
-                values.append(pair_descents(current))
-            elif r % 2 == 1:
-                if p == 1:
-                    values.append(n - 1 - pair_descents(current))
-                else:
-                    values.append(n - pair_dash(current))
-            else:
-                values.append(pair_descents(current))
-        if not checked:
-            trace = trace_from_words(b, n, p, words, sign)
-            if trace.descents != tuple(values):
-                raise RuntimeError("fast sampler disagrees with trace builder")
-            checked = True
-        counts[tuple(values)] += 1
+        counts[tuple(run(words)[1])] += 1
     return counts
 
 
@@ -626,25 +570,16 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
         elements = list(enumerate_group(n, p))
         total = sum(shuffle_probability(e, b) for e in elements)
         report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
-        counts: Counter = Counter()
-        for word in product(range(b), repeat=n):
-            counts[gsr_to_permutation(word, p)] += 1
-        denom = b**n
-        ok = all(
-            shuffle_probability(e, b) == Fraction(counts.get(e, 0), denom)
-            for e in elements
-        )
-        report.add(f"matches-enumeration b={b} n={n} p={p}", ok)
-        r = 2
-        law: Counter = Counter()
-        for flat in product(range(b), repeat=r * n):
-            words = [flat[t * n : (t + 1) * n] for t in range(r)]
-            law[trace_from_words(b, n, p, words, "+").elements[-1]] += 1
-        ok = all(
-            shuffle_probability(e, b, r) == Fraction(law.get(e, 0), b ** (r * n))
-            for e in elements
-        )
-        report.add(f"iterated r={r} b={b} n={n} p={p}", ok)
+        for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
+            law: Counter = Counter()
+            for flat in product(range(b), repeat=r * n):
+                words = [flat[t * n : (t + 1) * n] for t in range(r)]
+                law[trace_from_words(b, n, p, words, "+").elements[-1]] += 1
+            ok = all(
+                shuffle_probability(e, b, r) == Fraction(law.get(e, 0), b ** (r * n))
+                for e in elements
+            )
+            report.add(f"{key} b={b} n={n} p={p}", ok)
     return report
 
 

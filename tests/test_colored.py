@@ -1,5 +1,7 @@
 """Colored permutations: algebra, orders, and descent statistics."""
 
+from math import factorial
+
 import pytest
 
 from carrieslab import (
@@ -10,6 +12,7 @@ from carrieslab import (
     enumerate_group,
     inverse,
     reverse_map,
+    verify,
 )
 from carrieslab.colored import dash_key, full_mapping, standard_key
 
@@ -113,3 +116,18 @@ def test_text_and_pairs_round_trip():
     sigma = ColoredPermutation(3, 2, ((2, 1), (3, 0), (1, 1)))
     assert sigma.to_text() == "(2,1)(3,0)(1,1)"
     assert ColoredPermutation.from_pairs(3, 2, sigma.to_pairs()) == sigma
+
+
+def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
+    # One pass per (n, p) must serve both the standard and the dash counts.
+    yielded = []
+
+    def counted(n, p):
+        for element in enumerate_group(n, p):
+            yielded.append(element)
+            yield element
+
+    monkeypatch.setattr(verify, "enumerate_group", counted)
+    report = verify.suite_descent_stats(n_max=3, p_max=2)
+    assert report.passed
+    assert len(yielded) == sum(factorial(n) * p**n for p in (1, 2) for n in (1, 2, 3))

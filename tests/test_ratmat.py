@@ -1,4 +1,4 @@
-"""Exact matrix arithmetic and serialization."""
+"""Exact matrix arithmetic."""
 
 from fractions import Fraction
 from random import Random
@@ -43,6 +43,26 @@ def test_power_matches_repeated_product():
         m.power(-1)
 
 
+def test_power_multiplies_only_what_its_bits_need(monkeypatch):
+    # k needs bit_length(k) - 1 squarings and popcount(k) - 1 products.
+    calls = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    m = RationalMatrix([[1, 2], [3, Fraction(1, 2)]])
+    expected = [RationalMatrix.identity(2)]
+    for _ in range(22):
+        expected.append(expected[-1] @ m)
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    for k, want in {0: 0, 1: 0, 2: 1, 3: 2, 16: 4, 21: 6, 22: 6}.items():
+        calls.clear()
+        assert m.power(k) == expected[k]
+        assert len(calls) == want, k
+
+
 def test_inverse_round_trip_and_singular():
     rng = Random(7)
     for dim in (1, 2, 3, 4):
@@ -82,19 +102,3 @@ def test_stochastic_and_positive_predicates():
     assert m.row_sums() == (1, 1)
     assert RationalMatrix([[half, half], [half, half]]).is_positive()
     assert not RationalMatrix([[half, 1]] * 2).is_stochastic()
-
-
-def test_serialization_round_trips():
-    rng = Random(11)
-    m = _random_matrix(rng, 3)
-    assert RationalMatrix.from_string_rows(m.to_string_rows()) == m
-    assert RationalMatrix.from_json_obj(m.to_json_obj()) == m
-    assert RationalMatrix.from_csv(m.to_csv()) == m
-
-
-def test_csv_header_mismatch_rejected():
-    text = "dim,3\n1,0\n0,1\n"
-    with pytest.raises(ValueError):
-        RationalMatrix.from_csv(text)
-    with pytest.raises(ValueError):
-        RationalMatrix.from_csv("1,0\n0,1\n")
