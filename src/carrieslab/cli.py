@@ -1,12 +1,13 @@
 """Command line harness ``carries-lab``.
 
 Subcommands expose the exact computations (matrix, eigen, moments,
-simulate, shuffle, digits) and the verification suites (verify).  Output
-is JSON by default or CSV with ``--format csv``; rationals are rendered as
-``num/den`` strings, or as fixed-point decimals under ``--float --digits
-k``.  Global flags (``--format``, ``--out``, ``--seed``, ``--float``,
-``--digits``) go before the subcommand.  Exit codes: 0 success, 1 internal
-or verification failure, 2 invalid parameters.
+simulate, shuffle, digits) and the verification suites (verify).  Each
+returns its data, and one renderer writes it as JSON by default or CSV
+with ``--format csv``; rationals are rendered as ``num/den`` strings, or
+as fixed-point decimals under ``--float --digits k``.  Global flags
+(``--format``, ``--out``, ``--seed``, ``--float``, ``--digits``) go
+before the subcommand.  Exit codes: 0 success, 1 internal or
+verification failure, 2 invalid parameters.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     whole, part = divmod(abs(scaled), 10**digits)
     return f"{sign}{whole}.{part:0{digits}d}"
-
-
-def _render(value: Fraction, args) -> str:
-    if args.as_float:
-        return _decimal_string(Fraction(value), args.digits)
-    return str(value)
 
 
 def _resolve_seed(args) -> int:
@@ -159,20 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
-
-
 def _params_obj(params) -> dict:
     obj = {"sign": params.sign, "b": params.b, "n": params.n, "p": str(params.p)}
     if params.d is not None:
@@ -180,41 +161,31 @@ def _params_obj(params) -> dict:
     return obj
 
 
-def cmd_matrix(args) -> str:
+def cmd_matrix(args):
     params = make_process(args.sign, args.b, args.n, args.p, args.d)
     matrix = transition_matrix(params)
-    rows = [[_render(x, args) for x in row] for row in matrix.rows]
-    if args.format == "csv":
-        lines = [f"dim,{matrix.dim}"] + [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    return _json(rows)
+    return matrix.rows, [("dim", matrix.dim), *matrix.rows]
 
 
-def cmd_eigen(args) -> str:
+def cmd_eigen(args):
     params = make_process(args.sign, args.b, args.n, args.p)
     system = eigen_system(params)  # raises RuntimeError on inconsistency
     if args.check:
         return "R·L=I: ok, P=RDL: ok"
-    values = [_render(v, args) for v in system.eigenvalues]
-    left = [[_render(x, args) for x in row] for row in system.left.rows]
-    right = [[_render(x, args) for x in row] for row in system.right.rows]
-    if args.format == "csv":
-        lines = ["eigenvalues," + ",".join(values)]
-        lines += ["left", f"dim,{system.left.dim}"] + [",".join(row) for row in left]
-        lines += ["right", f"dim,{system.right.dim}"] + [",".join(row) for row in right]
-        return "\n".join(lines) + "\n"
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "params": _params_obj(params),
-            "eigenvalues": values,
-            "left": {"dim": system.left.dim, "rows": left},
-            "right": {"dim": system.right.dim, "rows": right},
-        }
-    )
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "params": _params_obj(params),
+        "eigenvalues": system.eigenvalues,
+        "left": {"dim": system.left.dim, "rows": system.left.rows},
+        "right": {"dim": system.right.dim, "rows": system.right.rows},
+    }
+    rows = [("eigenvalues", *system.eigenvalues)]
+    rows += [("left",), ("dim", system.left.dim), *system.left.rows]
+    rows += [("right",), ("dim", system.right.dim), *system.right.rows]
+    return obj, rows
 
 
-def cmd_moments(args) -> str:
+def cmd_moments(args):
     params = make_process(args.sign, args.b, args.n, args.p)
     if args.r < 0 or args.s < 0:
         raise ValueError("step counts must be nonnegative")
@@ -241,43 +212,36 @@ def cmd_moments(args) -> str:
         "start": start,
         "r": args.r,
         **lag,
-        "mean": _render(mean, args),
-        "variance": _render(var, args),
-        "cov": _render(cov, args),
+        "mean": mean,
+        "variance": var,
+        "cov": cov,
     }
-    if args.format == "csv":
-        lines = [f"{key},{value}" for key, value in obj.items() if key != "params"]
-        return "\n".join(lines) + "\n"
-    return _json(obj)
+    return obj, [item for item in obj.items() if item[0] != "params"]
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args):
     params = make_process(args.sign, args.b, args.n, args.p)
-    if args.N < 0:
-        raise ValueError("step count must be nonnegative")
     seed = _resolve_seed(args)
     trace = simulate_trace(params, args.N, seed=seed)
-    if args.format == "csv":
-        lines = ["step,kappa,remainder,digits"]
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "params": _params_obj(params),
+        "seed": seed,
+        "kappas": trace.kappas,
+        "remainders": trace.remainders,
+        "summand_digits": trace.summand_digits,
+    }
+
+    def rows():
+        yield "step", "kappa", "remainder", "digits"
         for step in range(trace.steps):
             digits = " ".join(str(x) for x in trace.summand_digits[step])
-            lines.append(
-                f"{step + 1},{trace.kappas[step + 1]},{trace.remainders[step]},{digits}"
-            )
-        return "\n".join(lines) + "\n"
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "params": _params_obj(params),
-            "seed": seed,
-            "kappas": list(trace.kappas),
-            "remainders": list(trace.remainders),
-            "summand_digits": [list(col) for col in trace.summand_digits],
-        }
-    )
+            yield step + 1, trace.kappas[step + 1], trace.remainders[step], digits
+
+    return obj, rows()
 
 
-def cmd_shuffle(args) -> str:
+def cmd_shuffle(args):
     if args.p < 1:
         raise ValueError("the shuffle needs a positive integer p")
     if args.N < 0:
@@ -288,30 +252,28 @@ def cmd_shuffle(args) -> str:
         raise ValueError(f"sign {args.sign} needs b = {want} mod p")
     seed = _resolve_seed(args)
     trace = sample_sequence(args.b, args.n, args.p, args.N, seed=seed, sign=args.sign)
-    if args.format == "csv":
-        lines = ["step,descent,word,element"]
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "b": args.b,
+        "n": args.n,
+        "p": args.p,
+        "sign": args.sign,
+        "seed": seed,
+        "words": trace.words,
+        "elements": [e.pairs for e in trace.elements],
+        "descents": trace.descents,
+    }
+
+    def rows():
+        yield "step", "descent", "word", "element"
         for step in range(len(trace.words)):
             word = " ".join(str(x) for x in trace.words[step])
-            lines.append(
-                f"{step + 1},{trace.descents[step]},{word},{trace.elements[step].to_text()}"
-            )
-        return "\n".join(lines) + "\n"
-    return _json(
-        {
-            "schema": SCHEMA_VERSION,
-            "b": args.b,
-            "n": args.n,
-            "p": args.p,
-            "sign": args.sign,
-            "seed": seed,
-            "words": [list(w) for w in trace.words],
-            "elements": [e.to_pairs() for e in trace.elements],
-            "descents": list(trace.descents),
-        }
-    )
+            yield step + 1, trace.descents[step], word, trace.elements[step].to_text()
+
+    return obj, rows()
 
 
-def cmd_digits(args) -> str:
+def cmd_digits(args):
     digits = digit_expansion(args.x, args.sign, args.b, args.d)
     check = digit_value(digits, args.sign, args.b)
     obj = {
@@ -320,14 +282,12 @@ def cmd_digits(args) -> str:
         "sign": args.sign,
         "b": args.b,
         "d": args.d,
-        "digits": list(digits),
+        "digits": digits,
         "value": check,
     }
-    if args.format == "csv":
-        lines = [f"{key},{value}" for key, value in obj.items() if key != "digits"]
-        lines.append("digits," + " ".join(str(a) for a in digits))
-        return "\n".join(lines) + "\n"
-    return _json(obj)
+    rows = [item for item in obj.items() if item[0] != "digits"]
+    rows.append(("digits", " ".join(str(a) for a in digits)))
+    return obj, rows
 
 
 # Verify flags that set a suite's grid bound, and the keyword each sets.
@@ -398,19 +358,40 @@ def _reproduce_command(suite: str, options: dict) -> str:
     return " ".join(bits)
 
 
-def cmd_verify(args) -> tuple[str, bool]:
+def cmd_verify(args):
     options = _verify_options(args)
     report = run_suite(args.suite, **options)
     if not report.passed:
         print(f"reproduce: {_reproduce_command(args.suite, options)}", file=sys.stderr)
+    obj = report.to_json_obj()
+    rows = [("case", "ok", "detail")]
+    rows += [(case["key"], int(case["ok"]), case.get("detail", "").replace(",", ";"))
+             for case in obj["cases"]]
+    rows.append(("passed", int(report.passed), ""))
+    return obj, rows
+
+
+def _render(result, args) -> str:
+    """The text of a command's result: its one line, its JSON document or its CSV rows.
+
+    Rationals print as ``num/den``, or as fixed-point decimals under ``--float``,
+    in JSON values and CSV cells alike.
+    """
+    if isinstance(result, str):
+        return result + "\n"
+    obj, rows = result
+
+    def rational(value):
+        if not isinstance(value, Fraction):
+            raise TypeError(f"cannot render {value!r}")
+        return _decimal_string(value, args.digits) if args.as_float else str(value)
+
     if args.format == "csv":
-        lines = ["case,ok,detail"]
-        for case in sorted(report.cases, key=lambda c: c.key):
-            detail = case.detail.replace(",", ";")
-            lines.append(f"{case.key},{int(case.ok)},{detail}")
-        lines.append(f"passed,{int(report.passed)},")
-        return "\n".join(lines) + "\n", report.passed
-    return _json(report.to_json_obj()), report.passed
+        return "".join(
+            ",".join(rational(x) if isinstance(x, Fraction) else str(x) for x in row) + "\n"
+            for row in rows
+        )
+    return json.dumps(obj, indent=2, default=rational) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -423,15 +404,17 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": cmd_simulate,
         "shuffle": cmd_shuffle,
         "digits": cmd_digits,
+        "verify": cmd_verify,
     }
     try:
-        if args.command == "verify":
-            text, passed = cmd_verify(args)
-            _emit(text, args.out)
-            return 0 if passed else 1
-        text = handlers[args.command](args)
-        _emit(text, args.out)
-        return 0
+        result = handlers[args.command](args)
+        text = _render(result, args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return 0 if args.command != "verify" or result[0]["passed"] else 1
     except ValueError as exc:
         print(f"carries-lab: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 GROUP_ENUMERATION_LIMIT = 10**7
 
@@ -55,13 +55,6 @@ class ColoredPermutation:
 
     def to_text(self) -> str:
         return "".join(f"({k},{c})" for k, c in self.pairs)
-
-    def to_pairs(self) -> list[list[int]]:
-        return [[k, c] for k, c in self.pairs]
-
-    @classmethod
-    def from_pairs(cls, n: int, p: int, pairs: Sequence[Sequence[int]]) -> "ColoredPermutation":
-        return cls(n, p, tuple((int(k), int(c)) for k, c in pairs))
 
 
 def _compose_pairs(tau_pairs: Pairs, sigma_pairs: Pairs, p: int) -> Pairs:

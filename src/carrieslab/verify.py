@@ -503,25 +503,23 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
 def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     """The first way the construction fails over every summand array, or "" if none."""
     params = make_process(sign, b, n, p)
+    run = _composer(n, p, sign)
     seen = set()
     kappa_counter: Counter = Counter()
     for flat in product(range(b), repeat=n * places):
         summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
         kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
         kappa_counter[kappas] += 1
-        if sign == "+":
-            trace = trace_from_words(b, n, p, bijection_plus(summands, p), "+")
-        else:
-            trace = bijection_minus(summands, p)
-        if trace.descents != kappas:
+        words = tuple(_bijection_stages(summands, p, sign)[3])
+        if tuple(run(words)[1]) != kappas:
             return f"mismatch at rows={summands.rows}"
-        seen.add(trace.words)
+        seen.add(words)
     if len(seen) != b ** (n * places):
         return "word map not injective"
     descent_counter: Counter = Counter()
     for flat in product(range(b), repeat=n * places):
         words = [flat[r * n : (r + 1) * n] for r in range(places)]
-        descent_counter[trace_from_words(b, n, p, words, sign).descents] += 1
+        descent_counter[tuple(run(words)[1])] += 1
     return "" if descent_counter == kappa_counter else "joint laws differ"
 
 

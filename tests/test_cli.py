@@ -124,6 +124,12 @@ def test_simulate_csv_layout(capsys):
     assert len(lines) == 3 and lines[1].startswith("1,")
 
 
+def test_simulate_refuses_negative_step_count(capsys):
+    code, out, err = run(capsys, "simulate", "--sign", "+", "--b", "3", "--n", "2", "--p", "1",
+                         "--N", "-1")
+    assert (code, out, err) == (2, "", "carries-lab: step count must be nonnegative\n")
+
+
 def test_shuffle_reports_descents(capsys):
     code, out, _ = run(capsys, "shuffle", "--b", "3", "--n", "4", "--p", "2",
                        "--N", "3", "--seed", "11")
@@ -239,3 +245,76 @@ def test_argparse_rejections_exit_two(capsys):
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, "matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "5")
     assert code == 2 and err.startswith("carries-lab:")
+
+
+# Eigen output of the classical two-summand chain, as the CLI writes it.
+_EIGEN_JSON = """\
+{
+  "schema": 1,
+  "params": {
+    "sign": "+",
+    "b": 2,
+    "n": 2,
+    "p": "1"
+  },
+  "eigenvalues": [
+    "1",
+    "1/2"
+  ],
+  "left": {
+    "dim": 2,
+    "rows": [
+      [
+        "1",
+        "1"
+      ],
+      [
+        "1",
+        "-1"
+      ]
+    ]
+  },
+  "right": {
+    "dim": 2,
+    "rows": [
+      [
+        "1/2",
+        "1/2"
+      ],
+      [
+        "1/2",
+        "-1/2"
+      ]
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--format", "csv", "--float", "--digits", "3",
+          "matrix", "--sign", "-", "--b", "8", "--n", "3", "--p", "3"],
+         "dim,4\n0.000,0.234,0.656,0.109\n0.002,0.314,0.615,0.068\n"
+         "0.008,0.398,0.555,0.039\n0.020,0.480,0.480,0.020\n"),
+        (["eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"], _EIGEN_JSON),
+        (["--format", "csv", "eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"],
+         "eigenvalues,1,1/2\nleft\ndim,2\n1,1\n1,-1\nright\ndim,2\n1/2,1/2\n1/2,-1/2\n"),
+        (["--format", "csv", "--float",
+          "moments", "--sign", "-", "--b", "8", "--n", "3", "--p", "3", "--stationary", "--r", "1"],
+         "schema,1\nstart,stationary\nr,1\nmean,1.666666666667\nvariance,0.333333333333\n"
+         "cov,-0.041666666667\n"),
+        (["--format", "csv",
+          "simulate", "--sign", "-", "--b", "2", "--n", "3", "--p", "1", "--N", "2", "--seed", "9"],
+         "step,kappa,remainder,digits\n1,1,1,1 1 1\n2,2,1,0 0 0\n"),
+        (["--format", "csv",
+          "shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "2", "--seed", "11"],
+         "step,descent,word,element\n1,2,3 4 3,(1,0)(3,1)(2,0)\n2,1,3 4 4,(1,0)(3,0)(2,2)\n"),
+        (["--format", "csv", "digits", "--x", "9", "--sign", "-", "--b", "2"],
+         "schema,1\nx,9\nsign,-\nb,2\nd,0\nvalue,9\ndigits,1 0 0 1 1\n"),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

@@ -26,6 +26,7 @@ from carrieslab import (
     trace_from_words,
     unstar_map,
 )
+from carrieslab import shuffle, verify
 from carrieslab.shuffle import unbar_map, word_descents
 
 
@@ -190,3 +191,20 @@ def test_iterated_shuffle_probability():
 def test_gessel_identity_holds():
     tables = gessel_coefficients(2, 2, 1)
     assert tables  # verified internally; a failure raises RuntimeError
+
+
+def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
+    # One trace engine per case: a word becomes a permutation at most once
+    # per color negation, however many digit arrays drive it.
+    words = []
+    real = shuffle.gsr_to_permutation
+
+    def counted(word, p):
+        words.append(word)
+        return real(word, p)
+
+    monkeypatch.setattr(shuffle, "gsr_to_permutation", counted)
+    for sign, negations in (("+", 1), ("-", 2)):  # b = 3, n = 2: nine words
+        words.clear()
+        assert verify._bijection_failure(sign, 3, 2, 2, 2) == ""
+        assert len(words) <= negations * 9
