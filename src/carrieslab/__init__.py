@@ -71,8 +71,8 @@ from .spectral import (
     eigen_system,
     eigen_values,
     left_eigen_matrix,
-    right_eigen_entry,
     right_eigen_matrix,
+    right_eigen_oracle,
     stationary_distribution,
     stationary_fixed_point,
     stirling_first,

@@ -26,7 +26,15 @@ from .moments import (
     stationary_moments,
     variance_conditional,
 )
-from .process import DEFAULT_SEED, digit_expansion, digit_value, make_process, simulate_trace
+from .process import (
+    DEFAULT_SEED,
+    STATE_LIMIT,
+    STEP_LIMIT,
+    digit_expansion,
+    digit_value,
+    make_process,
+    simulate_trace,
+)
 from .shuffle import sample_sequence
 from .spectral import eigen_system, transition_matrix
 from .verify import SUITES, run_suite
@@ -161,14 +169,25 @@ def _params_obj(params) -> dict:
     return obj
 
 
+def _bounded_process(args, d=None):
+    """The chain the flags name, refused when it has more than STATE_LIMIT states."""
+    params = make_process(args.sign, args.b, args.n, args.p, d)
+    if params.state_count > STATE_LIMIT:
+        raise ValueError(
+            f"{args.command} is limited to {STATE_LIMIT} states; "
+            f"n={params.n} p={params.p} gives {params.state_count}"
+        )
+    return params
+
+
 def cmd_matrix(args):
-    params = make_process(args.sign, args.b, args.n, args.p, args.d)
+    params = _bounded_process(args, args.d)
     matrix = transition_matrix(params)
     return matrix.rows, [("dim", matrix.dim), *matrix.rows]
 
 
 def cmd_eigen(args):
-    params = make_process(args.sign, args.b, args.n, args.p)
+    params = _bounded_process(args)
     system = eigen_system(params)  # raises RuntimeError on inconsistency
     if args.check:
         return "R·L=I: ok, P=RDL: ok"
@@ -186,9 +205,11 @@ def cmd_eigen(args):
 
 
 def cmd_moments(args):
-    params = make_process(args.sign, args.b, args.n, args.p)
+    params = _bounded_process(args)
     if args.r < 0 or args.s < 0:
         raise ValueError("step counts must be nonnegative")
+    if max(args.r, args.s) > STEP_LIMIT:
+        raise ValueError(f"step counts --r and --s are limited to {STEP_LIMIT}")
     if args.stationary:
         start, lag = "stationary", {}
     elif not 0 <= args.i < params.state_count:

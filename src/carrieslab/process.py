@@ -30,6 +30,14 @@ DEFAULT_SEED = 1729
 #: Upper bound on the number of digit tuples an enumeration helper may visit.
 ENUMERATION_LIMIT = 10**7
 
+#: Largest state count the ``matrix``, ``eigen`` and ``moments`` commands
+#: accept: ``eigen`` at 128 states (n = 127, p = 3/2, b = 4) takes about 25 s.
+STATE_LIMIT = 128
+
+#: Largest step count (``--r``, ``--s``) the ``moments`` command accepts;
+#: the closed forms hold powers b^(2r).
+STEP_LIMIT = 1000
+
 
 def _check_base(b: int) -> None:
     if not isinstance(b, int) or b < 2:

@@ -1,12 +1,18 @@
 """Dense square matrices of exact rationals.
 
 Just enough linear algebra for the spectral analysis: multiplication,
-integer powers, Gauss-Jordan inversion and exact linear solves.
+integer powers, Gauss-Jordan inversion and exact linear solves.  Products
+run on integer rows: each row of the left factor and each column of the
+right factor is scaled to integers over one denominator, the lcm of its
+entries' denominators, so every entry is one integer dot product and one
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -56,10 +62,7 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        cols = list(zip(*other.rows))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return RationalMatrix(_dot_products(self.rows, zip(*other.rows)))
 
     def power(self, k: int) -> "RationalMatrix":
         if k < 0:
@@ -92,8 +95,8 @@ class RationalMatrix:
         """self @ vector for a column vector."""
         if len(vector) != self.dim:
             raise ValueError("vector length mismatch")
-        vec = [Fraction(v) for v in vector]
-        return tuple(sum(row[i] * vec[i] for i in range(self.dim)) for row in self.rows)
+        column = [Fraction(v) for v in vector]
+        return tuple(row[0] for row in _dot_products(self.rows, [column]))
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row) for row in self.rows)
@@ -109,6 +112,24 @@ class RationalMatrix:
     def inverse(self) -> "RationalMatrix":
         """Gauss-Jordan inverse; raises ValueError if singular."""
         return RationalMatrix(_gauss_jordan(self, RationalMatrix.identity(self.dim).rows))
+
+
+def _integer_scaled(vectors: Iterable[Sequence[Fraction]]) -> list:
+    """Each vector as (integer numerators, d) with d the lcm of its denominators."""
+    scaled = []
+    for vector in vectors:
+        den = lcm(*(x.denominator for x in vector))
+        scaled.append(([x.numerator * (den // x.denominator) for x in vector], den))
+    return scaled
+
+
+def _dot_products(rows: Iterable[Sequence[Fraction]], cols: Iterable[Sequence[Fraction]]) -> list:
+    """Exact dot product of every row with every column, one ``Fraction`` each."""
+    cols = _integer_scaled(cols)
+    return [
+        [Fraction(sum(map(mul, row, col)), row_den * col_den) for col, col_den in cols]
+        for row, row_den in _integer_scaled(rows)
+    ]
 
 
 def _gauss_jordan(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
+from operator import mul
 
 from .process import ENUMERATION_LIMIT, ProcessParams, make_process, step_carry
 from .ratmat import RationalMatrix, solve_linear
@@ -20,10 +21,10 @@ from .ratmat import RationalMatrix, solve_linear
 __all__ = [
     "transition_matrix",
     "transition_oracle",
+    "right_eigen_oracle",
     "stirling_first",
     "left_eigen_matrix",
     "right_eigen_matrix",
-    "right_eigen_entry",
     "eigen_values",
     "EigenSystem",
     "eigen_system",
@@ -105,6 +106,33 @@ def transition_oracle(params: ProcessParams) -> RationalMatrix:
     return RationalMatrix([[Fraction(c, denom) for c in row] for row in counts])
 
 
+def right_eigen_oracle(n: int, p) -> RationalMatrix:
+    """Right eigenvector matrix R by its O(n^4) double-sum closed form.
+
+    Entry (i, j) is
+    sum_{k=i}^{n} sum_{l=n-j}^{k} s(k,l) (-1)^(n-j-l) / (k! p^l)
+    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers.  Independent
+    of the generating polynomial ``right_eigen_matrix`` expands; used to
+    check it.
+    """
+    p = Fraction(p)
+    dim = _state_count(n, p)
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = Fraction(0)
+            for k in range(i, n + 1):
+                for l in range(n - j, k + 1):
+                    term = Fraction(stirling_first(k, l), factorial(k)) / p**l
+                    term *= (-1) ** ((n - j - l) % 2)
+                    term *= comb(l, n - j) * comb(n - i, n - k)
+                    acc += term
+            row.append(acc)
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
 @lru_cache(maxsize=None)
 def stirling_first(k: int, l: int) -> int:
     """Signed Stirling number of the first kind: x(x-1)...(x-k+1) = sum s(k,l) x^l."""
@@ -136,48 +164,37 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
 
 
 def right_eigen_matrix(n: int, p) -> RationalMatrix:
-    """Right eigenvector matrix R = L^(-1), by its double-sum closed form.
+    """Right eigenvector matrix R = L^(-1), from its generating polynomial.
 
-    Entry (i, j) is
-    sum_{k=i}^{n} sum_{l=n-j}^{k} s(k,l) (-1)^(n-j-l) / (k! p^l)
-    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers.
+    Entry (i, j) is the coefficient of x^(n-j) in the falling factorial
+    prod_{m=0}^{n-1} (y - m) / n! = sum_l s(n,l) y^l / n!, with
+    y = n - i + (x-1)/p and s the signed Stirling numbers.  For p = a/c in
+    lowest terms, y = (u + c x)/a with u = a(n-i) - c, and expanding each
+    (u + c x)^l binomially makes every coefficient an integer over the one
+    shared denominator a^n n!.  A row costs O(n^2) integer operations and
+    each entry one ``Fraction``.  ``right_eigen_oracle`` is the double-sum
+    form it is checked against.
     """
     p = Fraction(p)
+    a, c = p.numerator, p.denominator
     dim = _state_count(n, p)
+    denom = a**n * factorial(n)
+    stirling = [stirling_first(n, l) for l in range(n + 1)]
+    # shared[t][k] = s(n, l) a^(n-l) C(l, t) for l = t + k: the row-independent
+    # factor of u^k in the coefficient of x^t.
+    shared = [
+        [stirling[l] * a ** (n - l) * comb(l, t) for l in range(t, n + 1)]
+        for t in range(n + 1)
+    ]
     rows = []
     for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = Fraction(0)
-            for k in range(i, n + 1):
-                for l in range(n - j, k + 1):
-                    term = Fraction(stirling_first(k, l), factorial(k)) / p**l
-                    term *= (-1) ** ((n - j - l) % 2)
-                    term *= comb(l, n - j) * comb(n - i, n - k)
-                    acc += term
-            row.append(acc)
-        rows.append(row)
+        u = a * (n - i) - c
+        u_powers = [u**k for k in range(n + 1)]
+        rows.append([
+            Fraction(c ** (n - j) * sum(map(mul, shared[n - j], u_powers)), denom)
+            for j in range(dim)
+        ])
     return RationalMatrix(rows)
-
-
-def right_eigen_entry(n: int, p, i: int, j: int) -> Fraction:
-    """Entry (i, j) of R via its generating polynomial.
-
-    Equals the coefficient of x^(n-j) in the falling product
-    prod_{m=0}^{n-1} (n + (x-1)/p - i - m) / n!.
-    """
-    p = Fraction(p)
-    # Polynomial coefficients, constant term first.
-    poly = [Fraction(1)]
-    for m in range(n):
-        const = n - m - i - Fraction(1) / p
-        slope = Fraction(1) / p
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for deg, coeff in enumerate(poly):
-            nxt[deg] += coeff * const
-            nxt[deg + 1] += coeff * slope
-        poly = nxt
-    return poly[n - j] / factorial(n)
 
 
 def eigen_values(params: ProcessParams) -> tuple[Fraction, ...]:

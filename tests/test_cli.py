@@ -5,6 +5,7 @@ import json
 import pytest
 
 from carrieslab import cli
+from carrieslab.process import STATE_LIMIT, STEP_LIMIT
 from carrieslab.verify import SuiteCase, SuiteReport, run_suite
 
 
@@ -242,6 +243,30 @@ def test_argparse_rejections_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_state_count_above_the_limit_is_refused(capsys):
+    top = STATE_LIMIT - 1  # n with p > 1 has n + 1 states
+    for command in ("matrix", "eigen", "moments"):
+        for n, p in ((top + 1, "2"), (STATE_LIMIT + 1, "1"), (1200, "3/2")):
+            code, out, err = run(capsys, command, "--sign", "+", "--b", "7", "--n", str(n),
+                                 "--p", p)
+            assert (code, out) == (2, "")
+            assert f"{command} is limited to {STATE_LIMIT} states" in err
+    # At the limit itself the chain is accepted (moments is the cheap one to run).
+    code, _, _ = run(capsys, "moments", "--sign", "+", "--b", "7", "--n", str(top), "--p", "2")
+    assert code == 0
+
+
+def test_moment_step_counts_above_the_limit_are_refused(capsys):
+    chain = ("moments", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2")
+    for steps in (("--r", str(STEP_LIMIT + 1)), ("--s", str(STEP_LIMIT + 1)),
+                  ("--stationary", "--r", str(10**9))):
+        code, out, err = run(capsys, *chain, *steps)
+        assert (code, out) == (2, "")
+        assert f"limited to {STEP_LIMIT}" in err
+    code, _, _ = run(capsys, *chain, "--r", str(STEP_LIMIT), "--s", str(STEP_LIMIT))
+    assert code == 0
+
+
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, "matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "5")
     assert code == 2 and err.startswith("carries-lab:")
@@ -291,6 +316,26 @@ _EIGEN_JSON = """\
 """
 
 
+# Conditional moments of a three-summand chain at p = 3/2, as the CLI writes them.
+_MOMENTS_JSON = """\
+{
+  "schema": 1,
+  "params": {
+    "sign": "+",
+    "b": 4,
+    "n": 3,
+    "p": "3/2"
+  },
+  "start": 1,
+  "r": 2,
+  "s": 1,
+  "mean": "21/16",
+  "variance": "85/256",
+  "cov": "5/256"
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -313,6 +358,13 @@ _EIGEN_JSON = """\
          "step,descent,word,element\n1,2,3 4 3,(1,0)(3,1)(2,0)\n2,1,3 4 4,(1,0)(3,0)(2,2)\n"),
         (["--format", "csv", "digits", "--x", "9", "--sign", "-", "--b", "2"],
          "schema,1\nx,9\nsign,-\nb,2\nd,0\nvalue,9\ndigits,1 0 0 1 1\n"),
+        # p = 3/2 with b = 4, the smallest valid base for sign +: R has c = 2.
+        (["--format", "csv", "eigen", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2"],
+         "eigenvalues,1,1/4,1/16,1/64\nleft\ndim,4\n1,93/8,15/2,1/8\n1,9/4,-3,-1/4\n"
+         "1,-3/2,0,1/2\n1,-3,3,-1\nright\ndim,4\n4/81,8/27,13/27,14/81\n"
+         "4/81,2/27,-2/27,-4/81\n4/81,-4/27,1/27,5/81\n4/81,-10/27,22/27,-40/81\n"),
+        (["moments", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2",
+          "--i", "1", "--r", "2", "--s", "1"], _MOMENTS_JSON),
     ],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):

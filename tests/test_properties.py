@@ -1,10 +1,14 @@
-"""Property tests: the shuffle engine against the carries chain and the group law."""
+"""Property tests: the shuffle engine against the carries chain and the group law,
+and integer-row matrix products against schoolbook ``Fraction`` sums."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrieslab import (
     MultiDigitWord,
+    RationalMatrix,
     bijection_minus,
     bijection_plus,
     compose,
@@ -82,3 +86,43 @@ def test_trace_folds_the_group_law(case):
     assert trace.elements == tuple(expected)
     if sign == "+":
         assert trace.descents == tuple(descent_count(e) for e in expected)
+
+
+# Zero-heavy entries over a few denominators, so that whole rows or columns vanish.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 35])),
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A square pair of dimension 1..5 and a column vector, possibly with zero lines."""
+    dim = draw(st.integers(1, 5))
+    square = st.lists(st.lists(rationals, min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim)
+    left, right = draw(square), draw(square)
+    if draw(st.booleans()):
+        left[draw(st.integers(0, dim - 1))] = [Fraction(0)] * dim
+    if draw(st.booleans()):
+        col = draw(st.integers(0, dim - 1))
+        for row in right:
+            row[col] = Fraction(0)
+    vector = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    return left, right, vector
+
+
+def schoolbook(row, col):
+    return sum((a * b for a, b in zip(row, col)), Fraction(0))
+
+
+@BOUNDED
+@given(matrix_pairs())
+def test_integer_row_products_equal_schoolbook_sums(case):
+    left, right, vector = case
+    product = RationalMatrix(left) @ RationalMatrix(right)
+    columns = list(zip(*right))
+    assert product.rows == tuple(
+        tuple(schoolbook(row, col) for col in columns) for row in left
+    )
+    assert RationalMatrix(left).col_mul(vector) == tuple(schoolbook(row, vector) for row in left)

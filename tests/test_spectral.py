@@ -16,8 +16,8 @@ from carrieslab import (
     descent_count,
     left_eigen_matrix,
     make_process,
-    right_eigen_entry,
     right_eigen_matrix,
+    right_eigen_oracle,
     stationary_distribution,
     stationary_fixed_point,
     stirling_first,
@@ -64,11 +64,16 @@ def test_eigen_system_verifies(sign, b, n, p):
 
 
 def test_right_polynomial_form_agrees():
-    for n, p in ((3, 1), (3, 2), (4, Fraction(3, 2)), (2, 3)):
-        matrix = right_eigen_matrix(n, p)
-        for i in range(matrix.dim):
-            for j in range(matrix.dim):
-                assert right_eigen_entry(n, p, i, j) == matrix[i][j]
+    for p in (1, 2, 3, 4, Fraction(3, 2), Fraction(4, 3)):
+        for n in range(1, 9):
+            assert right_eigen_matrix(n, p) == right_eigen_oracle(n, p), (n, p)
+
+
+@pytest.mark.parametrize("p", [3, Fraction(3, 2)])
+def test_right_matrix_inverts_left_at_forty_summands(p):
+    # p = 3/2 puts c = 2 into the shared denominator a^n n!.
+    product = right_eigen_matrix(40, p) @ left_eigen_matrix(40, p)
+    assert product == RationalMatrix.identity(41)
 
 
 def test_stirling_first_classical_row():
