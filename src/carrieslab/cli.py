@@ -311,53 +311,41 @@ def cmd_digits(args):
     return obj, rows
 
 
-# Verify flags that set a suite's grid bound, and the keyword each sets.
-_BOUND_OPTIONS = {"b": "b_max", "n": "n_max", "p": "p_max", "r": "r_max", "s": "s_max"}
+# Verify flags and the suite keyword each sets.  The case flags (--b --n --p,
+# and --N in the bijection suites) instead replace the suite's case list.
+_VERIFY_KEYWORDS = {"b": "b_max", "n": "n_max", "p": "p_max", "r": "r_max", "s": "s_max",
+                    "cutoff": "cutoff", "samples": "samples", "seed": "seed"}
+_CASE_FLAGS = ("b", "n", "p", "N")
 
 
 def _verify_options(args) -> dict:
     """Map verify flags onto the chosen suite's keyword arguments."""
     allowed = inspect.signature(SUITES[args.suite]).parameters
+    provided = {flag: getattr(args, flag) for flag in ("N", *_VERIFY_KEYWORDS)}
+    if "seed" in allowed and provided["seed"] is None:
+        provided["seed"] = args.global_seed
     options: dict = {}
-    unused: list[str] = []
-    provided = {"b": args.b, "n": args.n, "p": args.p, "N": args.N,
-                "r": args.r, "s": args.s}
     if "cases" in allowed:
-        names = ("b", "n", "p", "N") if "mc_case" in allowed else ("b", "n", "p")
+        names = _CASE_FLAGS if "mc_case" in allowed else _CASE_FLAGS[:3]
         given = {name: provided.pop(name) for name in names}
         if any(value is not None for value in given.values()):
             if any(value is None for value in given.values()):
                 flags = " ".join("--" + name for name in names)
                 raise ValueError(f"overriding the {args.suite} case list needs all of {flags}")
-            options["cases"] = (tuple(given[name] for name in names),)
+            options["cases"] = (tuple(given.values()),)
             if "mc_case" in allowed:
                 options["mc_case"] = None  # a single explicit case, no sampled tier
+    unused = []
     for flag, value in provided.items():
         if value is None:
             continue
-        key = _BOUND_OPTIONS.get(flag)
+        key = _VERIFY_KEYWORDS.get(flag)
         if key in allowed:
-            options[key] = value
+            options[key] = (value, value) if key == "cutoff" else value
         else:
             unused.append("--" + flag)
-    if args.cutoff is not None:
-        if "cutoff" in allowed:
-            options["cutoff"] = (args.cutoff, args.cutoff)
-        else:
-            unused.append("--cutoff")
-    if args.samples is not None:
-        if "samples" in allowed:
-            options["samples"] = args.samples
-        else:
-            unused.append("--samples")
-    if "seed" in allowed:
-        seed = args.seed if args.seed is not None else args.global_seed
-        if seed is not None:
-            options["seed"] = seed
-    elif args.seed is not None:
-        unused.append("--seed")
     if unused:
-        raise ValueError(f"suite {args.suite} does not use {', '.join(sorted(set(unused)))}")
+        raise ValueError(f"suite {args.suite} does not use {', '.join(sorted(unused))}")
     return options
 
 
@@ -366,16 +354,12 @@ def _reproduce_command(suite: str, options: dict) -> str:
     signature = inspect.signature(SUITES[suite]).parameters
     bits = [f"carries-lab verify {suite}"]
     if "cases" in options:
-        for flag, value in zip(("--b", "--n", "--p", "--N"), options["cases"][0]):
-            bits.append(f"{flag} {value}")
-    for flag, key in _BOUND_OPTIONS.items():
-        if key in options:
-            bits.append(f"--{flag} {options[key]}")
-    if "cutoff" in options:
-        bits.append(f"--cutoff {options['cutoff'][0]}")
-    for key in ("samples", "seed"):
-        if key in signature:
-            bits.append(f"--{key} {options.get(key, signature[key].default)}")
+        bits += [f"--{flag} {value}" for flag, value in zip(_CASE_FLAGS, options["cases"][0])]
+    for flag, key in _VERIFY_KEYWORDS.items():
+        if key in ("samples", "seed") and key in signature:  # always pinned
+            bits.append(f"--{flag} {options.get(key, signature[key].default)}")
+        elif key in options:
+            bits.append(f"--{flag} {options[key][0] if key == 'cutoff' else options[key]}")
     return " ".join(bits)
 
 
@@ -405,7 +389,16 @@ def _render(result, args) -> str:
     def rational(value):
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot render {value!r}")
-        return _decimal_string(value, args.digits) if args.as_float else str(value)
+        if args.as_float:
+            return _decimal_string(value, args.digits)
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            fields = obj.items() if isinstance(obj, dict) else ()
+            name = next((key for key, field in fields if field is value), "value")
+            raise ValueError(f"the {args.command} {name} has more than "
+                             f"{sys.get_int_max_str_digits()} digits as num/den; "
+                             "print it with --float") from None
 
     if args.format == "csv":
         return "".join(

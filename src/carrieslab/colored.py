@@ -160,12 +160,3 @@ def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):
             yield ColoredPermutation(n, p, tuple(zip(positions, colors)))
-
-
-def full_mapping(sigma: ColoredPermutation) -> dict[tuple[int, int], tuple[int, int]]:
-    """The element as a bijection on all n p letters (i, r) -> (sigma(i), sigma_c(i) + r)."""
-    out = {}
-    for i, (k, c) in enumerate(sigma.pairs, start=1):
-        for r in range(sigma.p):
-            out[(i, r)] = (k, (c + r) % sigma.p)
-    return out

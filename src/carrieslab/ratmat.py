@@ -1,11 +1,12 @@
 """Dense square matrices of exact rationals.
 
 Just enough linear algebra for the spectral analysis: multiplication,
-integer powers, Gauss-Jordan inversion and exact linear solves.  Products
-run on integer rows: each row of the left factor and each column of the
-right factor is scaled to integers over one denominator, the lcm of its
-entries' denominators, so every entry is one integer dot product and one
-``Fraction``.
+integer powers, inversion and exact linear solves.  Products run on
+integer rows: each row of the left factor and each column of the right
+factor is scaled to integers over one denominator, the lcm of its entries'
+denominators, so every entry is one integer dot product and one
+``Fraction``.  Solves and inverses run fraction-free Bareiss elimination
+on rows scaled the same way; ``Fraction``s appear only in back-substitution.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Fraction | int]) -> "RationalMatrix":
-        dim = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
@@ -110,8 +106,8 @@ class RationalMatrix:
         return all(x > 0 for row in self.rows for x in row)
 
     def inverse(self) -> "RationalMatrix":
-        """Gauss-Jordan inverse; raises ValueError if singular."""
-        return RationalMatrix(_gauss_jordan(self, RationalMatrix.identity(self.dim).rows))
+        """Exact inverse by Bareiss elimination; raises ValueError if singular."""
+        return RationalMatrix(_bareiss_solve(self, RationalMatrix.identity(self.dim).rows))
 
 
 def _integer_scaled(vectors: Iterable[Sequence[Fraction]]) -> list:
@@ -132,30 +128,43 @@ def _dot_products(rows: Iterable[Sequence[Fraction]], cols: Iterable[Sequence[Fr
     ]
 
 
-def _gauss_jordan(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:
-    """Reduce the rows [matrix | extra] until the left block is the identity.
+def _bareiss_solve(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:
+    """matrix^-1 @ extra, as rows; raises ValueError if ``matrix`` is singular.
 
-    Returns the reduced right block, matrix^-1 @ extra; raises ValueError
-    if ``matrix`` is singular.
+    Fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the rows
+    [matrix | extra], each scaled to integers, divides exactly; its last
+    pivot d is +-det of the scaled matrix.  d x is an integer vector
+    (Cramer), so back-substitution divides exactly too; x_i = Fraction(d x_i, d).
     """
     dim = matrix.dim
-    work = [list(row) + [Fraction(x) for x in tail] for row, tail in zip(matrix.rows, extra)]
+    work = [nums for nums, _ in _integer_scaled(
+        row + tuple(Fraction(x) for x in tail) for row, tail in zip(matrix.rows, extra))]
+    width = len(work[0])
+    det = 1  # leading minor of the columns eliminated so far: the exact divisor
     for col in range(dim):
-        pivot = next((r for r in range(col, dim) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, dim) if work[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        for r in range(dim):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[dim:] for row in work]
+        top = work[col]
+        lead = top[col]
+        for row in work[col + 1:]:
+            factor = row[col]
+            row[col + 1:] = [(lead * x - factor * y) // det
+                             for x, y in zip(row[col + 1:], top[col + 1:])]
+        det = lead
+    columns = []
+    for c in range(dim, width):
+        scaled = [0] * dim  # det * x, an integer vector
+        for i in reversed(range(dim)):
+            row = work[i]
+            scaled[i] = (det * row[c] - sum(map(mul, row[i + 1:dim], scaled[i + 1:]))) // row[i]
+        columns.append([Fraction(v, det) for v in scaled])
+    return [list(row) for row in zip(*columns)]
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """Solve matrix @ x = rhs exactly; raises ValueError if singular."""
     if len(rhs) != matrix.dim:
         raise ValueError("right-hand side length mismatch")
-    return tuple(row[0] for row in _gauss_jordan(matrix, [[x] for x in rhs]))
+    return tuple(row[0] for row in _bareiss_solve(matrix, [[x] for x in rhs]))

@@ -108,11 +108,6 @@ class MultiDigitWord:
             rows.append(tuple(row))
         return cls(b, tuple(rows))
 
-    @classmethod
-    def from_columns(cls, b: int, columns: Sequence[Sequence[int]]) -> "MultiDigitWord":
-        rows = tuple(tuple(col[i] for col in columns) for i in range(len(columns[0])))
-        return cls(b, rows)
-
 
 def gsr_to_permutation(labels: Sequence[int], p: int) -> ColoredPermutation:
     """The shuffle produced by one digit word: stable rank plus color mod p.

@@ -23,6 +23,7 @@ __all__ = [
     "transition_oracle",
     "right_eigen_oracle",
     "stirling_first",
+    "left_eigen_oracle",
     "left_eigen_matrix",
     "right_eigen_matrix",
     "eigen_values",
@@ -133,6 +134,17 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def left_eigen_oracle(n: int, p) -> RationalMatrix:
+    """The ``Fraction`` double sum for L that ``left_eigen_matrix`` is checked against."""
+    p = Fraction(p)
+    dim = _state_count(n, p)
+    return RationalMatrix(
+        [sum((-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
+             for r in range(j + 1)) for j in range(dim)]
+        for i in range(dim)
+    )
+
+
 @lru_cache(maxsize=None)
 def stirling_first(k: int, l: int) -> int:
     """Signed Stirling number of the first kind: x(x-1)...(x-k+1) = sum s(k,l) x^l."""
@@ -148,18 +160,22 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
 
     Entry (i, j) is sum_{r=0}^{j} (-1)^r C(n+1, r) (p(j-r)+1)^(n-i).  Row i
     is a left eigenvector of every valid chain for eigenvalue (+-1/b)^i.
+    For p = a/c in lowest terms, p m + 1 = (a m + c)/c, so row i is the
+    integers sum_r (-1)^r C(n+1, r) (a(j-r) + c)^(n-i) over c^(n-i): one
+    power table per row, one ``Fraction`` per entry.  ``left_eigen_oracle``
+    sums the same terms as ``Fraction``s to check it.
     """
     p = Fraction(p)
+    a, c = p.numerator, p.denominator
     dim = _state_count(n, p)
+    signed = [(-1) ** r * comb(n + 1, r) for r in range(dim)]
     rows = []
     for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = Fraction(0)
-            for r in range(j + 1):
-                acc += (-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
-            row.append(acc)
-        rows.append(row)
+        powers = [(a * m + c) ** (n - i) for m in range(dim)]
+        denom = c ** (n - i)
+        rows.append([
+            Fraction(sum(map(mul, signed, powers[j::-1])), denom) for j in range(dim)
+        ])
     return RationalMatrix(rows)
 
 
@@ -225,8 +241,9 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
     if right @ left != RationalMatrix.identity(dim):
         raise RuntimeError(f"R L != I for {params}")
     values = eigen_values(params)
-    reconstructed = right @ RationalMatrix.diagonal(values) @ left
-    if reconstructed != transition_matrix(params):
+    # R D L as one product: D only scales the columns of R.
+    right_d = RationalMatrix([[x * v for x, v in zip(row, values)] for row in right.rows])
+    if right_d @ left != transition_matrix(params):
         raise RuntimeError(f"R D L != P for {params}")
     return EigenSystem(params, left, right, values)
 

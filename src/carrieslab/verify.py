@@ -35,6 +35,7 @@ from .moments import (
     variance_conditional,
 )
 from .process import (
+    ENUMERATION_LIMIT,
     ProcessParams,
     make_process,
     simulate_trace,
@@ -477,6 +478,11 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
     if mc_case is not None and samples < 1:
         raise ValueError(f"the sampled tier needs samples >= 1, got {samples}")
     name = "bijection-plus" if sign == "+" else "bijection-minus"
+    for b, n, p, places in cases:
+        # b >= 2 makes b^k > ENUMERATION_LIMIT for every k >= 64.
+        if b ** min(n * places, 64) > ENUMERATION_LIMIT:
+            raise ValueError(f"exhaustive b={b} n={n} p={p} N={places} would enumerate "
+                             f"{b}^{n * places} summand arrays, over {ENUMERATION_LIMIT}")
     report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
     for b, n, p, places in cases:
         why = _bijection_failure(sign, b, n, p, places)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from carrieslab import cli
-from carrieslab.process import STATE_LIMIT, STEP_LIMIT
+from carrieslab.process import ENUMERATION_LIMIT, STATE_LIMIT, STEP_LIMIT
 from carrieslab.verify import SuiteCase, SuiteReport, run_suite
 
 
@@ -267,6 +267,28 @@ def test_moment_step_counts_above_the_limit_are_refused(capsys):
     assert code == 0
 
 
+def test_values_past_the_digit_limit_are_refused(capsys):
+    argv = ("moments", "--sign", "+", "--b", "1000", "--n", "127", "--p", "999",
+            "--r", "1000", "--s", "1000")
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("carries-lab: the moments variance has more than")
+        assert "--float" in err and "sys.set_int_max_str_digits" not in err
+    code, out, _ = run(capsys, "--float", *argv)
+    assert code == 0 and json.loads(out)["variance"] == "10.666666666667"
+
+
+def test_exhaustive_bijection_cases_above_the_enumeration_limit_are_refused(capsys):
+    # 7^12 summand arrays, and an array count too large to compute.
+    for suite, (b, n, p, places) in (("bijection-plus", (7, 4, 3, 3)),
+                                     ("bijection-minus", (8, 10**9, 3, 10**9))):
+        code, out, err = run(capsys, "verify", suite, "--b", str(b), "--n", str(n),
+                             "--p", str(p), "--N", str(places))
+        assert (code, out) == (2, "")
+        assert f"over {ENUMERATION_LIMIT}" in err
+
+
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run(capsys, "matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "5")
     assert code == 2 and err.startswith("carries-lab:")
@@ -336,6 +358,153 @@ _MOMENTS_JSON = """\
 """
 
 
+# Eigen output at p = 3/2 on six states: L rows over powers of c = 2.
+_EIGEN_P32_JSON = """\
+{
+  "schema": 1,
+  "params": {
+    "sign": "+",
+    "b": 4,
+    "n": 5,
+    "p": "3/2"
+  },
+  "eigenvalues": [
+    "1",
+    "1/4",
+    "1/16",
+    "1/64",
+    "1/256",
+    "1/1024"
+  ],
+  "left": {
+    "dim": 6,
+    "rows": [
+      [
+        "1",
+        "2933/32",
+        "7249/16",
+        "5339/16",
+        "509/16",
+        "1/32"
+      ],
+      [
+        "1",
+        "529/16",
+        "293/8",
+        "-55",
+        "-125/8",
+        "-1/16"
+      ],
+      [
+        "1",
+        "77/8",
+        "-59/4",
+        "-13/4",
+        "29/4",
+        "1/8"
+      ],
+      [
+        "1",
+        "1/4",
+        "-13/2",
+        "8",
+        "-5/2",
+        "-1/4"
+      ],
+      [
+        "1",
+        "-7/2",
+        "4",
+        "-1",
+        "-1",
+        "1/2"
+      ],
+      [
+        "1",
+        "-5",
+        "10",
+        "-10",
+        "5",
+        "-1"
+      ]
+    ]
+  },
+  "right": {
+    "dim": 6,
+    "rows": [
+      [
+        "4/3645",
+        "14/729",
+        "89/729",
+        "497/1458",
+        "2857/7290",
+        "91/729"
+      ],
+      [
+        "4/3645",
+        "8/729",
+        "23/729",
+        "10/729",
+        "-139/3645",
+        "-14/729"
+      ],
+      [
+        "4/3645",
+        "2/729",
+        "-7/729",
+        "-25/1458",
+        "97/7290",
+        "7/729"
+      ],
+      [
+        "4/3645",
+        "-4/729",
+        "-1/729",
+        "19/729",
+        "-34/3645",
+        "-8/729"
+      ],
+      [
+        "4/3645",
+        "-10/729",
+        "41/729",
+        "-115/1458",
+        "37/7290",
+        "22/729"
+      ],
+      [
+        "4/3645",
+        "-16/729",
+        "119/729",
+        "-404/729",
+        "3041/3645",
+        "-308/729"
+      ]
+    ]
+  }
+}
+"""
+
+
+# Stationary moments at p = 4/3 with --float, through the exact stationary law.
+_MOMENTS_FLOAT_JSON = """\
+{
+  "schema": 1,
+  "params": {
+    "sign": "+",
+    "b": 5,
+    "n": 3,
+    "p": "4/3"
+  },
+  "start": "stationary",
+  "r": 1,
+  "mean": "1.250000000000",
+  "variance": "0.333333333333",
+  "cov": "0.066666666667"
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -365,6 +534,9 @@ _MOMENTS_JSON = """\
          "4/81,2/27,-2/27,-4/81\n4/81,-4/27,1/27,5/81\n4/81,-10/27,22/27,-40/81\n"),
         (["moments", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2",
           "--i", "1", "--r", "2", "--s", "1"], _MOMENTS_JSON),
+        (["eigen", "--sign", "+", "--b", "4", "--n", "5", "--p", "3/2"], _EIGEN_P32_JSON),
+        (["--float", "moments", "--stationary", "--sign", "+", "--b", "5", "--n", "3",
+          "--p", "4/3", "--r", "1"], _MOMENTS_FLOAT_JSON),
     ],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):

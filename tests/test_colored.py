@@ -14,7 +14,7 @@ from carrieslab import (
     reverse_map,
     verify,
 )
-from carrieslab.colored import dash_key, full_mapping, standard_key
+from carrieslab.colored import dash_key, standard_key
 
 
 def test_validation():
@@ -49,16 +49,6 @@ def test_composition_acts_on_windows():
     prod = compose(tau, sigma)
     # Letter 1: sigma sends it to 2 with color 1, tau sends 2 to 2 adding 1.
     assert prod.pairs == ((2, 2), (1, 2))
-
-
-def test_full_mapping_is_equivariant():
-    sigma = ColoredPermutation(3, 2, ((2, 1), (3, 0), (1, 1)))
-    mapping = full_mapping(sigma)
-    assert mapping[(1, 0)] == (2, 1)
-    # Shifting the input color shifts the output color by the same amount.
-    for (k, c), (image, color) in mapping.items():
-        shifted = mapping[(k, (c + 1) % 2)]
-        assert shifted == (image, (color + 1) % 2)
 
 
 def test_keys_order_colors_differently():

@@ -67,18 +67,11 @@ def test_state_count_and_shift():
     plus = make_process("+", 5, 3, 2)
     assert plus.state_count == 4
     assert plus.column_shift == 2  # (b-1)(1 - 1/p)
-    assert plus.reflected_column_shift == plus.b - 1 - plus.column_shift
     minus = make_process("-", 5, 3, 2)
     assert minus.state_count == 4
     assert minus.column_shift == 2  # (b+1)/p - 1
     one = make_process("+", 5, 3, 1)
     assert one.state_count == 3 and one.column_shift == 0
-
-
-def test_conjugate_parameter():
-    params = make_process("+", 7, 2, 3)
-    assert params.p_conjugate == Fraction(3, 2)
-    assert make_process("+", 7, 2, 1).p_conjugate is None
 
 
 def test_digit_set_pins_down_params():

@@ -1,8 +1,11 @@
 """Property tests: the shuffle engine against the carries chain and the group law,
-and integer-row matrix products against schoolbook ``Fraction`` sums."""
+integer-row matrix products against schoolbook ``Fraction`` sums, and exact
+solves and inverses against their residuals."""
 
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from carrieslab import (
     simulate_trace,
     trace_from_words,
 )
+from carrieslab.ratmat import solve_linear
 
 BOUNDED = settings(derandomize=True, deadline=None)
 
@@ -88,11 +92,10 @@ def test_trace_folds_the_group_law(case):
         assert trace.descents == tuple(descent_count(e) for e in expected)
 
 
-# Zero-heavy entries over a few denominators, so that whole rows or columns vanish.
-rationals = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 35])),
-)
+# Entries over a few mixed denominators; the zero-heavy kind makes whole rows
+# or columns vanish.
+mixed = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 35]))
+rationals = st.one_of(st.just(Fraction(0)), mixed)
 
 
 @st.composite
@@ -126,3 +129,53 @@ def test_integer_row_products_equal_schoolbook_sums(case):
         tuple(schoolbook(row, col) for col in columns) for row in left
     )
     assert RationalMatrix(left).col_mul(vector) == tuple(schoolbook(row, vector) for row in left)
+
+
+@st.composite
+def linear_systems(draw):
+    """A square matrix of dimension 1..6 and a right-hand side, some of them singular.
+
+    Right-hand side entries with denominator 1 are plain ints, the case in
+    which an integer divided by an integer pivot would turn into a float.
+    """
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(mixed, min_size=dim, max_size=dim),
+                         min_size=dim, max_size=dim))
+    if dim > 1 and draw(st.booleans()):
+        # One row a combination of the others: singular, often with no zero line.
+        target = draw(st.integers(0, dim - 1))
+        others = rows[:target] + rows[target + 1:]
+        weights = draw(st.lists(mixed, min_size=dim - 1, max_size=dim - 1))
+        rows[target] = [schoolbook(weights, col) for col in zip(*others)]
+    rhs = [int(x) if x.denominator == 1 else x for x in draw(
+        st.lists(rationals, min_size=dim, max_size=dim))]
+    return rows, rhs
+
+
+def leibniz_determinant(rows):
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        term = Fraction(-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+@BOUNDED
+@given(linear_systems())
+def test_solves_and_inverses_are_exact(case):
+    rows, rhs = case
+    matrix = RationalMatrix(rows)
+    if leibniz_determinant(rows) == 0:
+        with pytest.raises(ValueError):
+            solve_linear(matrix, rhs)
+        with pytest.raises(ValueError):
+            matrix.inverse()
+        return
+    x = solve_linear(matrix, rhs)
+    assert all(type(v) is Fraction for v in x)
+    assert matrix.col_mul(x) == tuple(rhs)
+    inverse = matrix.inverse()
+    assert all(type(v) is Fraction for row in inverse.rows for v in row)
+    assert matrix @ inverse == RationalMatrix.identity(len(rows))

@@ -27,7 +27,7 @@ def test_constructor_rejects_ragged_and_empty():
 
 def test_identity_and_diagonal():
     i3 = RationalMatrix.identity(3)
-    d = RationalMatrix.diagonal([1, Fraction(1, 2), Fraction(1, 4)])
+    d = RationalMatrix([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 4)]])
     assert i3 @ d == d == d @ i3
     assert d[1][1] == Fraction(1, 2) and d[0][1] == 0
 

@@ -37,7 +37,6 @@ def test_multi_digit_word_round_trips():
     values = word.row_values()
     assert values == (4 + 3 * 25, 1 + 2 * 5)
     assert MultiDigitWord.from_values(5, 3, values) == word
-    assert MultiDigitWord.from_columns(5, word.columns()) == word
     with pytest.raises(ValueError):
         MultiDigitWord(5, ((5, 0), (1, 2)))
     with pytest.raises(ValueError):

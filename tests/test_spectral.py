@@ -15,6 +15,7 @@ from carrieslab import (
     dash_descent_count,
     descent_count,
     left_eigen_matrix,
+    left_eigen_oracle,
     make_process,
     right_eigen_matrix,
     right_eigen_oracle,
@@ -67,6 +68,26 @@ def test_right_polynomial_form_agrees():
     for p in (1, 2, 3, 4, Fraction(3, 2), Fraction(4, 3)):
         for n in range(1, 9):
             assert right_eigen_matrix(n, p) == right_eigen_oracle(n, p), (n, p)
+
+
+def test_left_integer_form_agrees():
+    for p in (1, 2, 3, 4, Fraction(3, 2), Fraction(4, 3)):
+        for n in range(1, 9):
+            assert left_eigen_matrix(n, p) == left_eigen_oracle(n, p), (n, p)
+
+
+def test_eigen_system_multiplies_twice(monkeypatch):
+    # R L = I and R D L = P, with D folded into the columns of R.
+    calls = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    eigen_system(make_process("-", 5, 4, Fraction(3, 2)))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("p", [3, Fraction(3, 2)])
