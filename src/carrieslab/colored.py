@@ -19,7 +19,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterator
 
-GROUP_ENUMERATION_LIMIT = 10**7
+from .process import ENUMERATION_LIMIT
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -155,7 +155,7 @@ def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     if not (isinstance(p, int) and p >= 1):
         raise ValueError(f"color count p must be a positive integer, got {p!r}")
     size = factorial(n) * p**n
-    if size > GROUP_ENUMERATION_LIMIT:
+    if size > ENUMERATION_LIMIT:
         raise ValueError(f"group of size {size} exceeds enumeration limit")
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):

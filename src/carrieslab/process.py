@@ -31,7 +31,7 @@ DEFAULT_SEED = 1729
 ENUMERATION_LIMIT = 10**7
 
 #: Largest state count the ``matrix``, ``eigen`` and ``moments`` commands
-#: accept: ``eigen`` at 128 states takes about 7 s at b = 4, 26 s at b = 1000.
+#: accept: ``eigen`` at 128 states takes about 5 s at b = 4, 15 s at b = 1000.
 STATE_LIMIT = 128
 
 #: Largest step count (``--r``, ``--s``) the ``moments`` command accepts;
@@ -126,6 +126,11 @@ def derive_p(sign: str, b: int, d: int, n: int) -> Fraction:
     return 1 / (1 - fractional)
 
 
+def state_count(n: int, p) -> int:
+    """Number of normalized states: n when p = 1, n + 1 otherwise."""
+    return n if p == 1 else n + 1
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Validated parameter bundle for a carries chain.
@@ -171,7 +176,7 @@ class ProcessParams:
 
     @property
     def state_count(self) -> int:
-        return self.n if self.p == 1 else self.n + 1
+        return state_count(self.n, self.p)
 
     @property
     def states(self) -> range:

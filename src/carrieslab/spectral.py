@@ -14,8 +14,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from operator import mul
+from typing import Iterator
 
-from .process import ENUMERATION_LIMIT, ProcessParams, make_process, step_carry
+from .process import ENUMERATION_LIMIT, ProcessParams, make_process, state_count, step_carry
 from .ratmat import RationalMatrix, solve_linear
 
 __all__ = [
@@ -40,50 +41,36 @@ __all__ = [
 ]
 
 
-def _state_count(n: int, p: Fraction) -> int:
-    return n if p == 1 else n + 1
+def _signed_binomial_convolution(n: int, tables) -> Iterator[list[int]]:
+    """Each table t convolved with (-1)^r C(n+1, r): entry m is sum_r (-1)^r C(n+1, r) t[m-r].
 
-
-def _sum_target(params: ProcessParams, i: int, j: int) -> int:
-    """Value of the (n+1)-variable digit sum whose count gives b^n P(i, j).
-
-    Always an integer for valid parameters; a non-integer value indicates
-    corrupted parameters and raises rather than rounding.
+    The inclusion-exclusion over n + 1 parts that P and L share.
     """
-    b, n, p = params.b, params.n, params.p
-    if params.sign == "+":
-        target = (j + Fraction(1) / p) * b - (i + Fraction(1) / p)
-    else:
-        target = (n + 1 - j) * b - i - Fraction(b + 1) / p
-    if target.denominator != 1:
-        raise ArithmeticError(f"non-integer sum target {target} for {params}")
-    return int(target)
-
-
-def _bounded_count(total: int, parts: int, b: int) -> int:
-    """Number of tuples in {0..b-1}^parts with the given sum."""
-    if total < 0:
-        return 0
-    acc = 0
-    r = 0
-    while r <= parts and total - b * r >= 0:
-        acc += (-1) ** r * comb(parts, r) * comb(total - b * r + parts - 1, parts - 1)
-        r += 1
-    return acc
+    signed = [(-1) ** r * comb(n + 1, r) for r in range(n + 1)]
+    for table in tables:
+        yield [sum(map(mul, signed, table[m::-1])) for m in range(len(table))]
 
 
 def transition_matrix(params: ProcessParams) -> RationalMatrix:
-    """Exact transition matrix from the inclusion-exclusion closed form."""
+    """Exact transition matrix from the inclusion-exclusion closed form.
+
+    From state i, the columns with quotient m are the (n+1)-tuples over
+    {0..b-1} summing to m b + t_i, t_i = b - 1 - i - ``column_shift`` (the
+    n digits plus b - 1 minus the remainder).  With ways[m] = C(m b + t_i + n, n),
+    or 0 when m b + t_i < 0, row i counts sum_r (-1)^r C(n+1, r) ways[m-r]
+    tuples for quotient m over b^n, which is state m for sign + and n - m
+    for sign -, as in ``step_carry``.
+    """
     b, n = params.b, params.n
-    dim = params.state_count
     denom = b**n
+    targets = ([m * b + b - 1 - i - params.column_shift for m in range(n + 1)]
+               for i in params.states)
+    tables = ([comb(t + n, n) if t >= 0 else 0 for t in row] for row in targets)
     rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            count = _bounded_count(_sum_target(params, i, j), n + 1, b)
-            row.append(Fraction(count, denom))
-        rows.append(row)
+    for counts in _signed_binomial_convolution(n, tables):
+        if params.sign == "-":
+            counts.reverse()
+        rows.append([Fraction(x, denom) for x in counts[: params.state_count]])
     return RationalMatrix(rows)
 
 
@@ -117,7 +104,7 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
     check it.
     """
     p = Fraction(p)
-    dim = _state_count(n, p)
+    dim = state_count(n, p)
     rows = []
     for i in range(dim):
         row = []
@@ -137,7 +124,7 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
 def left_eigen_oracle(n: int, p) -> RationalMatrix:
     """The ``Fraction`` double sum for L that ``left_eigen_matrix`` is checked against."""
     p = Fraction(p)
-    dim = _state_count(n, p)
+    dim = state_count(n, p)
     return RationalMatrix(
         [sum((-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
              for r in range(j + 1)) for j in range(dim)]
@@ -167,16 +154,12 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
     """
     p = Fraction(p)
     a, c = p.numerator, p.denominator
-    dim = _state_count(n, p)
-    signed = [(-1) ** r * comb(n + 1, r) for r in range(dim)]
-    rows = []
-    for i in range(dim):
-        powers = [(a * m + c) ** (n - i) for m in range(dim)]
-        denom = c ** (n - i)
-        rows.append([
-            Fraction(sum(map(mul, signed, powers[j::-1])), denom) for j in range(dim)
-        ])
-    return RationalMatrix(rows)
+    dim = state_count(n, p)
+    powers = ([(a * m + c) ** (n - i) for m in range(dim)] for i in range(dim))
+    return RationalMatrix([
+        [Fraction(x, c ** (n - i)) for x in row]
+        for i, row in enumerate(_signed_binomial_convolution(n, powers))
+    ])
 
 
 def right_eigen_matrix(n: int, p) -> RationalMatrix:
@@ -193,7 +176,7 @@ def right_eigen_matrix(n: int, p) -> RationalMatrix:
     """
     p = Fraction(p)
     a, c = p.numerator, p.denominator
-    dim = _state_count(n, p)
+    dim = state_count(n, p)
     denom = a**n * factorial(n)
     stirling = [stirling_first(n, l) for l in range(n + 1)]
     # shared[t][k] = s(n, l) a^(n-l) C(l, t) for l = t + k: the row-independent

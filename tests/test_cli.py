@@ -505,6 +505,28 @@ _MOMENTS_FLOAT_JSON = """\
 """
 
 
+# Sign - at p = 1: n states, state n - m for column quotient m.
+_MATRIX_MINUS_JSON = """\
+[
+  [
+    "1/27",
+    "16/27",
+    "10/27"
+  ],
+  [
+    "4/27",
+    "19/27",
+    "4/27"
+  ],
+  [
+    "10/27",
+    "16/27",
+    "1/27"
+  ]
+]
+"""
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -537,6 +559,11 @@ _MOMENTS_FLOAT_JSON = """\
         (["eigen", "--sign", "+", "--b", "4", "--n", "5", "--p", "3/2"], _EIGEN_P32_JSON),
         (["--float", "moments", "--stationary", "--sign", "+", "--b", "5", "--n", "3",
           "--p", "4/3", "--r", "1"], _MOMENTS_FLOAT_JSON),
+        (["matrix", "--sign", "-", "--b", "3", "--n", "3", "--p", "1"], _MATRIX_MINUS_JSON),
+        # b = 1000: binomials of large arguments m b + n.
+        (["--format", "csv", "matrix", "--sign", "+", "--b", "1000", "--n", "2", "--p", "999"],
+         "dim,3\n3/1000000,251247/500000,497503/1000000\n"
+         "1/1000000,250749/500000,498501/1000000\n0,1001/2000,999/2000\n"),
     ],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):

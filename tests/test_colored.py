@@ -28,6 +28,13 @@ def test_validation():
         ColoredPermutation(2, 0, ((1, 0), (2, 0)))  # bad p
 
 
+def test_group_enumeration_above_the_limit_is_refused():
+    # 11! = 39,916,800 elements exceeds process.ENUMERATION_LIMIT.
+    elements = enumerate_group(11, 1)
+    with pytest.raises(ValueError, match="exceeds enumeration limit"):
+        next(elements)
+
+
 def test_group_axioms_on_small_groups():
     for n, p in ((2, 2), (3, 2), (2, 3)):
         elements = list(enumerate_group(n, p))

@@ -1,4 +1,5 @@
 """Property tests: the shuffle engine against the carries chain and the group law,
+the closed-form transition matrix against enumeration and P = R D L,
 integer-row matrix products against schoolbook ``Fraction`` sums, and exact
 solves and inverses against their residuals."""
 
@@ -16,11 +17,14 @@ from carrieslab import (
     bijection_plus,
     compose,
     descent_count,
+    eigen_system,
     gsr_to_permutation,
     make_process,
     reverse_map,
     simulate_trace,
     trace_from_words,
+    transition_matrix,
+    transition_oracle,
 )
 from carrieslab.ratmat import solve_linear
 
@@ -90,6 +94,30 @@ def test_trace_folds_the_group_law(case):
     assert trace.elements == tuple(expected)
     if sign == "+":
         assert trace.descents == tuple(descent_count(e) for e in expected)
+
+
+@st.composite
+def rational_chains(draw):
+    """A valid chain with b <= 9, n <= 4 and p = (b - 1)/k or (b + 1)/k, rational p included."""
+    sign = draw(st.sampled_from("+-"))
+    b = draw(st.integers(2, 9))
+    top = b - 1 if sign == "+" else b + 1
+    p = Fraction(top, draw(st.integers(1, top)))
+    return make_process(sign, b, draw(st.integers(1, 4)), p)
+
+
+@BOUNDED
+@given(rational_chains())
+def test_transition_matrix_is_the_enumeration_and_factors(params):
+    matrix = transition_matrix(params)
+    assert matrix == transition_oracle(params)
+    assert all(x >= 0 for row in matrix.rows for x in row)
+    assert all(sum(row) == 1 for row in matrix.rows)
+    system = eigen_system(params)
+    scaled = RationalMatrix(
+        [[x * v for x, v in zip(row, system.eigenvalues)] for row in system.right.rows]
+    )
+    assert scaled @ system.left == matrix
 
 
 # Entries over a few mixed denominators; the zero-heavy kind makes whole rows

@@ -27,6 +27,7 @@ from carrieslab import (
     transition_matrix,
     transition_oracle,
 )
+from carrieslab import spectral
 
 PARAMS = [
     ("+", 2, 2, 1),
@@ -88,6 +89,22 @@ def test_eigen_system_multiplies_twice(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
     eigen_system(make_process("-", 5, 4, Fraction(3, 2)))
     assert len(calls) == 2
+
+
+def test_transition_matrix_takes_one_binomial_table_per_row(monkeypatch):
+    # One table of n + 1 binomials per row plus the n + 1 signed ones, not a
+    # batch of binomials for every entry.
+    calls = []
+    comb = spectral.comb
+
+    def counted(*args):
+        calls.append(1)
+        return comb(*args)
+
+    monkeypatch.setattr(spectral, "comb", counted)
+    n = 40
+    transition_matrix(make_process("+", 3, n, 1))
+    assert len(calls) <= (n + 1) ** 2 + n + 1
 
 
 @pytest.mark.parametrize("p", [3, Fraction(3, 2)])
