@@ -30,9 +30,11 @@ from .process import (
     DEFAULT_SEED,
     STATE_LIMIT,
     STEP_LIMIT,
+    check_limit,
     digit_expansion,
     digit_value,
     make_process,
+    parameter_ratio,
     simulate_trace,
 )
 from .shuffle import sample_sequence
@@ -172,11 +174,7 @@ def _params_obj(params) -> dict:
 def _bounded_process(args, d=None):
     """The chain the flags name, refused when it has more than STATE_LIMIT states."""
     params = make_process(args.sign, args.b, args.n, args.p, d)
-    if params.state_count > STATE_LIMIT:
-        raise ValueError(
-            f"{args.command} is limited to {STATE_LIMIT} states; "
-            f"n={params.n} p={params.p} gives {params.state_count}"
-        )
+    check_limit(args.command, params.state_count, STATE_LIMIT, "states")
     return params
 
 
@@ -208,8 +206,7 @@ def cmd_moments(args):
     params = _bounded_process(args)
     if args.r < 0 or args.s < 0:
         raise ValueError("step counts must be nonnegative")
-    if max(args.r, args.s) > STEP_LIMIT:
-        raise ValueError(f"step counts --r and --s are limited to {STEP_LIMIT}")
+    check_limit("moments", max(args.r, args.s), STEP_LIMIT, "steps (--r and --s)")
     if args.stationary:
         start, lag = "stationary", {}
     elif not 0 <= args.i < params.state_count:
@@ -263,14 +260,7 @@ def cmd_simulate(args):
 
 
 def cmd_shuffle(args):
-    if args.p < 1:
-        raise ValueError("the shuffle needs a positive integer p")
-    if args.N < 0:
-        raise ValueError("shuffle count must be nonnegative")
-    congruent = (args.b - 1) % args.p if args.sign == "+" else (args.b + 1) % args.p
-    if congruent != 0:
-        want = "1" if args.sign == "+" else "-1"
-        raise ValueError(f"sign {args.sign} needs b = {want} mod p")
+    parameter_ratio(args.sign, args.b, args.p)
     seed = _resolve_seed(args)
     trace = sample_sequence(args.b, args.n, args.p, args.N, seed=seed, sign=args.sign)
     obj = {

@@ -19,7 +19,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterator
 
-from .process import ENUMERATION_LIMIT
+from .process import ENUMERATION_LIMIT, check_limit
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -154,9 +154,7 @@ def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     """Yield all p^n n! elements; guarded against oversized groups."""
     if not (isinstance(p, int) and p >= 1):
         raise ValueError(f"color count p must be a positive integer, got {p!r}")
-    size = factorial(n) * p**n
-    if size > ENUMERATION_LIMIT:
-        raise ValueError(f"group of size {size} exceeds enumeration limit")
+    check_limit(f"enumerating Z_{p} wr S_{n}", factorial(n) * p**n, ENUMERATION_LIMIT, "elements")
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):
             yield ColoredPermutation(n, p, tuple(zip(positions, colors)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .process import ProcessParams
+from .process import STEP_LIMIT, ProcessParams, check_limit
 from .ratmat import RationalMatrix
 from .spectral import stationary_distribution, transition_matrix
 
@@ -35,9 +35,6 @@ __all__ = [
     "MomentOracle",
     "moments_oracle",
 ]
-
-#: Largest power of the transition matrix the oracle will compute.
-MAX_ORACLE_POWER = 64
 
 
 def _center(params: ProcessParams, i: int) -> Fraction:
@@ -206,8 +203,9 @@ def moments_oracle(
     mean and variance are those of the stationary law and the covariance
     is the lag-r autocovariance.  Everything comes from exact powers of P.
     """
-    if not (0 <= r <= MAX_ORACLE_POWER and 0 <= s <= MAX_ORACLE_POWER):
-        raise ValueError(f"oracle powers limited to {MAX_ORACLE_POWER}")
+    if r < 0 or s < 0:
+        raise ValueError("step counts must be nonnegative")
+    check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")
     oracle = MomentOracle(params)
     mean, variance = oracle.law_moments(start, r)
     covariance = oracle.covariance(start, s, r)

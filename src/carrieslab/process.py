@@ -4,7 +4,9 @@ A chain is described by a sign, a base magnitude b >= 2, the number of
 summands n >= 1, and a rational parameter p >= 1 subject to the validity
 condition that (b - 1)/p (positive base) or (b + 1)/p (negative base) is a
 positive integer.  The normalized state space is {0, ..., n-1} when p = 1
-and {0, ..., n} otherwise.
+and {0, ..., n} otherwise.  This module owns that validity rule
+(``parameter_ratio``) and the work caps (the ``*_LIMIT`` table and
+``check_limit``); the rest of the package and the command line call them.
 
 Chains that arise from repeatedly adding n numbers written over a digit set
 {d, ..., d + b - 1} carry the offset d; ``derive_p`` recovers the parameter
@@ -27,16 +29,29 @@ SIGNS = ("+", "-")
 #: Seed used by sampling helpers when the caller does not pass one.
 DEFAULT_SEED = 1729
 
-#: Upper bound on the number of digit tuples an enumeration helper may visit.
-ENUMERATION_LIMIT = 10**7
-
-#: Largest state count the ``matrix``, ``eigen`` and ``moments`` commands
-#: accept: ``eigen`` at 128 states takes about 5 s at b = 4, 15 s at b = 1000.
+#: Chain states the ``matrix``, ``eigen`` and ``moments`` commands accept:
+#: ``eigen`` at 128 states takes about 5 s at b = 4, 15 s at b = 1000.
 STATE_LIMIT = 128
-
-#: Largest step count (``--r``, ``--s``) the ``moments`` command accepts;
-#: the closed forms hold powers b^(2r).
+#: Steps of a moments query (its closed forms hold b^(2r)) or of the moments oracle.
 STEP_LIMIT = 1000
+#: Digit tuples, summand arrays or group elements one enumeration visits.
+ENUMERATION_LIMIT = 10**7
+#: Digits a simulated path draws and holds (steps times summands).
+SIMULATE_LIMIT = 10**6
+#: Digits a sampled shuffle sequence draws (shuffles times cards).
+SHUFFLE_LIMIT = 2 * 10**5
+#: Monte-Carlo samples the sampled tier of a bijection suite draws.
+SAMPLE_LIMIT = 10**7
+
+
+def check_limit(what: str, amount: int | tuple[int, int], limit: int, unit: str) -> None:
+    """Refuse ``what`` past ``limit`` ``unit``.  A pair ``amount`` (base, exponent) is compared
+    without building past base**64, which tops every cap; counts past 2^64 print as such."""
+    power = isinstance(amount, tuple)
+    base, exponent = amount if power else (amount, 1)
+    if base ** min(exponent, 64) > limit:
+        got = f"{base}^{exponent}" if power else (base if base < 2**64 else "over 2^64")
+        raise ValueError(f"{what} is limited to {limit} {unit}, got {got}")
 
 
 def _check_base(b: int) -> None:
@@ -52,6 +67,18 @@ def _check_sign(sign: str) -> None:
 def _check_offset(b: int, d: int) -> None:
     if not isinstance(d, int) or not (1 - b <= d <= 0):
         raise ValueError(f"digit offset must satisfy 1-b <= d <= 0, got d={d!r} for b={b}")
+
+
+def parameter_ratio(sign: str, b: int, p) -> int:
+    """(b-1)/p for sign '+', (b+1)/p for sign '-': a positive integer exactly when
+    (sign, b, p) is valid, for a carries chain and its colored shuffles alike."""
+    _check_sign(sign)
+    _check_base(b)
+    top = b - 1 if sign == "+" else b + 1
+    if p < 1 or top % p != 0:
+        raise ValueError(f"invalid parameter: sign {sign} needs p >= 1 and "
+                         f"b = {'1' if sign == '+' else '-1'} mod p, got b={b} p={p}")
+    return top // p
 
 
 def carry_slope(sign: str, b: int, d: int) -> Fraction:
@@ -148,25 +175,14 @@ class ProcessParams:
     column_shift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_sign(self.sign)
-        _check_base(self.b)
+        object.__setattr__(self, "p", Fraction(self.p))
+        ratio = parameter_ratio(self.sign, self.b, self.p)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"summand count must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "p", Fraction(self.p))
-        if self.p < 1:
-            raise ValueError(f"parameter p must be >= 1, got {self.p}")
-        ratio = Fraction(self.b - 1 if self.sign == "+" else self.b + 1) / self.p
-        if ratio.denominator != 1 or ratio <= 0:
-            side = "(b-1)/p" if self.sign == "+" else "(b+1)/p"
-            raise ValueError(
-                f"invalid parameter: {side} must be a positive integer, "
-                f"got {ratio} for sign={self.sign} b={self.b} p={self.p}"
-            )
         # (b-1)(1 - 1/p) = (b-1) - ratio and (b+1)/p - 1 = ratio - 1.
-        shift = self.b - 1 - int(ratio) if self.sign == "+" else int(ratio) - 1
+        shift = self.b - 1 - ratio if self.sign == "+" else ratio - 1
         object.__setattr__(self, "column_shift", shift)
         if self.d is not None:
-            _check_offset(self.b, self.d)
             expected = derive_p(self.sign, self.b, self.d, self.n)
             if expected != self.p:
                 raise ValueError(
@@ -232,8 +248,7 @@ def realized_carry_set(sign: str, b: int, d: int, n: int) -> frozenset[int]:
     _check_sign(sign)
     _check_base(b)
     _check_offset(b, d)
-    if b**n > ENUMERATION_LIMIT:
-        raise ValueError(f"digit enumeration too large: {b}^{n} > {ENUMERATION_LIMIT}")
+    check_limit(f"the carry closure at b={b} n={n}", (b, n), ENUMERATION_LIMIT, "digit tuples")
     digit_tuples = list(product(range(d, d + b), repeat=n))
     seen: set[int] = {0}
     frontier = [0]
@@ -280,6 +295,7 @@ def simulate_trace(
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    check_limit("a simulated path", steps * params.n, SIMULATE_LIMIT, "digits (steps x summands)")
     if columns is None:
         rng = random.Random(seed)
         drawn = tuple(

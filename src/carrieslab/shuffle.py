@@ -31,7 +31,7 @@ from .colored import (
     reverse_map,
     standard_key,
 )
-from .process import DEFAULT_SEED, digit_value
+from .process import DEFAULT_SEED, SHUFFLE_LIMIT, check_limit, digit_value, parameter_ratio
 
 __all__ = [
     "MultiDigitWord",
@@ -216,11 +216,11 @@ def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
     """Descent statistics of a word in {0..b-1}^n, in four variants.
 
     ``"plain"``: strict drops x_i > x_{i+1}, plus the end when
-    x_n > (b-1)/p (needs b = 1 mod p).
+    x_n > (b-1)/p (needs b = 1 mod p, see ``parameter_ratio``).
     ``"mixed"``: drops in the order that interleaves residue classes the
     way the standard order on colored letters does, plus the end when
     x_n != 0 mod p.
-    ``"plain-dash"``: strict drops plus the end when x_n > b-1-((b+1)/p-1)
+    ``"plain-dash"``: strict drops plus the end when x_n > b - (b+1)/p
     (needs b = -1 mod p).
     ``"mixed-dash"``: drops in the residue-major order, plus the end when
     x_n = p-1 mod p.
@@ -228,13 +228,9 @@ def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
     if not values:
         return 0
     if variant == "plain":
-        if (b - 1) % p != 0:
-            raise ValueError(f"variant 'plain' needs b = 1 mod p, got b={b} p={p}")
-        keys, end = values, values[-1] > (b - 1) // p
+        keys, end = values, values[-1] > parameter_ratio("+", b, p)
     elif variant == "plain-dash":
-        if (b + 1) % p != 0:
-            raise ValueError(f"variant 'plain-dash' needs b = -1 mod p, got b={b} p={p}")
-        keys, end = values, values[-1] > b - 1 - ((b + 1) // p - 1)
+        keys, end = values, values[-1] > b - parameter_ratio("-", b, p)
     elif variant == "mixed":
         keys, end = [standard_key(divmod(x, p), p) for x in values], values[-1] % p != 0
     elif variant == "mixed-dash":
@@ -333,6 +329,9 @@ def sample_sequence(
     b: int, n: int, p: int, steps: int, seed: int = DEFAULT_SEED, sign: str = "+"
 ) -> ShuffleTrace:
     """Trace of ``steps`` uniform shuffles; digits drawn card by card, word by word."""
+    if steps < 0:
+        raise ValueError("shuffle count must be nonnegative")
+    check_limit("a shuffle sequence", steps * n, SHUFFLE_LIMIT, "digits (shuffles x cards)")
     rng = random.Random(seed)
     words = [tuple(rng.randrange(b) for _ in range(n)) for _ in range(steps)]
     return trace_from_words(b, n, p, words, sign)
@@ -350,10 +349,7 @@ def _bijection_stages(
     and the words in application order.
     """
     b, places = summands.b, summands.places
-    if sign == "+" and (b - 1) % p != 0:
-        raise ValueError(f"positive-base construction needs b = 1 mod p, got b={b} p={p}")
-    if sign == "-" and (b + 1) % p != 0:
-        raise ValueError(f"negative-base construction needs b = -1 mod p, got b={b} p={p}")
+    parameter_ratio(sign, b, p)
     if sign == "-":
         summands = MultiDigitWord(
             b,
@@ -401,8 +397,7 @@ def shuffle_probability(sigma: ColoredPermutation, b: int, r: int = 1) -> Fracti
     b = 1 mod p.
     """
     n, p = sigma.n, sigma.p
-    if (b - 1) % p != 0:
-        raise ValueError(f"closed form needs b = 1 mod p, got b={b} p={p}")
+    parameter_ratio("+", b, p)
     m = (b**r - 1) // p
     d_inv = descent_count(inverse(sigma))
     return Fraction(comb(n + m - d_inv, n), b ** (r * n))

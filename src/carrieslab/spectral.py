@@ -16,7 +16,8 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterator
 
-from .process import ENUMERATION_LIMIT, ProcessParams, make_process, state_count, step_carry
+from .process import (ENUMERATION_LIMIT, ProcessParams, check_limit, make_process, state_count,
+                      step_carry)
 from .ratmat import RationalMatrix, solve_linear
 
 __all__ = [
@@ -82,8 +83,7 @@ def transition_oracle(params: ProcessParams) -> RationalMatrix:
     ``ENUMERATION_LIMIT`` on b^n.
     """
     b, n = params.b, params.n
-    if b**n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration too large: {b}^{n} > {ENUMERATION_LIMIT}")
+    check_limit(f"the transition oracle at b={b} n={n}", (b, n), ENUMERATION_LIMIT, "digit tuples")
     dim = params.state_count
     counts = [[0] * dim for _ in range(dim)]
     for digits in product(range(b), repeat=n):

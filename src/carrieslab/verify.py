@@ -36,8 +36,11 @@ from .moments import (
 )
 from .process import (
     ENUMERATION_LIMIT,
+    SAMPLE_LIMIT,
     ProcessParams,
+    check_limit,
     make_process,
+    parameter_ratio,
     simulate_trace,
 )
 from .ratmat import RationalMatrix
@@ -126,17 +129,16 @@ def valid_parameters(sign: str, b: int) -> list[Fraction]:
 
 def smallest_valid_bases(sign: str, p, count: int = 2) -> list[int]:
     """The ``count`` smallest bases b >= 2 for which (sign, b, p) is valid."""
-    p = Fraction(p)
     out = []
-    b = 2
-    while len(out) < count:
-        ratio = Fraction(b - 1 if sign == "+" else b + 1) / p
-        if ratio.denominator == 1 and ratio > 0:
-            out.append(b)
-        b += 1
-        if b > 1000:
-            raise ValueError(f"no valid bases found for sign={sign} p={p}")
-    return out
+    for b in range(2, 1001):
+        try:
+            parameter_ratio(sign, b, p)
+        except ValueError:
+            continue
+        out.append(b)
+        if len(out) == count:
+            return out
+    raise ValueError(f"no valid bases found for sign={sign} p={p}")
 
 
 def _param_key(params: ProcessParams) -> str:
@@ -475,14 +477,14 @@ def suite_bijection_minus(
 
 def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> SuiteReport:
     """Both bijection suites; ``sign`` picks the construction and the chain."""
-    if mc_case is not None and samples < 1:
-        raise ValueError(f"the sampled tier needs samples >= 1, got {samples}")
+    if mc_case is not None:
+        if samples < 1:
+            raise ValueError(f"the sampled tier needs samples >= 1, got {samples}")
+        check_limit("the sampled tier", samples, SAMPLE_LIMIT, "samples")
     name = "bijection-plus" if sign == "+" else "bijection-minus"
     for b, n, p, places in cases:
-        # b >= 2 makes b^k > ENUMERATION_LIMIT for every k >= 64.
-        if b ** min(n * places, 64) > ENUMERATION_LIMIT:
-            raise ValueError(f"exhaustive b={b} n={n} p={p} N={places} would enumerate "
-                             f"{b}^{n * places} summand arrays, over {ENUMERATION_LIMIT}")
+        check_limit(f"exhaustive b={b} n={n} p={p} N={places}", (b, n * places),
+                    ENUMERATION_LIMIT, "summand arrays")
     report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
     for b, n, p, places in cases:
         why = _bijection_failure(sign, b, n, p, places)

@@ -5,8 +5,24 @@ import json
 import pytest
 
 from carrieslab import cli
-from carrieslab.process import ENUMERATION_LIMIT, STATE_LIMIT, STEP_LIMIT
-from carrieslab.verify import SuiteCase, SuiteReport, run_suite
+from carrieslab.colored import ColoredPermutation
+from carrieslab.process import (
+    ENUMERATION_LIMIT,
+    SAMPLE_LIMIT,
+    SHUFFLE_LIMIT,
+    SIMULATE_LIMIT,
+    STATE_LIMIT,
+    STEP_LIMIT,
+    make_process,
+)
+from carrieslab.shuffle import (
+    MultiDigitWord,
+    bijection_minus,
+    bijection_plus,
+    shuffle_probability,
+    word_descents,
+)
+from carrieslab.verify import SuiteCase, SuiteReport, run_suite, valid_parameters
 
 
 def run(capsys, *argv):
@@ -286,7 +302,78 @@ def test_exhaustive_bijection_cases_above_the_enumeration_limit_are_refused(caps
         code, out, err = run(capsys, "verify", suite, "--b", str(b), "--n", str(n),
                              "--p", str(p), "--N", str(places))
         assert (code, out) == (2, "")
-        assert f"over {ENUMERATION_LIMIT}" in err
+        assert f"limited to {ENUMERATION_LIMIT} summand arrays" in err
+
+
+CHAIN = ("--sign", "+", "--b", "3", "--p", "1")
+
+# Each cap with calls just past it: name -> (argv, the cap the refusal names).
+OVER_CAP = {
+    "states-matrix": (("matrix", *CHAIN, "--n", str(STATE_LIMIT + 1)), STATE_LIMIT),
+    "states-eigen": (("eigen", "--sign", "+", "--b", "7", "--n", str(STATE_LIMIT), "--p", "2"),
+                     STATE_LIMIT),
+    "steps": (("moments", *CHAIN, "--n", "2", "--r", str(STEP_LIMIT + 1)), STEP_LIMIT),
+    "steps-n1-r": (("moments", *CHAIN, "--n", "1", "--r", str(STEP_LIMIT + 1)), STEP_LIMIT),
+    "steps-n1-s": (("moments", *CHAIN, "--n", "1", "--s", str(STEP_LIMIT + 1)), STEP_LIMIT),
+    "steps-n1-stationary": (("moments", *CHAIN, "--n", "1", "--stationary",
+                             "--r", str(STEP_LIMIT + 1)), STEP_LIMIT),
+    "enumeration-arrays": (("verify", "bijection-plus", "--b", "7", "--n", "4", "--p", "3",
+                            "--N", "3"), ENUMERATION_LIMIT),
+    "enumeration-group": (("verify", "shuffle-prob", "--b", "3", "--n", "11", "--p", "1"),
+                          ENUMERATION_LIMIT),
+    "enumeration-group-past-printing": (("verify", "shuffle-prob", "--b", "3", "--n", "3000",
+                                         "--p", "1"), ENUMERATION_LIMIT),
+    "simulate-steps": (("simulate", *CHAIN, "--n", "2", "--N", str(SIMULATE_LIMIT // 2 + 1)),
+                       SIMULATE_LIMIT),
+    "simulate-summands": (("simulate", *CHAIN, "--n", str(SIMULATE_LIMIT + 1), "--N", "1"),
+                          SIMULATE_LIMIT),
+    "shuffle": (("shuffle", *CHAIN, "--n", "2", "--N", str(SHUFFLE_LIMIT // 2 + 1)),
+                SHUFFLE_LIMIT),
+    "samples-plus": (("verify", "bijection-plus", "--samples", str(SAMPLE_LIMIT + 1)),
+                     SAMPLE_LIMIT),
+    "samples-minus": (("verify", "bijection-minus", "--samples", str(SAMPLE_LIMIT + 1)),
+                      SAMPLE_LIMIT),
+}
+
+
+@pytest.mark.parametrize("argv, cap", OVER_CAP.values(), ids=OVER_CAP.keys())
+def test_every_cap_refuses_past_its_value(capsys, argv, cap):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("carries-lab: ") and err.count("\n") == 1
+    assert f"limited to {cap} " in err and "Traceback" not in err
+
+
+def test_one_summand_moments_take_the_step_cap(capsys):
+    code, out, _ = run(capsys, "moments", *CHAIN, "--n", "1",
+                       "--r", str(STEP_LIMIT), "--s", str(STEP_LIMIT))
+    assert code == 0 and json.loads(out)["r"] == STEP_LIMIT
+
+
+def test_every_entry_point_uses_one_validity_rule(capsys):
+    for sign in ("+", "-"):
+        for b in range(2, 13):
+            valid = valid_parameters(sign, b)
+            words = MultiDigitWord(b, ((0, 1), (1, 1)))
+            for p in range(1, 14):
+                checks = [
+                    lambda: make_process(sign, b, 2, p),
+                    lambda: (bijection_plus if sign == "+" else bijection_minus)(words, p),
+                    lambda: word_descents((1, 0), b, p, "plain" if sign == "+" else "plain-dash"),
+                ]
+                if sign == "+":
+                    checks.append(lambda: shuffle_probability(ColoredPermutation.identity(2, p), b))
+                for check in checks:
+                    try:
+                        check()
+                        accepted = True
+                    except ValueError as exc:
+                        assert "mod p" in str(exc)
+                        accepted = False
+                    assert accepted == (p in valid), (check, sign, b, p)
+                code, out, err = run(capsys, "shuffle", "--sign", sign, "--b", str(b),
+                                     "--n", "2", "--p", str(p), "--N", "1")
+                assert (code == 0) == (p in valid) and (code == 0 or "mod p" in err)
 
 
 def test_invalid_parameters_exit_two(capsys):

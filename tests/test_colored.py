@@ -15,6 +15,7 @@ from carrieslab import (
     verify,
 )
 from carrieslab.colored import dash_key, standard_key
+from carrieslab.process import ENUMERATION_LIMIT
 
 
 def test_validation():
@@ -31,7 +32,7 @@ def test_validation():
 def test_group_enumeration_above_the_limit_is_refused():
     # 11! = 39,916,800 elements exceeds process.ENUMERATION_LIMIT.
     elements = enumerate_group(11, 1)
-    with pytest.raises(ValueError, match="exceeds enumeration limit"):
+    with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} elements"):
         next(elements)
 
 

@@ -14,6 +14,7 @@ from carrieslab import (
     stationary_moments,
     variance_conditional,
 )
+from carrieslab.process import STEP_LIMIT
 
 VALID = [("+", 3, 2, 2), ("-", 8, 3, 3), ("+", 2, 4, 1), ("-", 3, 2, Fraction(4, 3))]
 
@@ -92,7 +93,7 @@ def test_negative_base_alternates_covariance_sign():
 def test_oracle_guards():
     params = make_process("+", 3, 2, 2)
     with pytest.raises(ValueError):
-        moments_oracle(params, 65)
+        moments_oracle(params, STEP_LIMIT + 1)
     with pytest.raises(ValueError):
         moments_oracle(params, 1, start=7)
     with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
-"""Chain parameters, digit sets, and trace mechanics."""
+"""Chain parameters, digit sets, trace mechanics, and where the work caps live."""
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import carrieslab
 from carrieslab import (
     CarrySet,
     ProcessParams,
@@ -143,3 +147,19 @@ def test_expansion_domain_errors():
         digit_expansion(-9, "-", 3, 0)  # only nonnegative inputs
     with pytest.raises(ValueError):
         digit_expansion(7, "+", 4, -3)  # all-nonpositive digit set
+
+
+
+def test_work_caps_are_defined_only_in_process():
+    # process holds the one cap table behind check_limit; a cap defined elsewhere bypasses it.
+    cap = re.compile(r"\w*_LIMIT|MAX_\w*")
+    found = []
+    for path in sorted(Path(carrieslab.__file__).parent.glob("*.py")):
+        if path.name == "process.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found += [f"{path.name}: {name.id}" for name in ast.walk(node)
+                          if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                          and cap.fullmatch(name.id)]
+    assert found == []

@@ -1,7 +1,8 @@
 """Property tests: the shuffle engine against the carries chain and the group law,
 the closed-form transition matrix against enumeration and P = R D L,
-integer-row matrix products against schoolbook ``Fraction`` sums, and exact
-solves and inverses against their residuals."""
+integer-row matrix products against schoolbook ``Fraction`` sums, exact
+solves and inverses against their residuals, and the round trips of digit
+expansions and of the star and bar maps."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -13,18 +14,24 @@ from hypothesis import strategies as st
 from carrieslab import (
     MultiDigitWord,
     RationalMatrix,
+    bar_map,
     bijection_minus,
     bijection_plus,
     compose,
     descent_count,
+    digit_expansion,
+    digit_value,
     eigen_system,
     gsr_to_permutation,
     make_process,
     reverse_map,
     simulate_trace,
+    star_map,
     trace_from_words,
     transition_matrix,
     transition_oracle,
+    unbar_map,
+    unstar_map,
 )
 from carrieslab.ratmat import solve_linear
 
@@ -94,6 +101,42 @@ def test_trace_folds_the_group_law(case):
     assert trace.elements == tuple(expected)
     if sign == "+":
         assert trace.descents == tuple(descent_count(e) for e in expected)
+
+
+@BOUNDED
+@given(word_stacks())
+def test_star_and_unstar_are_inverse(case):
+    words = [tuple(word) for word in case[-1]]
+    assert unstar_map(star_map(words)) == words
+    assert star_map(unstar_map(words)) == words
+
+
+@BOUNDED
+@given(summand_arrays())
+def test_bar_and_unbar_are_inverse(case):
+    summands = case[-1]
+    assert unbar_map(bar_map(summands)) == summands
+    assert bar_map(unbar_map(summands)) == summands
+
+
+@st.composite
+def digit_sets(draw):
+    """A sign, a base b <= 11 and an offset d; d = 1 - b only for sign '-'.
+
+    Over (+b, d = 1 - b) every digit is <= 0, so no x > 0 has an expansion.
+    """
+    sign = draw(st.sampled_from("+-"))
+    b = draw(st.integers(2, 11))
+    return sign, b, draw(st.integers(2 - b if sign == "+" else 1 - b, 0))
+
+
+@BOUNDED
+@given(digit_sets(), st.integers(0, 10**12))
+def test_digit_expansion_round_trips(digit_set, x):
+    sign, b, d = digit_set
+    digits = digit_expansion(x, sign, b, d)
+    assert digit_value(digits, sign, b) == x
+    assert all(d <= a < d + b for a in digits)
 
 
 @st.composite
