@@ -55,7 +55,6 @@ from .shuffle import (
     sample_sequence,
     sharp_compose,
     shuffle_probability,
-    shuffle_step,
     star_map,
     trace_from_words,
     unbar_map,

@@ -165,10 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_obj(params) -> dict:
-    obj = {"sign": params.sign, "b": params.b, "n": params.n, "p": str(params.p)}
-    if params.d is not None:
-        obj["d"] = params.d
-    return obj
+    return {"sign": params.sign, "b": params.b, "n": params.n, "p": str(params.p)}
 
 
 def _bounded_process(args, d=None):

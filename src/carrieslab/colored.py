@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
 from typing import Iterator
 
 from .process import ENUMERATION_LIMIT, check_limit
@@ -150,11 +149,21 @@ def reverse_map(sigma: ColoredPermutation, variant: str) -> ColoredPermutation:
     raise ValueError(f"unknown reverse variant {variant!r}")
 
 
+def group_order(n: int, p: int) -> int:
+    """p^n n!, the order of Z_p wr S_n, or a partial product once past 2^64 (every cap)."""
+    order = 1
+    for k in range(1, n + 1):
+        order *= k * p
+        if order > 2**64:
+            break
+    return order
+
+
 def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     """Yield all p^n n! elements; guarded against oversized groups."""
     if not (isinstance(p, int) and p >= 1):
         raise ValueError(f"color count p must be a positive integer, got {p!r}")
-    check_limit(f"enumerating Z_{p} wr S_{n}", factorial(n) * p**n, ENUMERATION_LIMIT, "elements")
+    check_limit(f"enumerating Z_{p} wr S_{n}", group_order(n, p), ENUMERATION_LIMIT, "elements")
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):
             yield ColoredPermutation(n, p, tuple(zip(positions, colors)))

@@ -8,6 +8,11 @@ and {0, ..., n} otherwise.  This module owns that validity rule
 (``parameter_ratio``) and the work caps (the ``*_LIMIT`` table and
 ``check_limit``); the rest of the package and the command line call them.
 
+It is also the only source of digit words: ``enumerate_words`` fixes the
+enumeration order (lexicographic, refused past ``ENUMERATION_LIMIT`` before
+any word exists) and ``draw_words`` the seeded stream order (one
+``randrange(b)`` per digit, word by word) that every path and sample uses.
+
 Chains that arise from repeatedly adding n numbers written over a digit set
 {d, ..., d + b - 1} carry the offset d; ``derive_p`` recovers the parameter
 from (sign, b, d, n) and ``derive_carry_set`` gives the interval of carries
@@ -22,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 SIGNS = ("+", "-")
 
@@ -52,6 +57,21 @@ def check_limit(what: str, amount: int | tuple[int, int], limit: int, unit: str)
     if base ** min(exponent, 64) > limit:
         got = f"{base}^{exponent}" if power else (base if base < 2**64 else "over 2^64")
         raise ValueError(f"{what} is limited to {limit} {unit}, got {got}")
+
+
+def enumerate_words(what: str, b: int, length: int, unit: str,
+                    low: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every word of ``length`` digits in {low..low+b-1}, the last digit fastest; ``what``
+    past ``ENUMERATION_LIMIT`` ``unit`` is refused before any word exists."""
+    check_limit(what, (b, length), ENUMERATION_LIMIT, unit)
+    return product(range(low, low + b), repeat=length)
+
+
+def draw_words(rng: random.Random, b: int, length: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """``count`` uniform words of ``length`` digits in {0..b-1}: one ``rng.randrange(b)``
+    per digit, digit by digit, word by word."""
+    draw = rng.randrange
+    return tuple(tuple([draw(b) for _ in range(length)]) for _ in range(count))
 
 
 def _check_base(b: int) -> None:
@@ -248,8 +268,8 @@ def realized_carry_set(sign: str, b: int, d: int, n: int) -> frozenset[int]:
     _check_sign(sign)
     _check_base(b)
     _check_offset(b, d)
-    check_limit(f"the carry closure at b={b} n={n}", (b, n), ENUMERATION_LIMIT, "digit tuples")
-    digit_tuples = list(product(range(d, d + b), repeat=n))
+    digit_tuples = list(enumerate_words(f"the carry closure at b={b} n={n}", b, n,
+                                        "digit tuples", low=d))
     seen: set[int] = {0}
     frontier = [0]
     while frontier:
@@ -288,19 +308,14 @@ def simulate_trace(
 ) -> CarriesTrace:
     """Run the chain from state 0 for ``steps`` column additions.
 
-    Digits come from ``columns`` when given, otherwise from
-    ``random.Random(seed)``: one ``randrange(b)`` call per digit, drawn
-    column by column with summand 1 first, so traces are reproducible for
-    a fixed seed.
+    Digits come from ``columns`` when given, otherwise from ``draw_words``
+    on ``random.Random(seed)``, one column per word (summand 1 first).
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     check_limit("a simulated path", steps * params.n, SIMULATE_LIMIT, "digits (steps x summands)")
     if columns is None:
-        rng = random.Random(seed)
-        drawn = tuple(
-            tuple(rng.randrange(params.b) for _ in range(params.n)) for _ in range(steps)
-        )
+        drawn = draw_words(random.Random(seed), params.b, params.n, steps)
     else:
         if len(columns) != steps:
             raise ValueError(f"expected {steps} digit columns, got {len(columns)}")

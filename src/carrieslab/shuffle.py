@@ -31,7 +31,8 @@ from .colored import (
     reverse_map,
     standard_key,
 )
-from .process import DEFAULT_SEED, SHUFFLE_LIMIT, check_limit, digit_value, parameter_ratio
+from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_limit, digit_value,
+                      draw_words, parameter_ratio)
 
 __all__ = [
     "MultiDigitWord",
@@ -45,7 +46,6 @@ __all__ = [
     "word_descents",
     "ShuffleTrace",
     "trace_from_words",
-    "shuffle_step",
     "sample_sequence",
     "bijection_plus",
     "bijection_minus",
@@ -313,28 +313,14 @@ def trace_from_words(
     return ShuffleTrace(b, n, p, sign, frozen, elements, tuple(descents))
 
 
-def shuffle_step(
-    trace: ShuffleTrace, word: Sequence[int] | None = None, seed: int = DEFAULT_SEED
-) -> ShuffleTrace:
-    """Extend a trace by one more shuffle, drawn from ``seed`` if no word given."""
-    if word is None:
-        rng = random.Random(seed)
-        word = tuple(rng.randrange(trace.b) for _ in range(trace.n))
-    return trace_from_words(
-        trace.b, trace.n, trace.p, trace.words + (tuple(word),), trace.sign
-    )
-
-
 def sample_sequence(
     b: int, n: int, p: int, steps: int, seed: int = DEFAULT_SEED, sign: str = "+"
 ) -> ShuffleTrace:
-    """Trace of ``steps`` uniform shuffles; digits drawn card by card, word by word."""
+    """Trace of ``steps`` uniform shuffles, the words from ``draw_words`` on ``Random(seed)``."""
     if steps < 0:
         raise ValueError("shuffle count must be nonnegative")
     check_limit("a shuffle sequence", steps * n, SHUFFLE_LIMIT, "digits (shuffles x cards)")
-    rng = random.Random(seed)
-    words = [tuple(rng.randrange(b) for _ in range(n)) for _ in range(steps)]
-    return trace_from_words(b, n, p, words, sign)
+    return trace_from_words(b, n, p, draw_words(random.Random(seed), b, n, steps), sign)
 
 
 def _bijection_stages(
@@ -410,8 +396,10 @@ def gessel_coefficients(
 
     sigma is any element with d(sigma) = d; the table is independent of the
     choice, and that independence is verified over every representative
-    (mismatch raises RuntimeError).  The table is also checked against its
-    two-variable generating identity through degrees ``cutoff``.
+    (mismatch raises RuntimeError), at one composition per representative
+    and element, refused past ``ENUMERATION_LIMIT``.  The table is also
+    checked against its two-variable generating identity through degrees
+    ``cutoff``.
     """
     elements = list(enumerate_group(n, p))
     descents = {e: descent_count(e) for e in elements}
@@ -419,6 +407,8 @@ def gessel_coefficients(
     representatives = [e for e in elements if descents[e] == d]
     if not representatives:
         raise ValueError(f"no element of Z_{p} wr S_{n} has descent count {d}")
+    check_limit(f"the factorizations of Z_{p} wr S_{n} at d={d}",
+                len(representatives) * len(elements), ENUMERATION_LIMIT, "compositions")
     table: list[list[int]] | None = None
     for sigma in representatives:
         current = [[0] * (n + 1) for _ in range(n + 1)]

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
 from operator import mul
 from typing import Iterator
 
-from .process import (ENUMERATION_LIMIT, ProcessParams, check_limit, make_process, state_count,
-                      step_carry)
+from .process import ProcessParams, enumerate_words, make_process, state_count, step_carry
 from .ratmat import RationalMatrix, solve_linear
 
 __all__ = [
@@ -79,14 +77,13 @@ def transition_oracle(params: ProcessParams) -> RationalMatrix:
     """Transition matrix by exhaustive enumeration of all digit columns.
 
     Steps every state through every tuple in {0..b-1}^n with
-    ``step_carry``; independent of the closed form.  Guarded by
-    ``ENUMERATION_LIMIT`` on b^n.
+    ``step_carry``; independent of the closed form.  The tuples come from
+    ``enumerate_words``, which bounds b^n.
     """
     b, n = params.b, params.n
-    check_limit(f"the transition oracle at b={b} n={n}", (b, n), ENUMERATION_LIMIT, "digit tuples")
     dim = params.state_count
     counts = [[0] * dim for _ in range(dim)]
-    for digits in product(range(b), repeat=n):
+    for digits in enumerate_words(f"the transition oracle at b={b} n={n}", b, n, "digit tuples"):
         for i in range(dim):
             j, _ = step_carry(params, i, digits)
             counts[i][j] += 1

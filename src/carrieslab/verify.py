@@ -12,7 +12,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from random import Random
 
@@ -22,6 +21,7 @@ from .colored import (
     dash_descent_count,
     descent_count,
     enumerate_group,
+    group_order,
     inverse,
     reverse_map,
 )
@@ -35,10 +35,11 @@ from .moments import (
     variance_conditional,
 )
 from .process import (
-    ENUMERATION_LIMIT,
     SAMPLE_LIMIT,
     ProcessParams,
     check_limit,
+    draw_words,
+    enumerate_words,
     make_process,
     parameter_ratio,
     simulate_trace,
@@ -123,7 +124,7 @@ class SuiteReport:
 
 def valid_parameters(sign: str, b: int) -> list[Fraction]:
     """All valid p for (sign, b): (b-+1)/k for k = 1..b-+1, largest first."""
-    top = b - 1 if sign == "+" else b + 1
+    top = parameter_ratio(sign, b, 1)
     return [Fraction(top, k) for k in range(1, top + 1)]
 
 
@@ -289,10 +290,9 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
                 dash_counts[d_dash] += 1
                 same = same and d == d_dash
             observed = tuple(counts.get(k, 0) for k in range(len(standard)))
-            total = factorial(n) * p**n
             report.add(
                 f"standard n={n} p={p}",
-                standard == observed and sum(standard) == total,
+                standard == observed and sum(standard) == group_order(n, p),
                 f"table {standard} vs counts {observed}",
             )
             if p > 1:
@@ -408,17 +408,10 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
 def _exact_kappa_joint(params: ProcessParams, steps: int) -> dict[tuple[int, ...], Fraction]:
     """Exact joint law of the first ``steps`` states, starting from 0."""
     matrix = transition_matrix(params)
-    dim = matrix.dim
     joint: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     for _ in range(steps):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for path, prob in joint.items():
-            last = path[-1] if path else 0
-            for j in range(dim):
-                q = matrix[last][j]
-                if q:
-                    nxt[path + (j,)] = nxt.get(path + (j,), Fraction(0)) + prob * q
-        joint = nxt
+        joint = {path + (j,): prob * q for path, prob in joint.items()
+                 for j, q in enumerate(matrix[path[-1] if path else 0]) if q}
     return joint
 
 
@@ -426,10 +419,8 @@ def _total_variation(
     exact: dict[tuple[int, ...], Fraction], counts: Counter, samples: int
 ) -> Fraction:
     keys = set(exact) | set(counts)
-    acc = Fraction(0)
-    for key in keys:
-        acc += abs(Fraction(counts.get(key, 0), samples) - exact.get(key, Fraction(0)))
-    return acc / 2
+    return sum((abs(Fraction(counts.get(key, 0), samples) - exact.get(key, 0)) for key in keys),
+               Fraction(0)) / 2
 
 
 def _sample_descent_joint(
@@ -437,17 +428,26 @@ def _sample_descent_joint(
 ) -> Counter:
     """Empirical joint law of per-step descent values under uniform words.
 
-    Digits are drawn card by card, word by word, sample by sample from one
-    ``random.Random(seed)`` stream; every sample runs on one trace engine,
-    the one ``trace_from_words`` runs.
+    Each sample is the next ``steps`` words of one ``draw_words`` stream on
+    ``Random(seed)``; every sample runs on one trace engine, the one
+    ``trace_from_words`` runs.
     """
     rng = Random(seed)
     run = _composer(n, p, sign)
-    counts: Counter = Counter()
-    for _ in range(samples):
-        words = [tuple(rng.randrange(b) for _ in range(n)) for _ in range(steps)]
-        counts[tuple(run(words)[1])] += 1
-    return counts
+    return Counter(tuple(run(draw_words(rng, b, n, steps))[1]) for _ in range(samples))
+
+
+def _word_stack_law(run, b: int, n: int, steps: int) -> tuple[Counter, Counter]:
+    """Counts of the final window and of the step values over every stack of
+    ``steps`` words in {0..b-1}^n, each stack run through the trace engine ``run``."""
+    windows: Counter = Counter()
+    values: Counter = Counter()
+    for flat in enumerate_words(f"enumerating {steps}-word stacks at b={b} n={n}", b, n * steps,
+                                "word stacks"):
+        after, step_values = run([flat[r * n : (r + 1) * n] for r in range(steps)])
+        windows[after[-1]] += 1
+        values[tuple(step_values)] += 1
+    return windows, values
 
 
 def suite_bijection_plus(
@@ -482,9 +482,6 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
             raise ValueError(f"the sampled tier needs samples >= 1, got {samples}")
         check_limit("the sampled tier", samples, SAMPLE_LIMIT, "samples")
     name = "bijection-plus" if sign == "+" else "bijection-minus"
-    for b, n, p, places in cases:
-        check_limit(f"exhaustive b={b} n={n} p={p} N={places}", (b, n * places),
-                    ENUMERATION_LIMIT, "summand arrays")
     report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
     for b, n, p, places in cases:
         why = _bijection_failure(sign, b, n, p, places)
@@ -508,7 +505,8 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     run = _composer(n, p, sign)
     seen = set()
     kappa_counter: Counter = Counter()
-    for flat in product(range(b), repeat=n * places):
+    for flat in enumerate_words(f"exhaustive b={b} n={n} p={p} N={places}", b, n * places,
+                                "summand arrays"):
         summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
         kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
         kappa_counter[kappas] += 1
@@ -518,34 +516,25 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
         seen.add(words)
     if len(seen) != b ** (n * places):
         return "word map not injective"
-    descent_counter: Counter = Counter()
-    for flat in product(range(b), repeat=n * places):
-        words = [flat[r * n : (r + 1) * n] for r in range(places)]
-        descent_counter[tuple(run(words)[1])] += 1
+    descent_counter = _word_stack_law(run, b, n, places)[1]
     return "" if descent_counter == kappa_counter else "joint laws differ"
 
 
 def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4, 3, 3))) -> SuiteReport:
     """Descent law of r uniform shuffles against row 0 of the matrix power.
 
-    Checked both by exhaustive enumeration of words (r = 1) and through the
-    factorization-count route (r = 1 and 2).
+    Checked both by running every word through the trace engine (r = 1) and
+    through the factorization-count route (r = 1 and 2).
     """
     report = SuiteReport("shuffle-onestep", f"cases {list(cases)}")
     for b, n, p in cases:
         params = make_process("+", b, n, p)
         matrix = transition_matrix(params)
         dim = params.state_count
-        counts: Counter = Counter()
-        for word in product(range(b), repeat=n):
-            counts[descent_count(gsr_to_permutation(word, p))] += 1
-        denom = b**n
-        enumerated = tuple(Fraction(counts.get(j, 0), denom) for j in range(dim))
-        report.add(
-            f"enumerated b={b} n={n} p={p}",
-            enumerated == matrix[0],
-            f"{enumerated} vs {matrix[0]}",
-        )
+        counts = _word_stack_law(_composer(n, p, "+"), b, n, 1)[1]
+        enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(dim))
+        report.add(f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
+                   f"{enumerated} vs {matrix[0]}")
         table = gessel_coefficients(n, p, 0)
         for r in (1, 2):
             m = (b**r - 1) // p
@@ -564,19 +553,17 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
 
 
 def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
-    """Single-element law: sums to one and matches direct word enumeration."""
+    """Single-element law: sums to one and matches every word stack run through the engine."""
     report = SuiteReport("shuffle-prob", f"cases {list(cases)}")
     for b, n, p in cases:
         elements = list(enumerate_group(n, p))
         total = sum(shuffle_probability(e, b) for e in elements)
         report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
+        run = _composer(n, p, "+")
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
-            law: Counter = Counter()
-            for flat in product(range(b), repeat=r * n):
-                words = [flat[t * n : (t + 1) * n] for t in range(r)]
-                law[trace_from_words(b, n, p, words, "+").elements[-1]] += 1
+            law = _word_stack_law(run, b, n, r)[0]
             ok = all(
-                shuffle_probability(e, b, r) == Fraction(law.get(e, 0), b ** (r * n))
+                shuffle_probability(e, b, r) == Fraction(law.get(e.pairs, 0), b ** (r * n))
                 for e in elements
             )
             report.add(f"{key} b={b} n={n} p={p}", ok)
@@ -593,8 +580,8 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: tuple[int, int] = (3, 3
                 try:
                     table = gessel_coefficients(n, p, d, cutoff)
                     total = sum(sum(row) for row in table)
-                    size = factorial(n) * p**n
-                    report.add(f"n={n} p={p} d={d}", total == size, f"total {total}")
+                    report.add(f"n={n} p={p} d={d}", total == group_order(n, p),
+                               f"total {total}")
                 except RuntimeError as exc:
                     report.add(f"n={n} p={p} d={d}", False, str(exc))
     return report

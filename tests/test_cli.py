@@ -321,6 +321,10 @@ OVER_CAP = {
                             "--N", "3"), ENUMERATION_LIMIT),
     "enumeration-group": (("verify", "shuffle-prob", "--b", "3", "--n", "11", "--p", "1"),
                           ENUMERATION_LIMIT),
+    "enumeration-words-onestep": (("verify", "shuffle-onestep", "--b", "31", "--n", "6",
+                                   "--p", "1"), ENUMERATION_LIMIT),
+    "enumeration-words-prob": (("verify", "shuffle-prob", "--b", "100", "--n", "4", "--p", "1"),
+                               ENUMERATION_LIMIT),
     "enumeration-group-past-printing": (("verify", "shuffle-prob", "--b", "3", "--n", "3000",
                                          "--p", "1"), ENUMERATION_LIMIT),
     "simulate-steps": (("simulate", *CHAIN, "--n", "2", "--N", str(SIMULATE_LIMIT // 2 + 1)),

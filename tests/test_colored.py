@@ -14,7 +14,7 @@ from carrieslab import (
     reverse_map,
     verify,
 )
-from carrieslab.colored import dash_key, standard_key
+from carrieslab.colored import dash_key, group_order, standard_key
 from carrieslab.process import ENUMERATION_LIMIT
 
 
@@ -34,6 +34,12 @@ def test_group_enumeration_above_the_limit_is_refused():
     elements = enumerate_group(11, 1)
     with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} elements"):
         next(elements)
+    # 10^6! is never formed: the order stops at the first partial product past
+    # 2^64, and the refusal names the count as it always has.
+    assert group_order(5, 3) == factorial(5) * 3**5
+    assert 2**64 < group_order(10**6, 1) <= 2**64 * 30
+    with pytest.raises(ValueError, match=r"limited to 10000000 elements, got over 2\^64"):
+        next(enumerate_group(10**6, 1))
 
 
 def test_group_axioms_on_small_groups():

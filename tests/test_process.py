@@ -163,3 +163,23 @@ def test_work_caps_are_defined_only_in_process():
                           if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
                           and cap.fullmatch(name.id)]
     assert found == []
+
+
+def test_digit_words_come_only_from_process():
+    # process.enumerate_words and process.draw_words are the only word sources;
+    # colored enumerates group elements, not words, with itertools.product.
+    found = []
+    for path in sorted(Path(carrieslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if path.name != "process.py" and "randrange" in names:
+                found.append(f"{path.name}: randrange")
+            imported = isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(
+                alias.name == "product" for alias in node.names)
+            dotted = isinstance(node, ast.Attribute) and node.attr == "product" and getattr(
+                node.value, "id", None) == "itertools"
+            if path.name not in ("process.py", "colored.py") and (imported or dotted):
+                found.append(f"{path.name}: itertools.product")
+            if path.name in ("spectral.py", "verify.py") and "ENUMERATION_LIMIT" in names:
+                found.append(f"{path.name}: ENUMERATION_LIMIT")
+    assert found == []

@@ -17,16 +17,15 @@ from carrieslab import (
     gessel_coefficients,
     gsr_to_permutation,
     make_process,
-    sample_sequence,
     sharp_compose,
     shuffle_probability,
-    shuffle_step,
     simulate_trace,
     star_map,
     trace_from_words,
     unstar_map,
 )
 from carrieslab import shuffle, verify
+from carrieslab.colored import standard_key
 from carrieslab.shuffle import unbar_map, word_descents
 
 
@@ -129,13 +128,6 @@ def test_trace_refuses_empty_deck_and_unit_base():
         trace_from_words(1, 2, 1, [(0, 0)], "+")
 
 
-def test_shuffle_step_extends():
-    base = sample_sequence(4, 3, 3, 2, seed=5)
-    longer = shuffle_step(base, word=(1, 1, 0))
-    assert longer.words[:2] == base.words and longer.words[2] == (1, 1, 0)
-    assert len(longer.elements) == 3
-
-
 def test_bijection_plus_tracks_carries():
     b, n, p, places = 4, 2, 3, 3
     params = make_process("+", b, n, p)
@@ -190,6 +182,38 @@ def test_iterated_shuffle_probability():
 def test_gessel_identity_holds():
     tables = gessel_coefficients(2, 2, 1)
     assert tables  # verified internally; a failure raises RuntimeError
+
+
+def test_gessel_factorizations_above_the_enumeration_limit_are_refused():
+    # 722 representatives times 46,080 elements is about 3.3 * 10^7 compositions.
+    with pytest.raises(ValueError, match="limited to 10000000 compositions"):
+        gessel_coefficients(6, 2, 1)
+    assert len(verify.suite_gessel().cases) == 15
+
+
+def _failed(report, prefix):
+    return [case.key for case in report.cases if case.key.startswith(prefix) and not case.ok]
+
+
+def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
+    # The enumerated word tiers read their law from the trace engine, so a
+    # fault planted in the engine's descent or composition rule must show.
+    assert verify.suite_shuffle_onestep().passed and verify.suite_shuffle_prob().passed
+
+    def no_end_rule(pairs, p):
+        keys = [standard_key(pair, p) for pair in pairs]
+        return sum(1 for x, y in zip(keys, keys[1:]) if x > y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shuffle, "_descents", no_end_rule)
+        assert _failed(verify.suite_shuffle_onestep(), "enumerated")
+
+    def no_colour_sum(tau_pairs, sigma_pairs, p):
+        return tuple(tau_pairs[k - 1] for k, _ in sigma_pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shuffle, "_compose_pairs", no_colour_sum)
+        assert _failed(verify.suite_shuffle_prob(), "iterated r=2")
 
 
 def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
