@@ -31,6 +31,7 @@ from .process import (
     STATE_LIMIT,
     STEP_LIMIT,
     check_limit,
+    check_steps,
     digit_expansion,
     digit_value,
     make_process,
@@ -201,15 +202,9 @@ def cmd_eigen(args):
 
 def cmd_moments(args):
     params = _bounded_process(args)
-    if args.r < 0 or args.s < 0:
-        raise ValueError("step counts must be nonnegative")
+    check_steps(args.r, args.s)
     check_limit("moments", max(args.r, args.s), STEP_LIMIT, "steps (--r and --s)")
-    if args.stationary:
-        start, lag = "stationary", {}
-    elif not 0 <= args.i < params.state_count:
-        raise ValueError(f"start state must lie in 0..{params.state_count - 1}")
-    else:
-        start, lag = args.i, {"s": args.s}
+    start, lag = ("stationary", {}) if args.stationary else (args.i, {"s": args.s})
     if not has_quadratic_eigenfunction(params):
         # n = 1: no closed second moments; fall back to matrix powers
         oracle = moments_oracle(params, args.r, lag.get("s", 0), start)
@@ -303,14 +298,17 @@ def cmd_digits(args):
 _VERIFY_KEYWORDS = {"b": "b_max", "n": "n_max", "p": "p_max", "r": "r_max", "s": "s_max",
                     "cutoff": "cutoff", "samples": "samples", "seed": "seed"}
 _CASE_FLAGS = ("b", "n", "p", "N")
+# Bounds below which a grid checks every value; a negative one would skip them all.
+_BOUND_FLAGS = ("r", "s", "cutoff")
 
 
 def _verify_options(args) -> dict:
     """Map verify flags onto the chosen suite's keyword arguments."""
-    allowed = inspect.signature(SUITES[args.suite]).parameters
+    allowed = set(inspect.signature(SUITES[args.suite]).parameters)
     provided = {flag: getattr(args, flag) for flag in ("N", *_VERIFY_KEYWORDS)}
-    if "seed" in allowed and provided["seed"] is None:
-        provided["seed"] = args.global_seed
+    for flag in _BOUND_FLAGS:
+        if provided[flag] is not None:
+            check_steps(provided[flag], what="--" + flag)
     options: dict = {}
     if "cases" in allowed:
         names = _CASE_FLAGS if "mc_case" in allowed else _CASE_FLAGS[:3]
@@ -321,18 +319,23 @@ def _verify_options(args) -> dict:
                 raise ValueError(f"overriding the {args.suite} case list needs all of {flags}")
             options["cases"] = (tuple(given.values()),)
             if "mc_case" in allowed:
-                options["mc_case"] = None  # a single explicit case, no sampled tier
+                # A single explicit case has no sampled tier to take --samples or --seed.
+                options["mc_case"] = None
+                allowed -= {"samples", "seed"}
+    if "seed" in allowed and provided["seed"] is None:
+        provided["seed"] = args.global_seed
     unused = []
     for flag, value in provided.items():
         if value is None:
             continue
         key = _VERIFY_KEYWORDS.get(flag)
         if key in allowed:
-            options[key] = (value, value) if key == "cutoff" else value
+            options[key] = value
         else:
             unused.append("--" + flag)
     if unused:
-        raise ValueError(f"suite {args.suite} does not use {', '.join(sorted(unused))}")
+        case = " with a single case" if "mc_case" in options else ""
+        raise ValueError(f"suite {args.suite} does not use {', '.join(sorted(unused))}{case}")
     return options
 
 
@@ -343,10 +346,11 @@ def _reproduce_command(suite: str, options: dict) -> str:
     if "cases" in options:
         bits += [f"--{flag} {value}" for flag, value in zip(_CASE_FLAGS, options["cases"][0])]
     for flag, key in _VERIFY_KEYWORDS.items():
-        if key in ("samples", "seed") and key in signature:  # always pinned
+        # The sampled tier's samples and seed are always pinned; a single case has none.
+        if key in ("samples", "seed") and key in signature and "cases" not in options:
             bits.append(f"--{flag} {options.get(key, signature[key].default)}")
         elif key in options:
-            bits.append(f"--{flag} {options[key][0] if key == 'cutoff' else options[key]}")
+            bits.append(f"--{flag} {options[key]}")
     return " ".join(bits)
 
 

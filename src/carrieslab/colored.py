@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
-from .process import ENUMERATION_LIMIT, check_limit
+from .process import ENUMERATION_LIMIT, check_count, check_limit
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -32,8 +32,7 @@ class ColoredPermutation:
     pairs: Pairs
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise ValueError(f"color count p must be a positive integer, got {self.p!r}")
+        check_count("colors p", self.p)
         if len(self.pairs) != self.n:
             raise ValueError(f"expected {self.n} pairs, got {len(self.pairs)}")
         object.__setattr__(
@@ -159,10 +158,20 @@ def group_order(n: int, p: int) -> int:
     return order
 
 
+def check_group_grid(what: str, n_max: int, p_max: int, power: int, unit: str) -> None:
+    """Refuse ``what``, a grid over Z_p wr S_n for p <= p_max and n <= n_max, once the sum
+    of |G|^power ``unit``, taken p-major as the grid runs, passes ``ENUMERATION_LIMIT``."""
+    total = 0
+    for p in range(1, p_max + 1):
+        for n in range(1, n_max + 1):
+            total += group_order(n, p) ** power
+            check_limit(f"{what} through n={n} p={p}", total, ENUMERATION_LIMIT, unit)
+
+
 def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     """Yield all p^n n! elements; guarded against oversized groups."""
-    if not (isinstance(p, int) and p >= 1):
-        raise ValueError(f"color count p must be a positive integer, got {p!r}")
+    check_count("cards n", n)
+    check_count("colors p", p)
     check_limit(f"enumerating Z_{p} wr S_{n}", group_order(n, p), ENUMERATION_LIMIT, "elements")
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):

@@ -21,20 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .process import STEP_LIMIT, ProcessParams, check_limit
+from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
 from .ratmat import RationalMatrix
 from .spectral import stationary_distribution, transition_matrix
-
-__all__ = [
-    "has_quadratic_eigenfunction",
-    "mean_conditional",
-    "variance_conditional",
-    "covariance_conditional",
-    "stationary_moments",
-    "MomentReport",
-    "MomentOracle",
-    "moments_oracle",
-]
 
 
 def _center(params: ProcessParams, i: int) -> Fraction:
@@ -66,8 +55,8 @@ def _require_quadratic(params: ProcessParams, what: str) -> None:
 
 def mean_conditional(params: ProcessParams, r: int, i: int) -> Fraction:
     """E[state after r steps | start i] = center(i)/(+-b)^r + (n+1)/2 - 1/p."""
-    if r < 0:
-        raise ValueError("step count must be nonnegative")
+    check_steps(r)
+    check_state(params, i)
     shrink = Fraction(1, params.signed_base**r)
     return _center(params, i) * shrink - Fraction(1) / params.p + Fraction(params.n + 1, 2)
 
@@ -77,8 +66,9 @@ def variance_conditional(params: ProcessParams, r: int, i: int | None = None) ->
 
     Independent of the start state, of p, and of the sign.  Needs n >= 2.
     """
-    if r < 0:
-        raise ValueError("step count must be nonnegative")
+    check_steps(r)
+    if i is not None:
+        check_state(params, i)
     _require_quadratic(params, "variance")
     return Fraction(params.n + 1, 12) * (1 - Fraction(1, params.b ** (2 * r)))
 
@@ -90,8 +80,9 @@ def covariance_conditional(
 
     Needs n >= 2, like every second-moment closed form.
     """
-    if r < 0 or s < 0:
-        raise ValueError("step counts must be nonnegative")
+    check_steps(r, s)
+    if i is not None:
+        check_state(params, i)
     _require_quadratic(params, "covariance")
     return variance_conditional(params, s) * Fraction(1, params.signed_base**r)
 
@@ -102,8 +93,7 @@ def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fra
     At r = 0 the second value is the stationary variance.  Needs n >= 2
     (the mean alone is valid everywhere, but the pair is refused as one).
     """
-    if r < 0:
-        raise ValueError("step count must be nonnegative")
+    check_steps(r)
     _require_quadratic(params, "stationary autocovariance")
     mean = Fraction(params.n + 1, 2) - Fraction(1) / params.p
     cov = Fraction(params.n + 1, 12) * Fraction(1, params.signed_base**r)
@@ -161,8 +151,7 @@ class MomentOracle:
         """Law of the state after k steps from ``start``."""
         if start == "stationary":
             return self.stationary
-        if not (isinstance(start, int) and 0 <= start < self.dim):
-            raise ValueError(f"start must be a state or 'stationary', got {start!r}")
+        check_state(self.params, start)
         return self.power(k)[start]
 
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
@@ -203,8 +192,7 @@ def moments_oracle(
     mean and variance are those of the stationary law and the covariance
     is the lag-r autocovariance.  Everything comes from exact powers of P.
     """
-    if r < 0 or s < 0:
-        raise ValueError("step counts must be nonnegative")
+    check_steps(r, s)
     check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")
     oracle = MomentOracle(params)
     mean, variance = oracle.law_moments(start, r)

@@ -13,6 +13,12 @@ enumeration order (lexicographic, refused past ``ENUMERATION_LIMIT`` before
 any word exists) and ``draw_words`` the seeded stream order (one
 ``randrange(b)`` per digit, word by word) that every path and sample uses.
 
+It owns the input rules as well, one check each, which every entry point
+applies where its work starts: ``check_sign``, ``check_base``,
+``check_count`` (summands, cards, colors, samples), ``check_words`` (digit
+words), ``check_steps``, ``check_shape`` (the (n, p) of the eigenvector
+matrices) and ``check_state`` (a start state of a chain).
+
 Chains that arise from repeatedly adding n numbers written over a digit set
 {d, ..., d + b - 1} carry the offset d; ``derive_p`` recovers the parameter
 from (sign, b, d, n) and ``derive_carry_set`` gives the interval of carries
@@ -63,6 +69,7 @@ def enumerate_words(what: str, b: int, length: int, unit: str,
                     low: int = 0) -> Iterator[tuple[int, ...]]:
     """Every word of ``length`` digits in {low..low+b-1}, the last digit fastest; ``what``
     past ``ENUMERATION_LIMIT`` ``unit`` is refused before any word exists."""
+    check_steps(length, what="a word length")
     check_limit(what, (b, length), ENUMERATION_LIMIT, unit)
     return product(range(low, low + b), repeat=length)
 
@@ -74,14 +81,46 @@ def draw_words(rng: random.Random, b: int, length: int, count: int) -> tuple[tup
     return tuple(tuple([draw(b) for _ in range(length)]) for _ in range(count))
 
 
-def _check_base(b: int) -> None:
+def check_sign(sign: str) -> None:
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def check_base(b: int) -> None:
     if not isinstance(b, int) or b < 2:
         raise ValueError(f"base magnitude must be an integer >= 2, got {b!r}")
 
 
-def _check_sign(sign: str) -> None:
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+def check_count(what: str, value: int) -> None:
+    """Refuse a count of summands, cards, colors or samples that is not an integer >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"need an integer number of {what} >= 1, got {value!r}")
+
+
+def check_words(words: Sequence[Sequence[int]], b: int, length: int) -> None:
+    """Refuse any word that is not ``length`` digits in {0..b-1}."""
+    for word in words:
+        if len(word) != length or any(not 0 <= x < b for x in word):
+            raise ValueError(f"bad word {word} for b={b}: need {length} digits in 0..{b - 1}")
+
+
+def check_steps(*steps: int, what: str = "step count") -> None:
+    """Refuse a negative count of steps (or of what ``what`` names)."""
+    if min(steps) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
+def check_shape(n: int, p) -> int:
+    """The state count of the (n, p) eigenvector matrices; refuses n < 1 summands or p < 1."""
+    check_count("summands n", n)
+    if p < 1:
+        raise ValueError(f"a chain needs p >= 1, got p={p}")
+    return state_count(n, p)
+
+
+def check_state(params: ProcessParams, i: int) -> None:
+    if not (isinstance(i, int) and 0 <= i < params.state_count):
+        raise ValueError(f"start state must lie in 0..{params.state_count - 1}, got {i!r}")
 
 
 def _check_offset(b: int, d: int) -> None:
@@ -92,8 +131,8 @@ def _check_offset(b: int, d: int) -> None:
 def parameter_ratio(sign: str, b: int, p) -> int:
     """(b-1)/p for sign '+', (b+1)/p for sign '-': a positive integer exactly when
     (sign, b, p) is valid, for a carries chain and its colored shuffles alike."""
-    _check_sign(sign)
-    _check_base(b)
+    check_sign(sign)
+    check_base(b)
     top = b - 1 if sign == "+" else b + 1
     if p < 1 or top % p != 0:
         raise ValueError(f"invalid parameter: sign {sign} needs p >= 1 and "
@@ -107,8 +146,8 @@ def carry_slope(sign: str, b: int, d: int) -> Fraction:
     Equals d/(b-1) for base +b and -(b+d)/(b+1) for base -b; always lies
     in [-1, 0].
     """
-    _check_sign(sign)
-    _check_base(b)
+    check_sign(sign)
+    check_base(b)
     _check_offset(b, d)
     if sign == "+":
         return Fraction(d, b - 1)
@@ -151,8 +190,7 @@ def derive_carry_set(sign: str, b: int, d: int, n: int) -> CarrySet:
     ``carry_slope``; its size is n when (n-1)l is an integer and n+1
     otherwise.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"summand count must be a positive integer, got {n!r}")
+    check_count("summands n", n)
     slope = carry_slope(sign, b, d)
     lo = math.floor((n - 1) * slope)
     hi = math.ceil((n - 1) * (slope + 1))
@@ -165,8 +203,7 @@ def derive_p(sign: str, b: int, d: int, n: int) -> Fraction:
     <x> is the fractional part.  The result is 1 exactly when (n-1)l is an
     integer, which is also the case where the carry set has only n values.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"summand count must be a positive integer, got {n!r}")
+    check_count("summands n", n)
     slope = carry_slope(sign, b, d)
     t = (n - 1) * slope
     fractional = t - math.floor(t)
@@ -193,15 +230,17 @@ class ProcessParams:
     d: int | None = None
     #: Constant added to every column sum: (b-1)(1 - 1/p) or (b+1)/p - 1.
     column_shift: int = field(init=False, repr=False, compare=False)
+    #: Number of normalized states, held so the per-call start-state check stays cheap.
+    state_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", Fraction(self.p))
         ratio = parameter_ratio(self.sign, self.b, self.p)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"summand count must be a positive integer, got {self.n!r}")
+        check_count("summands n", self.n)
         # (b-1)(1 - 1/p) = (b-1) - ratio and (b+1)/p - 1 = ratio - 1.
         shift = self.b - 1 - ratio if self.sign == "+" else ratio - 1
         object.__setattr__(self, "column_shift", shift)
+        object.__setattr__(self, "state_count", state_count(self.n, self.p))
         if self.d is not None:
             expected = derive_p(self.sign, self.b, self.d, self.n)
             if expected != self.p:
@@ -209,10 +248,6 @@ class ProcessParams:
                     f"digit offset d={self.d} determines p={expected}, "
                     f"but p={self.p} was given"
                 )
-
-    @property
-    def state_count(self) -> int:
-        return state_count(self.n, self.p)
 
     @property
     def states(self) -> range:
@@ -265,9 +300,10 @@ def realized_carry_set(sign: str, b: int, d: int, n: int) -> frozenset[int]:
     Independent of the interval formula; intended as a brute-force check
     of ``derive_carry_set`` at small sizes.
     """
-    _check_sign(sign)
-    _check_base(b)
+    check_sign(sign)
+    check_base(b)
     _check_offset(b, d)
+    check_count("summands n", n)
     digit_tuples = list(enumerate_words(f"the carry closure at b={b} n={n}", b, n,
                                         "digit tuples", low=d))
     seen: set[int] = {0}
@@ -311,8 +347,7 @@ def simulate_trace(
     Digits come from ``columns`` when given, otherwise from ``draw_words``
     on ``random.Random(seed)``, one column per word (summand 1 first).
     """
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
+    check_steps(steps)
     check_limit("a simulated path", steps * params.n, SIMULATE_LIMIT, "digits (steps x summands)")
     if columns is None:
         drawn = draw_words(random.Random(seed), params.b, params.n, steps)
@@ -320,9 +355,7 @@ def simulate_trace(
         if len(columns) != steps:
             raise ValueError(f"expected {steps} digit columns, got {len(columns)}")
         drawn = tuple(tuple(col) for col in columns)
-        for col in drawn:
-            if len(col) != params.n or any(not 0 <= x < params.b for x in col):
-                raise ValueError(f"bad digit column {col} for b={params.b} n={params.n}")
+        check_words(drawn, params.b, params.n)
     kappas = [0]
     remainders = []
     for col in drawn:
@@ -339,8 +372,8 @@ def digit_expansion(x: int, sign: str, b: int, d: int = 0) -> tuple[int, ...]:
     over (+b, d = 1-b) where only 0 is representable; that case raises
     ValueError.
     """
-    _check_sign(sign)
-    _check_base(b)
+    check_sign(sign)
+    check_base(b)
     _check_offset(b, d)
     if not isinstance(x, int) or x < 0:
         raise ValueError(f"expected a nonnegative integer, got {x!r}")
@@ -360,8 +393,8 @@ def digit_expansion(x: int, sign: str, b: int, d: int = 0) -> tuple[int, ...]:
 
 def digit_value(digits: Sequence[int], sign: str, b: int) -> int:
     """Evaluate a least-significant-first digit tuple: sum a_k (+-b)^k."""
-    _check_sign(sign)
-    _check_base(b)
+    check_sign(sign)
+    check_base(b)
     signed = b if sign == "+" else -b
     total = 0
     for a in reversed(digits):

@@ -31,27 +31,9 @@ from .colored import (
     reverse_map,
     standard_key,
 )
-from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_limit, digit_value,
-                      draw_words, parameter_ratio)
-
-__all__ = [
-    "MultiDigitWord",
-    "gsr_to_permutation",
-    "star_map",
-    "unstar_map",
-    "sharp_compose",
-    "f_map",
-    "bar_map",
-    "unbar_map",
-    "word_descents",
-    "ShuffleTrace",
-    "trace_from_words",
-    "sample_sequence",
-    "bijection_plus",
-    "bijection_minus",
-    "shuffle_probability",
-    "gessel_coefficients",
-]
+from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_base, check_count,
+                      check_limit, check_sign, check_steps, check_words, digit_value, draw_words,
+                      parameter_ratio)
 
 
 @dataclass(frozen=True)
@@ -62,17 +44,12 @@ class MultiDigitWord:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.b < 2:
-            raise ValueError(f"base must be >= 2, got {self.b}")
+        check_base(self.b)
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if not rows or not rows[0]:
-            raise ValueError("need at least one summand and one digit place")
-        places = len(rows[0])
-        if any(len(row) != places for row in rows):
-            raise ValueError("all summands must have the same number of digit places")
-        if any(not 0 <= x < self.b for row in rows for x in row):
-            raise ValueError(f"digits must lie in 0..{self.b - 1}")
+        check_count("summands", len(rows))
+        check_count("digit places", len(rows[0]))
+        check_words(rows, self.b, len(rows[0]))
 
     @property
     def places(self) -> int:
@@ -115,13 +92,18 @@ def gsr_to_permutation(labels: Sequence[int], p: int) -> ColoredPermutation:
     Card i moves to position 1 + #{j : a_j < a_i} + #{j < i : a_j = a_i}
     and receives color a_i mod p.
     """
-    n = len(labels)
-    order = sorted(range(n), key=lambda t: (labels[t], t))
-    rank = [0] * n
-    for pos, t in enumerate(order, start=1):
+    check_count("colors p", p)
+    rank = _stable_ranks(labels)
+    return ColoredPermutation(len(labels), p,
+                              tuple((r + 1, a % p) for r, a in zip(rank, labels)))
+
+
+def _stable_ranks(keys: Sequence) -> list[int]:
+    """0-based rank of each entry under a stable sort by key: ties keep index order."""
+    rank = [0] * len(keys)
+    for pos, t in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         rank[t] = pos
-    pairs = tuple((rank[i], labels[i] % p) for i in range(n))
-    return ColoredPermutation(n, p, pairs)
+    return rank
 
 
 def _accumulated_ranks(levels: Sequence[Sequence[int]]) -> list[int]:
@@ -130,14 +112,7 @@ def _accumulated_ranks(levels: Sequence[Sequence[int]]) -> list[int]:
     Row i's key lists its digits from the latest level down to the first;
     ties break by row index.
     """
-    n = len(levels[0])
-    depth = len(levels)
-    keys = [tuple(levels[m][i] for m in range(depth - 1, -1, -1)) for i in range(n)]
-    order = sorted(range(n), key=lambda t: (keys[t], t))
-    rank = [0] * n
-    for pos, t in enumerate(order):
-        rank[t] = pos
-    return rank
+    return _stable_ranks(list(zip(*reversed(levels))))
 
 
 def star_map(words: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -300,14 +275,11 @@ def trace_from_words(
     b: int, n: int, p: int, words: Sequence[Sequence[int]], sign: str = "+"
 ) -> ShuffleTrace:
     """Compose the shuffles driven by ``words`` and record descent values."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if b < 2 or n < 1:
-        raise ValueError(f"need a base b >= 2 and n >= 1 cards, got b={b} n={n}")
+    check_sign(sign)
+    check_base(b)
+    check_count("cards n", n)
     frozen = tuple(tuple(int(x) for x in w) for w in words)
-    for w in frozen:
-        if len(w) != n or any(not 0 <= x < b for x in w):
-            raise ValueError(f"bad word {w} for b={b} n={n}")
+    check_words(frozen, b, n)
     windows, descents = _composer(n, p, sign)(frozen)
     elements = tuple(ColoredPermutation(n, p, pairs) for pairs in windows)
     return ShuffleTrace(b, n, p, sign, frozen, elements, tuple(descents))
@@ -317,8 +289,8 @@ def sample_sequence(
     b: int, n: int, p: int, steps: int, seed: int = DEFAULT_SEED, sign: str = "+"
 ) -> ShuffleTrace:
     """Trace of ``steps`` uniform shuffles, the words from ``draw_words`` on ``Random(seed)``."""
-    if steps < 0:
-        raise ValueError("shuffle count must be nonnegative")
+    check_steps(steps, what="shuffle count")
+    check_count("cards n", n)
     check_limit("a shuffle sequence", steps * n, SHUFFLE_LIMIT, "digits (shuffles x cards)")
     return trace_from_words(b, n, p, draw_words(random.Random(seed), b, n, steps), sign)
 
@@ -384,22 +356,21 @@ def shuffle_probability(sigma: ColoredPermutation, b: int, r: int = 1) -> Fracti
     """
     n, p = sigma.n, sigma.p
     parameter_ratio("+", b, p)
+    check_steps(r, what="shuffle count")
     m = (b**r - 1) // p
     d_inv = descent_count(inverse(sigma))
     return Fraction(comb(n + m - d_inv, n), b ** (r * n))
 
 
-def gessel_coefficients(
-    n: int, p: int, d: int, cutoff: tuple[int, int] = (3, 3)
-) -> list[list[int]]:
+def gessel_coefficients(n: int, p: int, d: int, cutoff: int = 3) -> list[list[int]]:
     """Counts c[i][j] of factorizations tau mu = sigma by descents of the parts.
 
     sigma is any element with d(sigma) = d; the table is independent of the
     choice, and that independence is verified over every representative
     (mismatch raises RuntimeError), at one composition per representative
     and element, refused past ``ENUMERATION_LIMIT``.  The table is also
-    checked against its two-variable generating identity through degrees
-    ``cutoff``.
+    checked against its two-variable generating identity through degree
+    ``cutoff`` in each variable.
     """
     elements = list(enumerate_group(n, p))
     descents = {e: descent_count(e) for e in elements}
@@ -424,8 +395,8 @@ def gessel_coefficients(
     assert table is not None
     # Generating identity: sum c[i][j] s^i t^j / ((1-s)(1-t))^(n+1) has
     # coefficient C(n + p a b + a + b - d, n) at s^a t^b.
-    for a in range(cutoff[0] + 1):
-        for c in range(cutoff[1] + 1):
+    for a in range(cutoff + 1):
+        for c in range(cutoff + 1):
             lhs = sum(
                 table[i][j] * comb(a - i + n, n) * comb(c - j + n, n)
                 for i in range(min(a, n) + 1)

@@ -15,29 +15,9 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterator
 
-from .process import ProcessParams, enumerate_words, make_process, state_count, step_carry
+from .process import (ProcessParams, check_count, check_shape, enumerate_words, make_process,
+                      step_carry)
 from .ratmat import RationalMatrix, solve_linear
-
-__all__ = [
-    "transition_matrix",
-    "transition_oracle",
-    "right_eigen_oracle",
-    "stirling_first",
-    "left_eigen_oracle",
-    "left_eigen_matrix",
-    "right_eigen_matrix",
-    "eigen_values",
-    "EigenSystem",
-    "eigen_system",
-    "stationary_distribution",
-    "stationary_fixed_point",
-    "duality_check_left",
-    "duality_check_right",
-    "symmetry_check",
-    "StatTable",
-    "stirling_frobenius",
-    "descent_statistics",
-]
 
 
 def _signed_binomial_convolution(n: int, tables) -> Iterator[list[int]]:
@@ -101,7 +81,7 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
     check it.
     """
     p = Fraction(p)
-    dim = state_count(n, p)
+    dim = check_shape(n, p)
     rows = []
     for i in range(dim):
         row = []
@@ -121,7 +101,7 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
 def left_eigen_oracle(n: int, p) -> RationalMatrix:
     """The ``Fraction`` double sum for L that ``left_eigen_matrix`` is checked against."""
     p = Fraction(p)
-    dim = state_count(n, p)
+    dim = check_shape(n, p)
     return RationalMatrix(
         [sum((-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
              for r in range(j + 1)) for j in range(dim)]
@@ -151,7 +131,7 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
     """
     p = Fraction(p)
     a, c = p.numerator, p.denominator
-    dim = state_count(n, p)
+    dim = check_shape(n, p)
     powers = ([(a * m + c) ** (n - i) for m in range(dim)] for i in range(dim))
     return RationalMatrix([
         [Fraction(x, c ** (n - i)) for x in row]
@@ -173,7 +153,7 @@ def right_eigen_matrix(n: int, p) -> RationalMatrix:
     """
     p = Fraction(p)
     a, c = p.numerator, p.denominator
-    dim = state_count(n, p)
+    dim = check_shape(n, p)
     denom = a**n * factorial(n)
     stirling = [stirling_first(n, l) for l in range(n + 1)]
     # shared[t][k] = s(n, l) a^(n-l) C(l, t) for l = t + k: the row-independent
@@ -379,8 +359,7 @@ def descent_statistics(n: int, p, variant: str = "standard") -> StatTable:
     whose row reverses the standard one for p > 1.  Requires integer p.
     """
     p = Fraction(p)
-    if p.denominator != 1 or p < 1:
-        raise ValueError(f"descent statistics need an integer p >= 1, got {p}")
+    check_count("colors p", p.numerator if p.denominator == 1 else p)
     if variant == "standard":
         top = left_eigen_matrix(n, p)[0]
         return StatTable(n, p, "descents", top)

@@ -18,6 +18,7 @@ from random import Random
 from . import reference
 from .colored import (
     ColoredPermutation,
+    check_group_grid,
     dash_descent_count,
     descent_count,
     enumerate_group,
@@ -37,7 +38,9 @@ from .moments import (
 from .process import (
     SAMPLE_LIMIT,
     ProcessParams,
+    check_count,
     check_limit,
+    check_steps,
     draw_words,
     enumerate_words,
     make_process,
@@ -74,10 +77,6 @@ from .spectral import (
     transition_matrix,
     transition_oracle,
 )
-
-__all__ = ["SuiteCase", "SuiteReport", "SUITES", "run_suite", "valid_parameters",
-           "smallest_valid_bases"]
-
 
 @dataclass
 class SuiteCase:
@@ -277,6 +276,7 @@ def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
 def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
     """Recursion tables against exhaustive descent counting in the group."""
     report = SuiteReport("descent-stats", f"p<={p_max}, n<={n_max}")
+    check_group_grid("the descent-stats grid", n_max, p_max, 1, "group elements")
     for p in range(1, p_max + 1):
         for n in range(1, n_max + 1):
             standard = descent_statistics(n, p, "standard").ints()
@@ -478,8 +478,7 @@ def suite_bijection_minus(
 def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> SuiteReport:
     """Both bijection suites; ``sign`` picks the construction and the chain."""
     if mc_case is not None:
-        if samples < 1:
-            raise ValueError(f"the sampled tier needs samples >= 1, got {samples}")
+        check_count("samples", samples)
         check_limit("the sampled tier", samples, SAMPLE_LIMIT, "samples")
     name = "bijection-plus" if sign == "+" else "bijection-minus"
     report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
@@ -488,6 +487,7 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
         report.add(f"exhaustive b={b} n={n} p={p} N={places}", not why, why)
     if mc_case is not None:
         b, n, p, places = mc_case
+        check_steps(places)
         exact = _exact_kappa_joint(make_process(sign, b, n, p), places)
         counts = _sample_descent_joint(b, n, p, places, samples, seed, sign)
         tv = _total_variation(exact, counts, samples)
@@ -501,6 +501,7 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
 
 def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     """The first way the construction fails over every summand array, or "" if none."""
+    check_steps(places)
     params = make_process(sign, b, n, p)
     run = _composer(n, p, sign)
     seen = set()
@@ -570,9 +571,14 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
     return report
 
 
-def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: tuple[int, int] = (3, 3)) -> SuiteReport:
-    """Factorization counts: representative independence and generating identity."""
-    report = SuiteReport("gessel", f"n<={n_max}, p<={p_max}, all d, cutoff {cutoff}")
+def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport:
+    """Factorization counts: representative independence and generating identity.
+
+    Every representative at every d meets every element, so the grid's work
+    is the sum of |G|^2 compositions.
+    """
+    report = SuiteReport("gessel", f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})")
+    check_group_grid("the gessel grid", n_max, p_max, 2, "compositions")
     for p in range(1, p_max + 1):
         for n in range(1, n_max + 1):
             attained = sorted({descent_count(e) for e in enumerate_group(n, p)})

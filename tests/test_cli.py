@@ -226,6 +226,46 @@ def test_verify_refuses_sample_counts_below_one(capsys):
         assert code == 2 and out == "" and "samples >= 1" in err
 
 
+def test_verify_refuses_negative_bounds(capsys):
+    # A negative bound would skip every r, s or identity check and still pass.
+    for suite, flag in (("moments", "--r"), ("moments", "--s"), ("gessel", "--cutoff")):
+        code, out, err = run(capsys, "verify", suite, flag, "-1")
+        assert (code, out) == (2, "") and f"{flag} must be nonnegative" in err
+
+
+def test_verify_case_values_out_of_range_name_the_quantity(capsys):
+    for argv, quantity in ((("bijection-plus", "--b", "3", "--n", "2", "--p", "1", "--N", "-1"),
+                            "step count must be nonnegative"),
+                           (("shuffle-prob", "--b", "3", "--n", "-2", "--p", "1"), "cards n")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "") and quantity in err and "repeat" not in err
+
+
+def test_verify_refuses_sampling_flags_with_a_single_case(capsys):
+    # A single case drops the sampled tier, so its --samples and --seed would go unused.
+    case = ("--b", "2", "--n", "2", "--p", "1", "--N", "2")
+    for flag in ("--samples", "--seed"):
+        code, out, err = run(capsys, "verify", "bijection-plus", *case, flag, "5")
+        assert (code, out) == (2, "") and f"does not use {flag}" in err
+    code, out, _ = run(capsys, "--seed", "5", "verify", "bijection-plus", *case)
+    assert code == 0 and json.loads(out)["passed"]
+
+
+def test_reproduce_lines_parse_back_to_their_options():
+    for suite, options, line in (
+        ("bijection-plus", {"cases": ((3, 2, 1, 2),), "mc_case": None},
+         "carries-lab verify bijection-plus --b 3 --n 2 --p 1 --N 2"),
+        ("gessel", {"cutoff": 2}, "carries-lab verify gessel --cutoff 2"),
+    ):
+        assert cli._reproduce_command(suite, options) == line
+        assert cli._verify_options(cli.build_parser().parse_args(line.split()[1:])) == options
+
+
+def test_gessel_cutoff_is_one_degree(capsys):
+    code, out, _ = run(capsys, "verify", "gessel", "--cutoff", "2")
+    assert code == 0 and json.loads(out)["grid"] == "n<=3, p<=2, all d, cutoff (2, 2)"
+
+
 def test_shuffle_refuses_empty_deck_and_unit_base(capsys):
     for argv in (["--b", "4", "--n", "0", "--p", "3", "--N", "2"],
                  ["--sign", "-", "--b", "5", "--n", "0", "--p", "3", "--N", "2"],

@@ -134,3 +134,16 @@ def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
     report = verify.suite_descent_stats(n_max=3, p_max=2)
     assert report.passed
     assert len(yielded) == sum(factorial(n) * p**n for p in (1, 2) for n in (1, 2, 3))
+
+
+def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):
+    # gessel works sum |G|^2 compositions over its grid, descent-stats sum |G| elements.
+    calls = []
+    monkeypatch.setattr(verify, "enumerate_group", lambda n, p: calls.append((n, p)) or iter(()))
+    monkeypatch.setattr(verify, "gessel_coefficients", lambda *args: calls.append(args))
+    for suite, options in ((verify.suite_gessel, {"n_max": 7}),
+                           (verify.suite_gessel, {"n_max": 5}),
+                           (verify.suite_descent_stats, {"n_max": 7, "p_max": 3})):
+        with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} "):
+            suite(**options)
+    assert calls == []

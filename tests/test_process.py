@@ -10,18 +10,28 @@ import pytest
 import carrieslab
 from carrieslab import (
     CarrySet,
+    MultiDigitWord,
     ProcessParams,
     derive_carry_set,
     derive_p,
     digit_expansion,
     digit_value,
+    duality_check_left,
+    gessel_coefficients,
+    gsr_to_permutation,
+    left_eigen_matrix,
     make_process,
+    mean_conditional,
     original_step,
     process_from_digit_set,
     realized_carry_set,
+    right_eigen_matrix,
     simulate_trace,
     step_carry,
+    trace_from_words,
+    variance_conditional,
 )
+from carrieslab.process import enumerate_words
 
 
 def test_carry_set_normalization_round_trip():
@@ -182,4 +192,73 @@ def test_digit_words_come_only_from_process():
                 found.append(f"{path.name}: itertools.product")
             if path.name in ("spectral.py", "verify.py") and "ENUMERATION_LIMIT" in names:
                 found.append(f"{path.name}: ENUMERATION_LIMIT")
+    assert found == []
+
+
+# Calls that once returned nonsense or crashed, each with its rule's one message.
+RULE_CALLS = {
+    "sign": (lambda: trace_from_words(3, 2, 1, [(0, 1)], "*"), "sign must be '+' or '-'"),
+    "base": (lambda: MultiDigitWord(2.5, ((1,),)), "base magnitude must be an integer >= 2"),
+    "colors": (lambda: gsr_to_permutation((0, 1), 0), "number of colors p >= 1, got 0"),
+    "cards": (lambda: gessel_coefficients(0, 1, 0), "number of cards n >= 1, got 0"),
+    "digit words": (lambda: trace_from_words(3, 2, 1, [(0, 3)]),
+                    "bad word (0, 3) for b=3: need 2 digits in 0..2"),
+    "word length": (lambda: enumerate_words("words", 2, -1, "words"),
+                    "a word length must be nonnegative"),
+    "steps": (lambda: simulate_trace(make_process("+", 2, 2, 1), -1),
+              "step count must be nonnegative"),
+    "shape left": (lambda: left_eigen_matrix(3, Fraction(1, 2)), "a chain needs p >= 1"),
+    "shape right": (lambda: right_eigen_matrix(3, 0), "a chain needs p >= 1"),
+    "shape duality": (lambda: duality_check_left(2, Fraction(1, 2)), "a chain needs p >= 1"),
+    "start mean": (lambda: mean_conditional(make_process("+", 4, 3, 3), 1, 99),
+                   "start state must lie in 0..3, got 99"),
+    "start variance": (lambda: variance_conditional(make_process("+", 4, 3, 3), 1, 4),
+                       "start state must lie in 0..3, got 4"),
+}
+
+
+@pytest.mark.parametrize("call, message", RULE_CALLS.values(), ids=RULE_CALLS.keys())
+def test_each_input_rule_refuses_with_its_one_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+# What each input rule's message says; only process.py may raise such a message.
+RULE_WORDS = {
+    "sign": r"'\+' or '-'",
+    "base": r"\bbase\b.*>= ?2",
+    "count": r">= ?1\b|positive integer",
+    "digit words": r"\bbad word\b|digit column|digits must",
+    "steps": r"nonnegative",
+    "shape": r"\bp >= ?1\b",
+    "start state": r"\bstart\b",
+}
+RULE_CHECKS = ("check_sign", "check_base", "check_count", "check_words", "check_steps",
+               "check_shape", "check_state")
+
+
+def _raised_messages(tree):
+    """(line, text) of every ValueError raised with a literal message; fields read as {}."""
+    for node in ast.walk(tree):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError"
+                and call.args and isinstance(call.args[0], (ast.Constant, ast.JoinedStr))):
+            message = call.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            yield node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+
+
+def test_input_rules_are_raised_only_in_process():
+    found = []
+    for path in sorted(Path(carrieslab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "process.py":
+            checks = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            for name in RULE_CHECKS:
+                raises = [node for node in ast.walk(checks[name]) if isinstance(node, ast.Raise)]
+                assert len(raises) == 1, name
+            continue
+        found += [f"{path.name}:{line} {rule}: {text}" for line, text in _raised_messages(tree)
+                  for rule, words in RULE_WORDS.items() if re.search(words, text)]
     assert found == []
