@@ -59,7 +59,6 @@ from .shuffle import (
     trace_from_words,
     unbar_map,
     unstar_map,
-    word_descents,
 )
 from .spectral import (
     EigenSystem,

@@ -8,8 +8,12 @@ orders on the letters drive two descent statistics:
   ascending within a color.  Descents also count the end position when its
   color is nonzero.
 - dash order: colors 0, 1, ..., p-1, positions ascending within a color.
-  Dash descents count the end position when its color is p-1; for p = 1
-  the dash statistic is defined to coincide with the standard one.
+  Dash descents count the end position when its color is p-1.
+
+Both are one rule, ``_descents``: a key comparison of adjacent letters plus
+the order's end predicate.  At p = 1 the dash end fires always: the shuffle
+engine counts it (its odd-step value is n minus that count), while
+``dash_descent_count`` drops it, so there it equals ``descent_count``.
 """
 
 from __future__ import annotations
@@ -75,34 +79,22 @@ def inverse(sigma: ColoredPermutation) -> ColoredPermutation:
     return ColoredPermutation(sigma.n, sigma.p, tuple(pairs))
 
 
-def standard_key(pair: tuple[int, int], p: int) -> tuple[int, int]:
-    """Sort key realizing the standard order on letters (position, color)."""
+def _letter_key(pair: tuple[int, int], p: int, dash: bool = False) -> tuple[int, int]:
+    """Sort key of a letter (position, color) in the standard order, or the dash order."""
     k, c = pair
-    return (0 if c == 0 else p - c, k)
+    return (c if dash or c == 0 else p - c, k)
 
 
-def dash_key(pair: tuple[int, int], p: int) -> tuple[int, int]:
-    """Sort key realizing the dash order on letters."""
-    k, c = pair
-    return (c, k)
+def _descents(pairs: Pairs, p: int, dash: bool = False) -> int:
+    """Descents of a window in the standard order, or in the dash order when ``dash``.
 
-
-def _descents(pairs: Pairs, p: int) -> int:
-    """Standard descents of a window; see ``descent_count``."""
-    keys = [standard_key(pair, p) for pair in pairs]
-    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
-    if pairs[-1][1] != 0:
-        count += 1
-    return count
-
-
-def _dash_descents(pairs: Pairs, p: int) -> int:
-    """Dash descents of a window, the end counted at color p-1 even when p = 1."""
-    keys = [dash_key(pair, p) for pair in pairs]
-    count = sum(1 for a, b in zip(keys, keys[1:]) if a > b)
-    if pairs[-1][1] == p - 1:
-        count += 1
-    return count
+    Counts i < n whose letter sorts above letter i+1 under the order's key,
+    plus the end position n when the order's end predicate holds for its
+    color: nonzero (standard) or p-1 (dash, even when p = 1).
+    """
+    keys = [_letter_key(pair, p, dash) for pair in pairs]
+    end = pairs[-1][1]
+    return sum(1 for a, b in zip(keys, keys[1:]) if a > b) + (end == p - 1 if dash else end != 0)
 
 
 def descent_count(sigma: ColoredPermutation) -> int:
@@ -115,14 +107,11 @@ def descent_count(sigma: ColoredPermutation) -> int:
 
 
 def dash_descent_count(sigma: ColoredPermutation) -> int:
-    """Descents in the dash order, with end position counted at color p-1.
-
-    For p = 1 this is defined to equal ``descent_count`` (the end rule is
-    dropped rather than firing always).
-    """
+    """Descents in the dash order, with end position counted at color p-1, except at p = 1
+    (see the module docstring), where this equals ``descent_count``."""
     if sigma.p == 1:
         return descent_count(sigma)
-    return _dash_descents(sigma.pairs, sigma.p)
+    return _descents(sigma.pairs, sigma.p, dash=True)
 
 
 def reverse_map(sigma: ColoredPermutation, variant: str) -> ColoredPermutation:

@@ -168,20 +168,6 @@ class CarrySet:
     def values(self) -> range:
         return range(self.min_carry, self.max_carry + 1)
 
-    def __contains__(self, carry: int) -> bool:
-        return self.min_carry <= carry <= self.max_carry
-
-    def to_normalized(self, carry: int) -> int:
-        """Translate an original-coordinate carry to a 0-based state."""
-        if carry not in self:
-            raise ValueError(f"carry {carry} outside {self}")
-        return carry - self.min_carry
-
-    def to_original(self, state: int) -> int:
-        if not 0 <= state < self.size:
-            raise ValueError(f"state {state} outside normalized range of {self}")
-        return state + self.min_carry
-
 
 def derive_carry_set(sign: str, b: int, d: int, n: int) -> CarrySet:
     """Carry interval for n-fold addition over the digit set {d..d+b-1}.

@@ -94,13 +94,8 @@ class RationalMatrix:
         column = [Fraction(v) for v in vector]
         return tuple(row[0] for row in _dot_products(self.rows, [column]))
 
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row) for row in self.rows)
-
     def is_stochastic(self) -> bool:
-        return all(x >= 0 for row in self.rows for x in row) and all(
-            s == 1 for s in self.row_sums()
-        )
+        return all(min(row) >= 0 and sum(row) == 1 for row in self.rows)
 
     def is_positive(self) -> bool:
         return all(x > 0 for row in self.rows for x in row)

@@ -21,15 +21,12 @@ from .colored import (
     ColoredPermutation,
     Pairs,
     _compose_pairs,
-    _dash_descents,
     _descents,
     compose,
-    dash_key,
     descent_count,
     enumerate_group,
     inverse,
     reverse_map,
-    standard_key,
 )
 from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_base, check_count,
                       check_limit, check_sign, check_steps, check_words, digit_value, draw_words,
@@ -187,34 +184,6 @@ def unbar_map(word: MultiDigitWord) -> MultiDigitWord:
     return MultiDigitWord.from_values(word.b, word.places, values)
 
 
-def word_descents(values: Sequence[int], b: int, p: int, variant: str) -> int:
-    """Descent statistics of a word in {0..b-1}^n, in four variants.
-
-    ``"plain"``: strict drops x_i > x_{i+1}, plus the end when
-    x_n > (b-1)/p (needs b = 1 mod p, see ``parameter_ratio``).
-    ``"mixed"``: drops in the order that interleaves residue classes the
-    way the standard order on colored letters does, plus the end when
-    x_n != 0 mod p.
-    ``"plain-dash"``: strict drops plus the end when x_n > b - (b+1)/p
-    (needs b = -1 mod p).
-    ``"mixed-dash"``: drops in the residue-major order, plus the end when
-    x_n = p-1 mod p.
-    """
-    if not values:
-        return 0
-    if variant == "plain":
-        keys, end = values, values[-1] > parameter_ratio("+", b, p)
-    elif variant == "plain-dash":
-        keys, end = values, values[-1] > b - parameter_ratio("-", b, p)
-    elif variant == "mixed":
-        keys, end = [standard_key(divmod(x, p), p) for x in values], values[-1] % p != 0
-    elif variant == "mixed-dash":
-        keys, end = [dash_key(divmod(x, p), p) for x in values], values[-1] % p == p - 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return sum(1 for x, y in zip(keys, keys[1:]) if x > y) + (1 if end else 0)
-
-
 @dataclass(frozen=True)
 class ShuffleTrace:
     """A sequence of composed shuffles with per-step descent values.
@@ -262,7 +231,7 @@ def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list[Pairs], lis
             current = pairs if current is None else _compose_pairs(pairs, current, p)
             value = values[dash].get(current)
             if value is None:
-                value = n - _dash_descents(current, p) if dash else _descents(current, p)
+                value = n - _descents(current, p, dash=True) if dash else _descents(current, p)
                 values[dash][current] = value
             elements.append(current)
             steps.append(value)
@@ -372,6 +341,7 @@ def gessel_coefficients(n: int, p: int, d: int, cutoff: int = 3) -> list[list[in
     checked against its two-variable generating identity through degree
     ``cutoff`` in each variable.
     """
+    check_steps(cutoff, what="cutoff")
     elements = list(enumerate_group(n, p))
     descents = {e: descent_count(e) for e in elements}
     inverses = {e: inverse(e) for e in elements}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from random import Random
+from typing import Iterator
 
 from . import reference
 from .colored import (
@@ -97,9 +98,6 @@ class SuiteReport:
         """True when at least one case ran and every case held."""
         return bool(self.cases) and all(case.ok for case in self.cases)
 
-    def counterexamples(self) -> list[SuiteCase]:
-        return [case for case in self.cases if not case.ok]
-
     def add(self, key: str, ok: bool, detail: str = "") -> None:
         if not ok and not detail:
             detail = f"repro: carries-lab verify {self.suite}"
@@ -145,28 +143,34 @@ def _param_key(params: ProcessParams) -> str:
     return f"sign={params.sign} b={params.b} n={params.n} p={params.p}"
 
 
+def _chain_grid(b_max: int, n_max: int) -> Iterator[ProcessParams]:
+    """Every valid chain of both signs with 2 <= b <= b_max and 1 <= n <= n_max,
+    sign-major, then b, then n, then p largest first."""
+    for sign in ("+", "-"):
+        for b in range(2, b_max + 1):
+            for n in range(1, n_max + 1):
+                for p in valid_parameters(sign, b):
+                    yield make_process(sign, b, n, p)
+
+
 # --- transition ----------------------------------------------------------
 
 def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
     """Closed-form transition matrices against exhaustive enumeration."""
     report = SuiteReport("transition", f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p")
-    for sign in ("+", "-"):
-        for b in range(2, b_max + 1):
-            for n in range(1, n_max + 1):
-                for p in valid_parameters(sign, b):
-                    params = make_process(sign, b, n, p)
-                    formula = transition_matrix(params)
-                    oracle = transition_oracle(params)
-                    ok = formula == oracle and formula.is_stochastic()
-                    dim = params.state_count
-                    # Wielandt bound: primitive iff this power is positive.
-                    primitive = formula.power((dim - 1) ** 2 + 1).is_positive()
-                    report.add(
-                        _param_key(params),
-                        ok and primitive,
-                        "" if ok and primitive else
-                        f"formula==oracle: {formula == oracle}, primitive: {primitive}",
-                    )
+    for params in _chain_grid(b_max, n_max):
+        formula = transition_matrix(params)
+        oracle = transition_oracle(params)
+        ok = formula == oracle and formula.is_stochastic()
+        dim = params.state_count
+        # Wielandt bound: primitive iff this power is positive.
+        primitive = formula.power((dim - 1) ** 2 + 1).is_positive()
+        report.add(
+            _param_key(params),
+            ok and primitive,
+            "" if ok and primitive else
+            f"formula==oracle: {formula == oracle}, primitive: {primitive}",
+        )
     return report
 
 
@@ -315,16 +319,13 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
     """Closed-form moments against exact matrix powers on the full valid grid."""
+    check_steps(r_max, s_max)
     report = SuiteReport(
         "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
     )
-    for sign in ("+", "-"):
-        for b in range(2, b_max + 1):
-            for n in range(1, n_max + 1):
-                for p in valid_parameters(sign, b):
-                    params = make_process(sign, b, n, p)
-                    why = _moments_failure(params, r_max, s_max)
-                    report.add(_param_key(params), not why, why)
+    for params in _chain_grid(b_max, n_max):
+        why = _moments_failure(params, r_max, s_max)
+        report.add(_param_key(params), not why, why)
     # Exercise the public oracle object on a few spot points.
     for sign, b, n, p in (("+", 2, 2, 1), ("-", 8, 3, 3), ("+", 7, 4, 3)):
         params = make_process(sign, b, n, p)
@@ -596,107 +597,95 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport
 # --- golden examples -----------------------------------------------------
 
 def suite_examples_golden() -> SuiteReport:
-    """Every frozen reference value, recomputed end to end."""
+    """Every frozen reference value, recomputed end to end.
+
+    Each value is one (case, computed, expected) row and one comparison; a
+    worked pipeline is one case whose stages are compared in turn.
+    """
     report = SuiteReport("examples-golden", "reference tables")
-
-    for p, rows in reference.SCALED_RIGHT_N3.items():
-        scale = 6 * p**3
-        got = right_eigen_matrix(3, p).scale(scale)
-        report.add(f"scaled-right n=3 p={p}", got == RationalMatrix(rows))
-
-    params = make_process("+", 2, 2, 1)
-    expected = RationalMatrix([[Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4)]])
-    report.add("matrix + b=2 n=2 p=1", transition_matrix(params) == expected)
-    params = make_process("+", 3, 1, 2)
-    expected = RationalMatrix([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
-    report.add("matrix + b=3 n=1 p=2", transition_matrix(params) == expected)
-
-    params = make_process("-", 8, 3, 3)
-    report.add(
-        "eigenvalues - b=8 n=3 p=3",
-        eigen_values(params)
-        == (Fraction(1), Fraction(-1, 8), Fraction(1, 64), Fraction(-1, 512)),
-    )
-
-    for sign in ("+", "-"):
-        for b in smallest_valid_bases(sign, 2):
-            params = make_process(sign, b, 3, 2)
-            pi = stationary_distribution(params)
-            report.add(
-                f"stationary sign={sign} b={b} n=3 p=2",
-                pi == (Fraction(1, 48), Fraction(23, 48), Fraction(23, 48), Fraction(1, 48))
-                and pi == stationary_fixed_point(params),
-            )
-
-    left = left_eigen_matrix(3, 1)
-    report.add("left row0 n=3 p=1", left[0] == (1, 4, 1))
-    left = left_eigen_matrix(3, 2)
-    report.add("left row0 n=3 p=2", left[0] == (1, 23, 23, 1))
-
+    quarter, third, pi_48 = Fraction(1, 4), Fraction(1, 3), Fraction(1, 48)
+    chains = [make_process(sign, b, 3, 2)
+              for sign in ("+", "-") for b in smallest_valid_bases(sign, 2)]
+    ex = reference.INVERSE_EXAMPLE
+    sigma = ColoredPermutation(ex["n"], ex["p"], ex["pairs"])
+    rows = [
+        *((f"scaled-right n=3 p={p}", right_eigen_matrix(3, p).scale(6 * p**3),
+           RationalMatrix(scaled)) for p, scaled in reference.SCALED_RIGHT_N3.items()),
+        ("matrix + b=2 n=2 p=1", transition_matrix(make_process("+", 2, 2, 1)),
+         RationalMatrix([[3 * quarter, quarter], [quarter, 3 * quarter]])),
+        ("matrix + b=3 n=1 p=2", transition_matrix(make_process("+", 3, 1, 2)),
+         RationalMatrix([[2 * third, third], [third, 2 * third]])),
+        ("eigenvalues - b=8 n=3 p=3", eigen_values(make_process("-", 8, 3, 3)),
+         (1, Fraction(-1, 8), Fraction(1, 64), Fraction(-1, 512))),
+        # The closed-form stationary law and the linear solve agree with the reference.
+        *((f"stationary sign={c.sign} b={c.b} n=3 p=2",
+           (stationary_distribution(c), stationary_fixed_point(c)),
+           ((pi_48, 23 * pi_48, 23 * pi_48, pi_48),) * 2) for c in chains),
+        ("left row0 n=3 p=1", left_eigen_matrix(3, 1)[0], (1, 4, 1)),
+        ("left row0 n=3 p=2", left_eigen_matrix(3, 2)[0], (1, 23, 23, 1)),
+        ("window inversion example",
+         (inverse(sigma).pairs, descent_count(inverse(sigma)),
+          gsr_to_permutation(ex["unique_word"], ex["p"]).pairs, shuffle_probability(sigma, 7)),
+         (ex["inverse_pairs"], ex["inverse_descents"], ex["pairs"], Fraction(1, 7**7))),
+    ]
+    for key, got, expected in rows:
+        report.add(key, got == expected, "" if got == expected else f"got {got}")
     for b, n, p, labels, pairs in reference.GSR_EXAMPLES:
         got = gsr_to_permutation(labels, p)
         report.add(f"gsr b={b} n={n} p={p}", got.pairs == pairs, got.to_text())
-
     star = star_map([reference.STAR_EXAMPLE["word1"], reference.STAR_EXAMPLE["word2"]])
     report.add("star example", star[1] == reference.STAR_EXAMPLE["starred2"], str(star[1]))
-
-    ex = reference.INVERSE_EXAMPLE
-    sigma = ColoredPermutation(ex["n"], ex["p"], ex["pairs"])
-    inv = inverse(sigma)
-    ok = (
-        inv.pairs == ex["inverse_pairs"]
-        and descent_count(inv) == ex["inverse_descents"]
-        and gsr_to_permutation(ex["unique_word"], ex["p"]).pairs == ex["pairs"]
-        and shuffle_probability(sigma, 7) == Fraction(1, 7**7)
-    )
-    report.add("window inversion example", ok)
-
-    ex = reference.PLUS_PIPELINE
-    b, p, n = ex["b"], ex["p"], ex["n"]
-    summands = MultiDigitWord(b, ex["rows"])
-    ok = summands.row_values() == ex["values"]
-    params = make_process("+", b, n, p)
-    trace = simulate_trace(params, summands.places, columns=summands.columns())
-    ok = ok and trace.kappas == ex["kappas"] and trace.remainders == ex["remainders"]
-    _, barred, mixed, _ = _bijection_stages(summands, p, "+")
-    ok = ok and barred.rows == ex["bar_rows"] and barred.row_values() == ex["bar_values"]
-    ok = ok and mixed.rows == ex["f_rows"]
-    words = bijection_plus(summands, p)
-    ok = ok and tuple(words) == ex["words"]
-    sh = trace_from_words(b, n, p, words, "+")
-    factors = tuple(gsr_to_permutation(w, p).pairs for w in words)
-    ok = ok and factors == ex["factors"]
-    ok = ok and tuple(e.pairs for e in sh.elements) == ex["elements"]
-    ok = ok and sh.descents == ex["descents"] == trace.kappas[1:]
-    report.add("positive-base pipeline", ok)
-
-    ex = reference.MINUS_PIPELINE
-    b, p, n = ex["b"], ex["p"], ex["n"]
-    summands = MultiDigitWord(b, ex["rows"])
-    params = make_process("-", b, n, p)
-    trace = simulate_trace(params, summands.places, columns=summands.columns())
-    ok = trace.kappas == ex["kappas"] and trace.remainders == ex["remainders"]
-    flipped, barred, mixed, _ = _bijection_stages(summands, p, "-")
-    ok = ok and flipped.rows == ex["flipped_rows"]
-    ok = ok and barred.rows == ex["bar_rows"]
-    ok = ok and mixed.rows == ex["f_rows"]
-    sh = bijection_minus(summands, p)
-    ok = ok and sh.words == ex["words"]
-    factors = tuple(gsr_to_permutation(w, p).pairs for w in sh.words)
-    ok = ok and factors == ex["factors"]
-    for step, pairs in ex["primed_factors"].items():
-        primed = reverse_map(gsr_to_permutation(sh.words[step - 1], p), "prime")
-        ok = ok and primed.pairs == pairs
-    ok = ok and tuple(e.pairs for e in sh.elements) == ex["elements"]
-    raw = tuple(
-        dash_descent_count(e) if r % 2 == 1 else descent_count(e)
-        for r, e in enumerate(sh.elements, start=1)
-    )
-    ok = ok and raw == ex["raw_descents"]
-    ok = ok and sh.descents == ex["matched_values"] == trace.kappas[1:]
-    report.add("negative-base pipeline", ok)
-
+    for key, sign, ex in (("positive-base pipeline", "+", reference.PLUS_PIPELINE),
+                          ("negative-base pipeline", "-", reference.MINUS_PIPELINE)):
+        why = _pipeline_mismatch(sign, ex)
+        report.add(key, not why, why)
     return report
+
+
+def _pipeline_mismatch(sign: str, ex: dict) -> str:
+    """The first stage of a worked pipeline that differs from the reference ``ex``, or "".
+
+    Each stage is computed once from the rows and compared in the reference's
+    key order, a mismatch reading "<stage>: got <computed>"; a reference key
+    with no computed stage is refused, not skipped.  Last, the step values
+    must be the carries of the rows.
+    """
+    b, p, n = ex["b"], ex["p"], ex["n"]
+    summands = MultiDigitWord(b, ex["rows"])
+    trace = simulate_trace(make_process(sign, b, n, p), summands.places, columns=summands.columns())
+    flipped, barred, mixed, _ = _bijection_stages(summands, p, sign)
+    shuffles = (trace_from_words(b, n, p, bijection_plus(summands, p)) if sign == "+"
+                else bijection_minus(summands, p))
+    factors = [gsr_to_permutation(word, p) for word in shuffles.words]
+    computed = {
+        "values": summands.row_values(),
+        "kappas": trace.kappas,
+        "remainders": trace.remainders,
+        "flipped_rows": flipped.rows,
+        "bar_rows": barred.rows,
+        "bar_values": barred.row_values(),
+        "f_rows": mixed.rows,
+        "words": shuffles.words,
+        "factors": tuple(factor.pairs for factor in factors),
+        "primed_factors": {r: reverse_map(factors[r - 1], "prime").pairs
+                           for r in range(2, len(factors) + 1, 2)},
+        "elements": tuple(e.pairs for e in shuffles.elements),
+        # Before matching: the dash statistic at the odd steps of a '-' trace.
+        "raw_descents": tuple(dash_descent_count(e) if sign == "-" and r % 2 else descent_count(e)
+                              for r, e in enumerate(shuffles.elements, start=1)),
+        "descents": shuffles.descents,
+        "matched_values": shuffles.descents,
+    }
+    for stage, expected in ex.items():
+        if stage in ("b", "p", "n", "rows"):  # the inputs
+            continue
+        if stage not in computed:
+            return f"{stage}: no computed stage"
+        if computed[stage] != expected:
+            return f"{stage}: got {computed[stage]}"
+    if shuffles.descents != trace.kappas[1:]:
+        return f"step values: got {shuffles.descents}, carries {trace.kappas[1:]}"
+    return ""
 
 
 SUITES = {

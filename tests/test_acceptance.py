@@ -6,7 +6,10 @@ hand-checked values directly.  Each test records a ``criterion NN`` line
 that the terminal-summary hook echoes at the end of the run.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,10 +54,26 @@ def suites():
 
 
 def _suite_detail(*reports) -> str:
-    bad = [case for report in reports for case in report.counterexamples()]
+    bad = [case for report in reports for case in report.cases if not case.ok]
     if not bad:
         return ""
     return f"{len(bad)} failing cases, first: {bad[0].key} {bad[0].detail}".strip()
+
+
+# The exact suites whose default reports the benchmark pins, digest by digest.
+EXACT_SUITES = ("transition", "eigen", "duality", "symmetry", "sf-numbers", "descent-stats",
+                "moments", "shuffle-onestep", "shuffle-prob", "gessel", "examples-golden")
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_exact_suite_reports_match_the_benchmark_pins(suites):
+    # Default reports must stay byte for byte; the pins are read, never written.
+    pinned = json.loads(PINS.read_text())["workloads"]["verify-exact"]
+    for name in EXACT_SUITES:
+        report = suites(name).to_json_obj()
+        del report["wall_time_s"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == pinned[f"cli verify {name}"], name
 
 
 def test_criterion_01_scaled_right_matrices():

@@ -20,7 +20,6 @@ from carrieslab.shuffle import (
     bijection_minus,
     bijection_plus,
     shuffle_probability,
-    word_descents,
 )
 from carrieslab.verify import SuiteCase, SuiteReport, run_suite, valid_parameters
 
@@ -233,6 +232,13 @@ def test_verify_refuses_negative_bounds(capsys):
         assert (code, out) == (2, "") and f"{flag} must be nonnegative" in err
 
 
+def test_suites_refuse_negative_bounds_without_the_cli():
+    for suite, options in (("moments", {"r_max": -1}), ("moments", {"s_max": -1}),
+                           ("gessel", {"cutoff": -1})):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            run_suite(suite, **options)
+
+
 def test_verify_case_values_out_of_range_name_the_quantity(capsys):
     for argv, quantity in ((("bijection-plus", "--b", "3", "--n", "2", "--p", "1", "--N", "-1"),
                             "step count must be nonnegative"),
@@ -403,7 +409,6 @@ def test_every_entry_point_uses_one_validity_rule(capsys):
                 checks = [
                     lambda: make_process(sign, b, 2, p),
                     lambda: (bijection_plus if sign == "+" else bijection_minus)(words, p),
-                    lambda: word_descents((1, 0), b, p, "plain" if sign == "+" else "plain-dash"),
                 ]
                 if sign == "+":
                     checks.append(lambda: shuffle_probability(ColoredPermutation.identity(2, p), b))

@@ -14,7 +14,7 @@ from carrieslab import (
     reverse_map,
     verify,
 )
-from carrieslab.colored import dash_key, group_order, standard_key
+from carrieslab.colored import _letter_key, group_order
 from carrieslab.process import ENUMERATION_LIMIT
 
 
@@ -68,11 +68,12 @@ def test_composition_acts_on_windows():
 def test_keys_order_colors_differently():
     p = 3
     # Standard order: color 0 first, then colors p-1 down to 1.
-    assert standard_key((5, 0), p) < standard_key((5, 2), p) < standard_key((5, 1), p)
+    assert _letter_key((5, 0), p) < _letter_key((5, 2), p) < _letter_key((5, 1), p)
     # Dash order: colors 0, 1, ..., p-1.
-    assert dash_key((5, 0), p) < dash_key((5, 1), p) < dash_key((5, 2), p)
+    assert _letter_key((5, 0), p, True) < _letter_key((5, 1), p, True) < _letter_key((5, 2), p, True)
     # Within one color, positions increase.
-    assert standard_key((1, 1), p) < standard_key((2, 1), p)
+    assert _letter_key((1, 1), p) < _letter_key((2, 1), p)
+    assert _letter_key((1, 1), p, dash=True) < _letter_key((2, 1), p, dash=True)
 
 
 def test_descent_counts_small_cases():

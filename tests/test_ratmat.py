@@ -99,6 +99,5 @@ def test_stochastic_and_positive_predicates():
     half = Fraction(1, 2)
     m = RationalMatrix([[half, half], [1, 0]])
     assert m.is_stochastic() and not m.is_positive()
-    assert m.row_sums() == (1, 1)
     assert RationalMatrix([[half, half], [half, half]]).is_positive()
     assert not RationalMatrix([[half, 1]] * 2).is_stochastic()

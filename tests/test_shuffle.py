@@ -17,6 +17,7 @@ from carrieslab import (
     gessel_coefficients,
     gsr_to_permutation,
     make_process,
+    reference,
     sharp_compose,
     shuffle_probability,
     simulate_trace,
@@ -24,9 +25,8 @@ from carrieslab import (
     trace_from_words,
     unstar_map,
 )
-from carrieslab import shuffle, verify
-from carrieslab.colored import standard_key
-from carrieslab.shuffle import unbar_map, word_descents
+from carrieslab import colored, shuffle, verify
+from carrieslab.shuffle import unbar_map
 
 
 def test_multi_digit_word_round_trips():
@@ -97,19 +97,6 @@ def test_f_map_is_a_bijection():
         image = {f_map(x, b, p) for x in range(b)}
         assert image == set(range(b))
         assert f_map(1, b, p) == p % b
-
-
-def test_word_descents_variants():
-    b, p = 7, 3
-    for flat in product(range(b), repeat=3):
-        sigma = gsr_to_permutation(flat, p)
-        assert word_descents(flat, b, p, "mixed") == descent_count(sigma)
-    with pytest.raises(ValueError):
-        word_descents((1, 2), 6, 4, "plain")  # needs b = 1 mod p
-    with pytest.raises(ValueError):
-        word_descents((1, 2), 7, 3, "plain-dash")  # needs b = -1 mod p
-    with pytest.raises(ValueError):
-        word_descents((1, 2), 7, 3, "nope")
 
 
 def test_trace_composes_factors():
@@ -195,18 +182,30 @@ def _failed(report, prefix):
     return [case.key for case in report.cases if case.key.startswith(prefix) and not case.ok]
 
 
+def _without_end_rule(order_is_dash):
+    """The engine's descent rule with the end predicate of one order dropped."""
+    def mutated(pairs, p, dash=False):
+        end = pairs[-1][1]
+        fired = dash == order_is_dash and (end == p - 1 if dash else end != 0)
+        return colored._descents(pairs, p, dash) - fired
+    return mutated
+
+
 def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
     # The enumerated word tiers read their law from the trace engine, so a
     # fault planted in the engine's descent or composition rule must show.
     assert verify.suite_shuffle_onestep().passed and verify.suite_shuffle_prob().passed
 
-    def no_end_rule(pairs, p):
-        keys = [standard_key(pair, p) for pair in pairs]
-        return sum(1 for x, y in zip(keys, keys[1:]) if x > y)
-
     with monkeypatch.context() as patch:
-        patch.setattr(shuffle, "_descents", no_end_rule)
+        patch.setattr(shuffle, "_descents", _without_end_rule(False))
         assert _failed(verify.suite_shuffle_onestep(), "enumerated")
+
+    # The dash end (color p-1) drives the odd steps of every negative-base trace.
+    with monkeypatch.context() as patch:
+        patch.setattr(shuffle, "_descents", _without_end_rule(True))
+        report = verify.suite_bijection_minus(mc_case=None)
+        failed = [case for case in report.cases if not case.ok]
+        assert failed and all(case.detail.startswith("mismatch at rows=") for case in failed)
 
     def no_colour_sum(tau_pairs, sigma_pairs, p):
         return tuple(tau_pairs[k - 1] for k, _ in sigma_pairs)
@@ -231,3 +230,20 @@ def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
         words.clear()
         assert verify._bijection_failure(sign, 3, 2, 2, 2) == ""
         assert len(words) <= negations * 9
+
+
+def test_golden_pipelines_name_the_first_wrong_stage(monkeypatch):
+    assert verify.suite_examples_golden().passed
+    ex = reference.MINUS_PIPELINE
+    wrong = ex["elements"][:-1] + (ex["elements"][0],)
+    with monkeypatch.context() as patch:
+        patch.setitem(ex, "elements", wrong)
+        failed = [case for case in verify.suite_examples_golden().cases if not case.ok]
+        assert [case.key for case in failed] == ["negative-base pipeline"]
+        assert failed[0].detail.startswith("elements: got ")
+    # A reference stage the table does not compute is refused, not skipped.
+    with monkeypatch.context() as patch:
+        patch.setitem(ex, "sorted_rows", ex["rows"])
+        failed = [case for case in verify.suite_examples_golden().cases if not case.ok]
+        assert [(case.key, case.detail) for case in failed] == [
+            ("negative-base pipeline", "sorted_rows: no computed stage")]
