@@ -61,7 +61,7 @@ class ColoredPermutation:
 
 def _compose_pairs(tau_pairs: Pairs, sigma_pairs: Pairs, p: int) -> Pairs:
     """Window of tau after sigma: position tau(sigma(i)), color tau_c(sigma(i)) + sigma_c(i)."""
-    return tuple((tau_pairs[k - 1][0], (tau_pairs[k - 1][1] + c) % p) for k, c in sigma_pairs)
+    return tuple([(tau_pairs[k - 1][0], (tau_pairs[k - 1][1] + c) % p) for k, c in sigma_pairs])
 
 
 def compose(tau: ColoredPermutation, sigma: ColoredPermutation) -> ColoredPermutation:

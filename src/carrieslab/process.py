@@ -10,8 +10,8 @@ and {0, ..., n} otherwise.  This module owns that validity rule
 
 It is also the only source of digit words: ``enumerate_words`` fixes the
 enumeration order (lexicographic, refused past ``ENUMERATION_LIMIT`` before
-any word exists) and ``draw_words`` the seeded stream order (one
-``randrange(b)`` per digit, word by word) that every path and sample uses.
+any word exists) and ``draw_words`` is the one seeded stream, on
+``random.Random(seed)``, that every path and sample takes its words from.
 
 It owns the input rules as well, one check each, which every entry point
 applies where its work starts: ``check_sign``, ``check_base``,
@@ -32,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 SIGNS = ("+", "-")
@@ -74,11 +74,41 @@ def enumerate_words(what: str, b: int, length: int, unit: str,
     return product(range(low, low + b), repeat=length)
 
 
-def draw_words(rng: random.Random, b: int, length: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """``count`` uniform words of ``length`` digits in {0..b-1}: one ``rng.randrange(b)``
-    per digit, digit by digit, word by word."""
-    draw = rng.randrange
-    return tuple(tuple([draw(b) for _ in range(length)]) for _ in range(count))
+def draw_words(seed: int, b: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The endless seeded stream of uniform words of ``length`` digits in {0..b-1}.
+
+    Its order is one ``random.Random(seed).randrange(b)`` per digit, word by
+    word.  For b >= 256 that is how the digits are drawn.  For b < 256 they
+    are read in bulk, 4096 32-bit generator outputs per refill, and come out
+    the same, because in CPython:
+
+    - ``randrange(b)`` is ``getrandbits(k)`` with k = b.bit_length(), redrawn
+      while it is >= b;
+    - ``getrandbits(k <= 32)`` is the top k bits of the next 32-bit output;
+    - ``getrandbits(32 m)`` packs the next m outputs, first output lowest.
+
+    So the top byte of each output, shifted right by 8 - k, is one draw; a
+    ``bytes.translate`` deletes the redrawn ones and maps the rest to digits.
+    Outputs drawn past the last digit used only advance a generator no one
+    else holds.
+    """
+    check_base(b)
+    rng = random.Random(seed)
+    if b >= 256 or length == 0:
+        draw = rng.randrange
+        while True:
+            yield tuple([draw(b) for _ in range(length)])
+    shift = 8 - b.bit_length()
+    table = bytes(x >> shift for x in range(256))
+    redrawn = bytes(x for x in range(256) if x >> shift >= b)
+    digits = b""
+    while True:
+        while len(digits) < length:
+            top = rng.getrandbits(32 * 4096).to_bytes(4 * 4096, "little")[3::4]
+            digits += top.translate(table, redrawn)
+        whole = len(digits) - len(digits) % length
+        yield from zip(*[iter(digits[:whole])] * length)
+        digits = digits[whole:]
 
 
 def check_sign(sign: str) -> None:
@@ -330,13 +360,14 @@ def simulate_trace(
 ) -> CarriesTrace:
     """Run the chain from state 0 for ``steps`` column additions.
 
-    Digits come from ``columns`` when given, otherwise from ``draw_words``
-    on ``random.Random(seed)``, one column per word (summand 1 first).
+    Digits come from ``columns`` when given, otherwise from the first
+    ``steps`` words of ``draw_words(seed, ...)``, one column per word
+    (summand 1 first).
     """
     check_steps(steps)
     check_limit("a simulated path", steps * params.n, SIMULATE_LIMIT, "digits (steps x summands)")
     if columns is None:
-        drawn = draw_words(random.Random(seed), params.b, params.n, steps)
+        drawn = tuple(islice(draw_words(seed, params.b, params.n), steps))
     else:
         if len(columns) != steps:
             raise ValueError(f"expected {steps} digit columns, got {len(columns)}")

@@ -11,9 +11,9 @@ descent statistics of the composed shuffles, term by term.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Callable, Sequence
 
@@ -257,11 +257,12 @@ def trace_from_words(
 def sample_sequence(
     b: int, n: int, p: int, steps: int, seed: int = DEFAULT_SEED, sign: str = "+"
 ) -> ShuffleTrace:
-    """Trace of ``steps`` uniform shuffles, the words from ``draw_words`` on ``Random(seed)``."""
+    """Trace of ``steps`` uniform shuffles, driven by the first ``steps`` words of
+    ``draw_words(seed, b, n)``."""
     check_steps(steps, what="shuffle count")
     check_count("cards n", n)
     check_limit("a shuffle sequence", steps * n, SHUFFLE_LIMIT, "digits (shuffles x cards)")
-    return trace_from_words(b, n, p, draw_words(random.Random(seed), b, n, steps), sign)
+    return trace_from_words(b, n, p, tuple(islice(draw_words(seed, b, n), steps)), sign)
 
 
 def _bijection_stages(

@@ -17,6 +17,7 @@ from carrieslab import (
     MultiDigitWord,
     bijection_minus,
     bijection_plus,
+    cli,
     dash_descent_count,
     derive_carry_set,
     derive_p,
@@ -66,14 +67,29 @@ EXACT_SUITES = ("transition", "eigen", "duality", "symmetry", "sf-numbers", "des
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
+def _report_digest(report) -> str:
+    stable = {key: value for key, value in report.to_json_obj().items() if key != "wall_time_s"}
+    return hashlib.sha256(json.dumps(stable, sort_keys=True).encode()).hexdigest()
+
+
 def test_exact_suite_reports_match_the_benchmark_pins(suites):
     # Default reports must stay byte for byte; the pins are read, never written.
     pinned = json.loads(PINS.read_text())["workloads"]["verify-exact"]
     for name in EXACT_SUITES:
-        report = suites(name).to_json_obj()
-        del report["wall_time_s"]
-        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == pinned[f"cli verify {name}"], name
+        assert _report_digest(suites(name)) == pinned[f"cli verify {name}"], name
+
+
+def test_seeded_streams_match_the_benchmark_pins(tmp_path):
+    # The benchmark's seeded operations at its seed 0: both sampled tiers and one simulate run.
+    pinned = json.loads(PINS.read_text())["workloads"]
+    for suite, seed in (("bijection-plus", 20240601), ("bijection-minus", 20240602)):
+        report = run_suite(suite, cases=(), samples=200_000, seed=seed)
+        assert _report_digest(report) == pinned["verify-sampled"][f"{suite} sampled"], suite
+    out = tmp_path / "simulate.json"
+    assert cli.main(["--out", str(out), "simulate", "--sign", "+", "--b", "7", "--n", "10",
+                     "--p", "3", "--N", "100000", "--seed", "1729"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == pinned["large-chain"]["cli simulate"]
 
 
 def test_criterion_01_scaled_right_matrices():

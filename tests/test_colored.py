@@ -6,6 +6,7 @@ import pytest
 
 from carrieslab import (
     ColoredPermutation,
+    colored,
     compose,
     dash_descent_count,
     descent_count,
@@ -135,6 +136,20 @@ def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
     report = verify.suite_descent_stats(n_max=3, p_max=2)
     assert report.passed
     assert len(yielded) == sum(factorial(n) * p**n for p in (1, 2) for n in (1, 2, 3))
+
+
+def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
+    # The shuffle engine counts the dash end at p = 1; dropping it must fail those cases.
+    keep = colored._descents
+
+    def no_dash_end(pairs, p, dash=False):
+        return keep(pairs, p, dash) - (dash and pairs[-1][1] == p - 1)
+
+    for module in (colored, verify):
+        monkeypatch.setattr(module, "_descents", no_dash_end)
+    report = verify.suite_descent_stats(n_max=3, p_max=1)
+    assert [(case.key, case.ok) for case in report.cases if case.key.startswith("dash")] == [
+        (f"dash==standard counting n={n} p=1", False) for n in (1, 2, 3)]
 
 
 def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):

@@ -3,7 +3,9 @@
 import ast
 import re
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -31,7 +33,7 @@ from carrieslab import (
     trace_from_words,
     variance_conditional,
 )
-from carrieslab.process import enumerate_words
+from carrieslab.process import draw_words, enumerate_words
 
 
 def test_carry_set_normalization_round_trip():
@@ -170,6 +172,30 @@ def test_work_caps_are_defined_only_in_process():
     assert found == []
 
 
+# Bases on both sides of each digit-width step, and of the switch to per-digit draws at 256.
+CROSSING = (2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 255, 256, 257, 300)
+
+
+def _randrange_words(seed, b, length, count):
+    rng = Random(seed)
+    return [tuple(rng.randrange(b) for _ in range(length)) for _ in range(count)]
+
+
+def test_draw_words_is_the_randrange_stream():
+    # The bulk path (b < 256) must give the per-digit randrange stream digit for digit,
+    # also across refills of 4096 generator outputs (3 words of 5000 digits).
+    for b in (*range(2, 301), 1000, 2**32 + 5):
+        shapes = ((1, 40), (3, 20), (10, 6)) + (((5000, 3),) if b in CROSSING else ())
+        for seed in (0, 1, 20240601):
+            for length, count in shapes:
+                drawn = list(islice(draw_words(seed, b, length), count))
+                assert drawn == _randrange_words(seed, b, length, count), (b, seed, length)
+        assert next(draw_words(0, b, 0)) == ()
+    for b in (-3, 0, 1):  # refused, where the bulk path would redraw every byte forever
+        with pytest.raises(ValueError, match="base magnitude"):
+            next(draw_words(0, b, 3))
+
+
 def test_digit_words_come_only_from_process():
     # process.enumerate_words and process.draw_words are the only word sources;
     # colored enumerates group elements, not words, with itertools.product.
@@ -177,8 +203,9 @@ def test_digit_words_come_only_from_process():
     for path in sorted(Path(carrieslab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = {getattr(node, "attr", None), getattr(node, "id", None)}
-            if path.name != "process.py" and "randrange" in names:
-                found.append(f"{path.name}: randrange")
+            if path.name != "process.py":
+                found += [f"{path.name}: {name}" for name in ("randrange", "getrandbits", "Random")
+                          if name in names]
             imported = isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(
                 alias.name == "product" for alias in node.names)
             dotted = isinstance(node, ast.Attribute) and node.attr == "product" and getattr(
