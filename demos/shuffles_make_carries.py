@@ -21,7 +21,6 @@ from carrieslab import (
     make_process,
     shuffle_probability,
     simulate_trace,
-    trace_from_words,
 )
 
 
@@ -41,11 +40,10 @@ def main() -> None:
     trace = simulate_trace(make_process("+", b, n, p), places, columns=summands.columns())
     print("Carries, least significant column first:", trace.kappas[1:])
 
-    words = bijection_plus(summands, p)
-    shuffles = trace_from_words(b, n, p, words, "+")
+    shuffles = bijection_plus(summands, p)
     print("The same digits, rearranged into shuffle words:")
     for step, (word, element, descents) in enumerate(
-        zip(words, shuffles.elements, shuffles.descents), start=1
+        zip(shuffles.words, shuffles.elements, shuffles.descents), start=1
     ):
         print(f"    step {step}: word {word}  composition {element.to_text()}"
               f"  descents {descents}")

@@ -14,7 +14,7 @@ from .colored import (
     descent_count,
     enumerate_group,
     inverse,
-    reverse_map,
+    negate_colors,
 )
 from .moments import (
     MomentReport,

@@ -40,9 +40,7 @@ from .process import (
 )
 from .shuffle import sample_sequence
 from .spectral import eigen_system, transition_matrix
-from .verify import SUITES, run_suite
-
-SCHEMA_VERSION = 1
+from .verify import SCHEMA_VERSION, SUITES, run_suite
 
 
 def _fraction_flag(text: str) -> Fraction:

@@ -11,9 +11,8 @@ orders on the letters drive two descent statistics:
   Dash descents count the end position when its color is p-1.
 
 Both are one rule, ``_descents``: a key comparison of adjacent letters plus
-the order's end predicate.  At p = 1 the dash end fires always: the shuffle
-engine counts it (its odd-step value is n minus that count), while
-``dash_descent_count`` drops it, so there it equals ``descent_count``.
+the order's end predicate.  At p = 1 the dash end always counts, so the dash
+count is the standard count plus one.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ class ColoredPermutation:
     @classmethod
     def identity(cls, n: int, p: int) -> "ColoredPermutation":
         return cls(n, p, tuple((i, 0) for i in range(1, n + 1)))
-
-    def __mul__(self, other: "ColoredPermutation") -> "ColoredPermutation":
-        return compose(self, other)
 
     def to_text(self) -> str:
         return "".join(f"({k},{c})" for k, c in self.pairs)
@@ -107,34 +103,13 @@ def descent_count(sigma: ColoredPermutation) -> int:
 
 
 def dash_descent_count(sigma: ColoredPermutation) -> int:
-    """Descents in the dash order, with end position counted at color p-1, except at p = 1
-    (see the module docstring), where this equals ``descent_count``."""
-    if sigma.p == 1:
-        return descent_count(sigma)
+    """Descents in the dash order, with end position counted at color p-1."""
     return _descents(sigma.pairs, sigma.p, dash=True)
 
 
-def reverse_map(sigma: ColoredPermutation, variant: str) -> ColoredPermutation:
-    """Involutions used to transport descent statistics.
-
-    - ``"R1"`` (p = 1 only): position k becomes n + 1 - k.
-    - ``"R2"`` (p = 2 only): position k becomes n + 1 - k and the color flips.
-    - ``"prime"`` (any p): every color is negated mod p.
-    """
-    n, p = sigma.n, sigma.p
-    if variant == "R1":
-        if p != 1:
-            raise ValueError("R1 applies only to p = 1")
-        return ColoredPermutation(n, p, tuple((n + 1 - k, c) for k, c in sigma.pairs))
-    if variant == "R2":
-        if p != 2:
-            raise ValueError("R2 applies only to p = 2")
-        return ColoredPermutation(
-            n, p, tuple((n + 1 - k, (c + 1) % 2) for k, c in sigma.pairs)
-        )
-    if variant == "prime":
-        return ColoredPermutation(n, p, tuple((k, (-c) % p) for k, c in sigma.pairs))
-    raise ValueError(f"unknown reverse variant {variant!r}")
+def negate_colors(sigma: ColoredPermutation) -> ColoredPermutation:
+    """sigma', every color negated mod p: the form even factors take in a '-' trace."""
+    return ColoredPermutation(sigma.n, sigma.p, tuple((k, (-c) % sigma.p) for k, c in sigma.pairs))
 
 
 def group_order(n: int, p: int) -> int:

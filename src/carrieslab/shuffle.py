@@ -26,7 +26,7 @@ from .colored import (
     descent_count,
     enumerate_group,
     inverse,
-    reverse_map,
+    negate_colors,
 )
 from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_base, check_count,
                       check_limit, check_sign, check_steps, check_words, digit_value, draw_words,
@@ -56,14 +56,9 @@ class MultiDigitWord:
     def count(self) -> int:
         return len(self.rows)
 
-    def column(self, place: int) -> tuple[int, ...]:
-        """Digits at the given 1-based place, across summands."""
-        if not 1 <= place <= self.places:
-            raise ValueError(f"place {place} out of range 1..{self.places}")
-        return tuple(row[place - 1] for row in self.rows)
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(1, self.places + 1)]
+        """Digits at each place, least significant first, across summands."""
+        return list(zip(*self.rows))
 
     def row_values(self) -> tuple[int, ...]:
         return tuple(digit_value(row, "+", self.b) for row in self.rows)
@@ -192,9 +187,9 @@ class ShuffleTrace:
     after r steps.  For sign '+' the composition is plain and
     ``descents[r-1]`` = descent count of the r-step element.  For sign '-'
     every even-numbered factor enters with negated colors, and the recorded
-    value is n - dash-descents after odd steps (n - 1 - descents when
-    p = 1) and plain descents after even steps; these are the values that
-    match the negative-base carries chain.
+    value is n - dash-descents after odd steps and plain descents after
+    even steps; these are the values that match the negative-base carries
+    chain.
     """
 
     b: int
@@ -226,7 +221,7 @@ def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list[Pairs], lis
             pairs = factors[negate].get(word)
             if pairs is None:
                 factor = gsr_to_permutation(word, p)
-                pairs = (reverse_map(factor, "prime") if negate else factor).pairs
+                pairs = (negate_colors(factor) if negate else factor).pairs
                 factors[negate][word] = pairs
             current = pairs if current is None else _compose_pairs(pairs, current, p)
             value = values[dash].get(current)
@@ -294,16 +289,17 @@ def _bijection_stages(
     return summands, totals, mixed, unstar_map(mixed.columns())
 
 
-def bijection_plus(summands: MultiDigitWord, p: int) -> list[tuple[int, ...]]:
-    """Digit words whose shuffles track the carries of adding the summands.
+def bijection_plus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
+    """Shuffle trace tracking the carries of adding the summands.
 
     Requires b = 1 mod p.  The construction: replace summands by running
     totals (bar), multiply each total by p mod b^N, read the digit columns
-    as starred levels, and unstar.  The returned words are in application
-    order, and the descent count after r shuffles equals the r-th carry of
-    the positive-base chain fed the same digit columns.
+    as starred levels, and unstar.  The resulting words drive a '+' trace
+    whose descent count after r shuffles equals the r-th carry of the
+    positive-base chain fed the same digit columns.
     """
-    return _bijection_stages(summands, p, "+")[3]
+    words = _bijection_stages(summands, p, "+")[3]
+    return trace_from_words(summands.b, summands.count, p, words, sign="+")
 
 
 def bijection_minus(summands: MultiDigitWord, p: int) -> ShuffleTrace:

@@ -27,7 +27,6 @@ from carrieslab import (
     reference,
     right_eigen_matrix,
     stirling_frobenius,
-    trace_from_words,
     transition_matrix,
 )
 from carrieslab.verify import run_suite
@@ -167,10 +166,7 @@ def test_criterion_07_moments(suites):
 def test_criterion_08_worked_pipelines(suites):
     report = suites("examples-golden")
     ex = reference.PLUS_PIPELINE
-    plus = trace_from_words(
-        ex["b"], ex["n"], ex["p"],
-        bijection_plus(MultiDigitWord(ex["b"], ex["rows"]), ex["p"]), "+",
-    )
+    plus = bijection_plus(MultiDigitWord(ex["b"], ex["rows"]), ex["p"])
     ex = reference.MINUS_PIPELINE
     minus = bijection_minus(MultiDigitWord(ex["b"], ex["rows"]), ex["p"])
     raw = tuple(

@@ -663,6 +663,244 @@ _MATRIX_MINUS_JSON = """\
 """
 
 
+# Sign - at p = 3: even factors enter with negated colors.
+_SHUFFLE_MINUS_JSON = """\
+{
+  "schema": 1,
+  "b": 5,
+  "n": 3,
+  "p": 3,
+  "sign": "-",
+  "seed": 7,
+  "words": [
+    [
+      2,
+      1,
+      3
+    ],
+    [
+      0,
+      0,
+      4
+    ],
+    [
+      0,
+      2,
+      4
+    ],
+    [
+      0,
+      4,
+      1
+    ],
+    [
+      0,
+      0,
+      3
+    ],
+    [
+      3,
+      0,
+      1
+    ]
+  ],
+  "elements": [
+    [
+      [
+        2,
+        2
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        3,
+        0
+      ]
+    ],
+    [
+      [
+        2,
+        2
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        3,
+        2
+      ]
+    ],
+    [
+      [
+        2,
+        1
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        3,
+        0
+      ]
+    ],
+    [
+      [
+        3,
+        0
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        2,
+        2
+      ]
+    ],
+    [
+      [
+        3,
+        0
+      ],
+      [
+        1,
+        1
+      ],
+      [
+        2,
+        2
+      ]
+    ],
+    [
+      [
+        2,
+        2
+      ],
+      [
+        3,
+        1
+      ],
+      [
+        1,
+        2
+      ]
+    ]
+  ],
+  "descents": [
+    1,
+    2,
+    1,
+    2,
+    2,
+    2
+  ]
+}
+"""
+
+
+# Sign - at p = 1: the dash end, counted at every odd step, always fires.
+_SHUFFLE_ONE_COLOR_JSON = """\
+{
+  "schema": 1,
+  "b": 3,
+  "n": 3,
+  "p": 1,
+  "sign": "-",
+  "seed": 11,
+  "words": [
+    [
+      1,
+      2,
+      1
+    ],
+    [
+      1,
+      2,
+      2
+    ],
+    [
+      0,
+      0,
+      2
+    ],
+    [
+      1,
+      2,
+      2
+    ]
+  ],
+  "elements": [
+    [
+      [
+        1,
+        0
+      ],
+      [
+        3,
+        0
+      ],
+      [
+        2,
+        0
+      ]
+    ],
+    [
+      [
+        1,
+        0
+      ],
+      [
+        3,
+        0
+      ],
+      [
+        2,
+        0
+      ]
+    ],
+    [
+      [
+        1,
+        0
+      ],
+      [
+        3,
+        0
+      ],
+      [
+        2,
+        0
+      ]
+    ],
+    [
+      [
+        1,
+        0
+      ],
+      [
+        3,
+        0
+      ],
+      [
+        2,
+        0
+      ]
+    ]
+  ],
+  "descents": [
+    1,
+    1,
+    1,
+    1
+  ]
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -700,6 +938,14 @@ _MATRIX_MINUS_JSON = """\
         (["--format", "csv", "matrix", "--sign", "+", "--b", "1000", "--n", "2", "--p", "999"],
          "dim,3\n3/1000000,251247/500000,497503/1000000\n"
          "1/1000000,250749/500000,498501/1000000\n0,1001/2000,999/2000\n"),
+        (["shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "6", "--seed", "7"],
+         _SHUFFLE_MINUS_JSON),
+        (["shuffle", "--sign", "-", "--b", "3", "--n", "3", "--p", "1", "--N", "4", "--seed", "11"],
+         _SHUFFLE_ONE_COLOR_JSON),
+        (["--format", "csv",
+          "shuffle", "--sign", "+", "--b", "4", "--n", "3", "--p", "3", "--N", "3", "--seed", "2"],
+         "step,descent,word,element\n1,0,0 0 0,(1,0)(2,0)(3,0)\n"
+         "2,2,2 1 2,(2,2)(1,1)(3,2)\n3,1,2 1 0,(2,0)(3,0)(1,2)\n"),
     ],
 )
 def test_output_bytes_are_pinned(capsys, argv, expected):

@@ -12,7 +12,7 @@ from carrieslab import (
     descent_count,
     enumerate_group,
     inverse,
-    reverse_map,
+    negate_colors,
     verify,
 )
 from carrieslab.colored import _letter_key, group_order
@@ -90,32 +90,24 @@ def test_descent_counts_small_cases():
     assert dash_descent_count(drop) == 1
 
 
-def test_dash_equals_standard_for_one_color():
+def test_dash_is_standard_plus_one_for_one_color():
+    # At p = 1 every letter has color 0 = p - 1, so the dash end always counts.
     for sigma in enumerate_group(3, 1):
-        assert dash_descent_count(sigma) == descent_count(sigma)
+        assert dash_descent_count(sigma) == descent_count(sigma) + 1
 
 
-def test_reverse_maps_are_involutive_bijections():
-    for variant, n, p in (("R1", 3, 1), ("R2", 2, 2), ("prime", 2, 3)):
-        seen = set()
-        count = 0
-        for sigma in enumerate_group(n, p):
-            image = reverse_map(sigma, variant)
-            assert reverse_map(image, variant) == sigma
-            seen.add(image.pairs)
-            count += 1
-        assert len(seen) == count
-    with pytest.raises(ValueError):
-        reverse_map(ColoredPermutation.identity(2, 3), "R1")
-    with pytest.raises(ValueError):
-        reverse_map(ColoredPermutation.identity(2, 3), "R2")
-    with pytest.raises(ValueError):
-        reverse_map(ColoredPermutation.identity(2, 2), "R3")
+def test_negate_colors_is_an_involutive_bijection():
+    images = set()
+    for sigma in enumerate_group(2, 3):
+        image = negate_colors(sigma)
+        assert negate_colors(image) == sigma
+        images.add(image.pairs)
+    assert len(images) == group_order(2, 3)
 
 
 def test_prime_negates_colors():
     sigma = ColoredPermutation(2, 3, ((2, 1), (1, 2)))
-    assert reverse_map(sigma, "prime").pairs == ((2, 2), (1, 1))
+    assert negate_colors(sigma).pairs == ((2, 2), (1, 1))
 
 
 def test_text_and_pairs_round_trip():
@@ -145,11 +137,22 @@ def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
     def no_dash_end(pairs, p, dash=False):
         return keep(pairs, p, dash) - (dash and pairs[-1][1] == p - 1)
 
-    for module in (colored, verify):
-        monkeypatch.setattr(module, "_descents", no_dash_end)
+    monkeypatch.setattr(colored, "_descents", no_dash_end)
     report = verify.suite_descent_stats(n_max=3, p_max=1)
     assert [(case.key, case.ok) for case in report.cases if case.key.startswith("dash")] == [
         (f"dash==standard counting n={n} p=1", False) for n in (1, 2, 3)]
+
+
+def test_descent_stats_fails_when_the_dash_count_forks_at_one_color(monkeypatch):
+    # A dash count that falls back to the standard count at p = 1 drops the
+    # dash end there; every p = 1 dash case of the default grid must catch it.
+    def forked(sigma):
+        return descent_count(sigma) if sigma.p == 1 else dash_descent_count(sigma)
+
+    monkeypatch.setattr(verify, "dash_descent_count", forked)
+    report = verify.suite_descent_stats()
+    failed = [case.key for case in report.cases if not case.ok]
+    assert failed == [f"dash==standard counting n={n} p=1" for n in range(1, 6)]
 
 
 def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):

@@ -24,7 +24,7 @@ from carrieslab import (
     eigen_system,
     gsr_to_permutation,
     make_process,
-    reverse_map,
+    negate_colors,
     simulate_trace,
     star_map,
     trace_from_words,
@@ -79,10 +79,7 @@ def test_bijection_descents_are_the_carries(case):
     b, n = summands.b, summands.count
     params = make_process(sign, b, n, p)
     carries = simulate_trace(params, summands.places, columns=summands.columns()).kappas[1:]
-    if sign == "+":
-        trace = trace_from_words(b, n, p, bijection_plus(summands, p), "+")
-    else:
-        trace = bijection_minus(summands, p)
+    trace = (bijection_plus if sign == "+" else bijection_minus)(summands, p)
     assert trace.descents == carries
 
 
@@ -94,7 +91,7 @@ def test_trace_folds_the_group_law(case):
     for r, word in enumerate(words, start=1):
         factor = gsr_to_permutation(word, p)
         if sign == "-" and r % 2 == 0:
-            factor = reverse_map(factor, "prime")
+            factor = negate_colors(factor)
         current = factor if current is None else compose(factor, current)
         expected.append(current)
     trace = trace_from_words(b, n, p, words, sign)

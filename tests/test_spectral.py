@@ -28,6 +28,7 @@ from carrieslab import (
     transition_oracle,
 )
 from carrieslab import spectral
+from carrieslab.verify import run_suite
 
 PARAMS = [
     ("+", 2, 2, 1),
@@ -89,6 +90,20 @@ def test_eigen_system_multiplies_twice(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
     eigen_system(make_process("-", 5, 4, Fraction(3, 2)))
     assert len(calls) == 2
+
+
+def test_eigen_suite_fails_on_a_wrong_spectrum(monkeypatch):
+    # The suite proves the spectrum only through R D L = P; a wrong eigenvalue must fail it.
+    keep = spectral.eigen_values
+
+    def doubled_last(params):
+        values = keep(params)
+        return values[:-1] + (2 * values[-1],)
+
+    monkeypatch.setattr(spectral, "eigen_values", doubled_last)
+    report = run_suite("eigen", n_max=2)
+    failed = [case.key for case in report.cases if not case.ok]
+    assert len(failed) == 40 and not any(key.startswith("poly-form") for key in failed)
 
 
 def test_transition_matrix_takes_one_binomial_table_per_row(monkeypatch):
@@ -174,13 +189,13 @@ def test_descent_statistics_match_enumeration():
         for sigma in enumerate_group(n, p):
             counts[descent_count(sigma)] += 1
         assert tuple(counts) == standard
-        if p > 1:
-            dash = descent_statistics(n, p, "dash").ints()
-            dash_counts = [0] * len(dash)
-            for sigma in enumerate_group(n, p):
-                dash_counts[dash_descent_count(sigma)] += 1
-            assert tuple(dash_counts) == dash
-            assert dash == tuple(reversed(standard))
+        dash = descent_statistics(n, p, "dash").ints()
+        dash_counts = [0] * len(dash)
+        for sigma in enumerate_group(n, p):
+            dash_counts[dash_descent_count(sigma)] += 1
+        assert tuple(dash_counts) == dash
+        # The dash row reverses the standard one, or shifts it by one at p = 1.
+        assert dash == (tuple(reversed(standard)) if p > 1 else (0, *standard))
 
 
 def test_descent_statistics_reject_fractional_p():
