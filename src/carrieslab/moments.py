@@ -2,8 +2,9 @@
 
 All formulas are exact rationals.  The conditional variance and the
 covariance do not depend on the start state or on p; the mean does.  The
-oracle recomputes every quantity from exact powers of the transition
-matrix so the closed forms can be checked without circularity.
+oracle, ``MomentOracle``, recomputes every quantity from exact powers of
+the transition matrix so the closed forms can be checked without
+circularity.
 
 The mean formula holds for every valid parameter set.  The second-moment
 formulas rest on the centred square being a right eigenfunction with
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, _integer_scaled
 from .spectral import stationary_distribution, transition_matrix
 
 
@@ -120,11 +121,13 @@ class MomentReport:
 class MomentOracle:
     """Moments of one chain from exact powers of its transition matrix.
 
-    No closed form is involved.  Each power of P, the mean and variance per
-    (start, k) and the conditional-mean vector per r are computed once, so
-    many (start, r, s) queries on one chain cost only its distinct powers.
-    A start is a state or ``"stationary"``; the stationary law does not
-    move with k.
+    No closed form is involved.  P^k is one ``RationalMatrix`` product on
+    P^(k-1) when that is known.  Each law row P^k[i], the stationary law and
+    the vector E[state after r | start j] are read once as integers over one
+    denominator (``ratmat._integer_scaled``) and cached, so every moment is
+    an integer dot product and one ``Fraction``, and many (start, r, s)
+    queries on one chain cost only its distinct powers.  A start is a state
+    or ``"stationary"``; the stationary law does not move with k.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -132,55 +135,44 @@ class MomentOracle:
         self.matrix = transition_matrix(params)
         self.dim = self.matrix.dim
         self._powers = {0: RationalMatrix.identity(self.dim), 1: self.matrix}
-        self._law_moments: dict[tuple[int | str, int], tuple[Fraction, Fraction]] = {}
-        self._mean_after: dict[int, list[Fraction]] = {}
+        self._laws: dict[tuple[int | str, int], tuple[list[int], int]] = {}
+        self._mean_after: dict[int, tuple[list[int], int]] = {}
 
-    def power(self, k: int) -> RationalMatrix:
-        """P^k; one multiplication when P^(k-1) is already known."""
-        if k not in self._powers:
-            below = self._powers.get(k - 1)
-            self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
-        return self._powers[k]
-
-    @cached_property
-    def stationary(self) -> tuple[Fraction, ...]:
-        """The stationary law of the chain."""
-        return stationary_distribution(self.params)
-
-    def law(self, start: int | str, k: int) -> tuple[Fraction, ...]:
-        """Law of the state after k steps from ``start``."""
-        if start == "stationary":
-            return self.stationary
-        check_state(self.params, start)
-        return self.power(k)[start]
+    def _law(self, start: int | str, k: int) -> tuple[list[int], int]:
+        """Law of the state after k steps from ``start``, as integers over one denominator."""
+        key = (start, 0 if start == "stationary" else k)
+        if key not in self._laws:
+            if start == "stationary":
+                law = stationary_distribution(self.params)
+            else:
+                check_state(self.params, start)
+                if k not in self._powers:
+                    below = self._powers.get(k - 1)
+                    self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
+                law = self._powers[k][start]
+            self._laws[key] = _integer_scaled([law])[0]
+        return self._laws[key]
 
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
         """Mean and variance of the state after k steps from ``start``."""
-        key = (start, 0 if start == "stationary" else k)
-        if key not in self._law_moments:
-            law = self.law(start, k)
-            mean = sum(law[j] * j for j in range(self.dim))
-            second = sum(law[j] * j * j for j in range(self.dim))
-            self._law_moments[key] = (mean, second - mean * mean)
-        return self._law_moments[key]
+        law, d = self._law(start, k)
+        m1 = sum(map(mul, law, range(self.dim)))
+        m2 = sum(x * j * j for j, x in enumerate(law))
+        return Fraction(m1, d), Fraction(m2 * d - m1 * m1, d * d)
 
     def covariance(self, start: int | str, s: int, r: int) -> Fraction:
         """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary."""
-        law = self.law(start, s)
+        law, d_s = self._law(start, s)
         if r not in self._mean_after:
             # E[state after r steps | start j], for each state j.
-            power = self.power(r)
-            self._mean_after[r] = [
-                sum(power[j][k] * k for k in range(self.dim)) for j in range(self.dim)
-            ]
-        after = self._mean_after[r]
-        mean_s = self.law_moments(start, s)[0]
+            means = [self.law_moments(j, r)[0] for j in range(self.dim)]
+            self._mean_after[r] = _integer_scaled([means])[0]
+        after, d_r = self._mean_after[r]
+        m1 = sum(map(mul, law, range(self.dim)))
         # Under the stationary law the mean r steps on is the mean itself.
-        mean_sr = mean_s if start == "stationary" else sum(
-            law[j] * after[j] for j in range(self.dim)
-        )
-        cross = sum(law[j] * j * after[j] for j in range(self.dim))
-        return cross - mean_s * mean_sr
+        m_sr = m1 * d_r if start == "stationary" else sum(map(mul, law, after))
+        cross = sum(x * j * y for j, (x, y) in enumerate(zip(law, after)))
+        return Fraction(cross * d_s - m1 * m_sr, d_s * d_s * d_r)
 
 
 def moments_oracle(

@@ -47,6 +47,9 @@ STATE_LIMIT = 128
 STEP_LIMIT = 1000
 #: Digit tuples, summand arrays or group elements one enumeration visits.
 ENUMERATION_LIMIT = 10**7
+#: (state, r, s) triples of the whole ``verify moments`` grid: the default grid has 33,264;
+#: at the cap r = 3124 at b, n <= 2 takes about 14 s, n = 157 at b = 2, r = s = 0 about 230 s.
+MOMENT_GRID_LIMIT = 5 * 10**4
 #: Digits a simulated path draws and holds (steps times summands).
 SIMULATE_LIMIT = 10**6
 #: Digits a sampled shuffle sequence draws (shuffles times cards).

@@ -37,6 +37,7 @@ from .moments import (
     variance_conditional,
 )
 from .process import (
+    MOMENT_GRID_LIMIT,
     SAMPLE_LIMIT,
     ProcessParams,
     check_count,
@@ -321,6 +322,11 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
     """Closed-form moments against exact matrix powers on the full valid grid."""
     check_steps(r_max, s_max)
+    triples = 0
+    for params in _chain_grid(b_max, n_max):
+        triples += params.state_count * (r_max + 1) * (s_max + 1)
+        check_limit(f"the moments grid through {_param_key(params)}", triples,
+                    MOMENT_GRID_LIMIT, "(state, r, s) triples")
     report = SuiteReport(
         "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
     )
@@ -348,6 +354,11 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
     oracle = MomentOracle(params)
     dim, n = oracle.dim, params.n
     quad = has_quadratic_eigenfunction(params)
+    if quad:
+        # Neither second-moment form depends on the start state: one value per r and (s, r).
+        variances = [variance_conditional(params, r) for r in range(r_max + 1)]
+        covariances = [[covariance_conditional(params, s, r) for s in range(s_max + 1)]
+                       for r in range(r_max + 1)]
     for i in range(dim):
         for r in range(r_max + 1):
             mean, variance = oracle.law_moments(i, r)
@@ -355,10 +366,10 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
                 return f"mean i={i} r={r}"
             if not quad:
                 continue
-            if variance != variance_conditional(params, r, i):
+            if variance != variances[r]:
                 return f"variance i={i} r={r}"
             for s in range(s_max + 1):
-                if oracle.covariance(i, s, r) != covariance_conditional(params, s, r, i):
+                if oracle.covariance(i, s, r) != covariances[r][s]:
                     return f"covariance i={i} s={s} r={r}"
     # Stationary pair.  The mean clause holds for every chain; second
     # moments only where the quadratic eigenfunction does.

@@ -8,6 +8,7 @@ from carrieslab import cli
 from carrieslab.colored import ColoredPermutation
 from carrieslab.process import (
     ENUMERATION_LIMIT,
+    MOMENT_GRID_LIMIT,
     SAMPLE_LIMIT,
     SHUFFLE_LIMIT,
     SIMULATE_LIMIT,
@@ -21,7 +22,7 @@ from carrieslab.shuffle import (
     bijection_plus,
     shuffle_probability,
 )
-from carrieslab.verify import SuiteCase, SuiteReport, run_suite, valid_parameters
+from carrieslab.verify import SuiteCase, SuiteReport, _chain_grid, run_suite, valid_parameters
 
 
 def run(capsys, *argv):
@@ -239,6 +240,16 @@ def test_suites_refuse_negative_bounds_without_the_cli():
             run_suite(suite, **options)
 
 
+def test_moments_grid_is_bounded_before_its_first_case():
+    # The default grid: 924 states over 280 chains, times 6 values of r and 6 of s.
+    assert sum(params.state_count for params in _chain_grid(8, 4)) * 6 * 6 == 33264
+    assert 33264 < MOMENT_GRID_LIMIT
+    for options in ({"b_max": 2, "n_max": 2, "s_max": 100000},
+                    {"b_max": 2, "n_max": 2, "r_max": 100000}, {"r_max": 10**30}):
+        with pytest.raises(ValueError, match=f"limited to {MOMENT_GRID_LIMIT} "):
+            run_suite("moments", **options)
+
+
 def test_verify_case_values_out_of_range_name_the_quantity(capsys):
     for argv, quantity in ((("bijection-plus", "--b", "3", "--n", "2", "--p", "1", "--N", "-1"),
                             "step count must be nonnegative"),
@@ -379,6 +390,12 @@ OVER_CAP = {
                           SIMULATE_LIMIT),
     "shuffle": (("shuffle", *CHAIN, "--n", "2", "--N", str(SHUFFLE_LIMIT // 2 + 1)),
                 SHUFFLE_LIMIT),
+    "moments-grid-s": (("verify", "moments", "--b", "2", "--n", "2", "--s", "100000"),
+                       MOMENT_GRID_LIMIT),
+    "moments-grid-r": (("verify", "moments", "--b", "2", "--n", "2", "--r", "100000"),
+                       MOMENT_GRID_LIMIT),
+    "moments-grid-chains": (("verify", "moments", "--b", "100000", "--r", "0", "--s", "0"),
+                            MOMENT_GRID_LIMIT),
     "samples-plus": (("verify", "bijection-plus", "--samples", str(SAMPLE_LIMIT + 1)),
                      SAMPLE_LIMIT),
     "samples-minus": (("verify", "bijection-minus", "--samples", str(SAMPLE_LIMIT + 1)),

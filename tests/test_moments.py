@@ -11,9 +11,12 @@ from carrieslab import (
     make_process,
     mean_conditional,
     moments_oracle,
+    stationary_fixed_point,
     stationary_moments,
+    transition_matrix,
     variance_conditional,
 )
+from carrieslab.moments import MomentOracle
 from carrieslab.process import STEP_LIMIT
 
 VALID = [("+", 3, 2, 2), ("-", 8, 3, 3), ("+", 2, 4, 1), ("-", 3, 2, Fraction(4, 3))]
@@ -38,6 +41,30 @@ def test_stationary_pair_matches_oracle(sign, b, n, p):
         oracle = moments_oracle(params, r, start="stationary")
         assert oracle.mean == mean and oracle.covariance == cov
         assert oracle.variance == stationary_moments(params, 0)[1]
+
+
+def _plain_moments(params, start, s, r):
+    """Mean and variance at s and Cov(state at s, state at s+r), in plain Fractions."""
+    matrix = transition_matrix(params)
+    states = range(params.state_count)
+    law = stationary_fixed_point(params) if start == "stationary" else matrix.power(s)[start]
+    after = [sum(matrix.power(r)[j][k] * k for k in states) for j in states]
+    mean = sum(law[j] * j for j in states)
+    variance = sum(law[j] * j * j for j in states) - mean * mean
+    cross = sum(law[j] * j * after[j] for j in states)
+    return mean, variance, cross - mean * sum(law[j] * after[j] for j in states)
+
+
+@pytest.mark.parametrize("sign,b,n,p", [*VALID, ("+", 3, 1, 2), ("-", 2, 1, 3)])
+def test_oracle_matches_a_plain_fraction_recomputation(sign, b, n, p):
+    params = make_process(sign, b, n, p)
+    oracle = MomentOracle(params)
+    # The first query jumps cold to P^37, with no lower power cached.
+    for s, r in ((37, 1), (0, 37), (2, 5), (5, 2), (0, 0), (3, 3)):
+        for start in [*range(params.state_count), "stationary"]:
+            got = (*oracle.law_moments(start, s), oracle.covariance(start, s, r))
+            assert got == _plain_moments(params, start, s, r)
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_mean_formula_valid_even_for_one_summand():
