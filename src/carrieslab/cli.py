@@ -17,6 +17,8 @@ import inspect
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .moments import (
     covariance_conditional,
@@ -365,6 +367,41 @@ def cmd_verify(args):
     return obj, rows
 
 
+def _json_text(value, default, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, default=default)`` lays it out; ``pad`` is
+    the newline and indent that the closing bracket of ``value`` follows.
+
+    A sequence of plain ints, or of nonempty such sequences, is joined in one pass at C
+    speed; ``json`` itself drops to a Python frame per value whenever it indents.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, (bool, float)):
+        return json.dumps(value)  # null, true, false and floats as json spells them
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _json_text(default(value), default, pad)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = (encode_basestring_ascii(key) + ": " + _json_text(item, default, inner)
+                 for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    kinds = set(map(type, value))
+    if kinds <= {int}:
+        items = map(int.__repr__, value)
+    elif (kinds <= {list, tuple} and all(value)
+          and set(map(type, chain.from_iterable(value))) <= {int}):
+        row = "[" + inner + "  {}" + inner + "]"
+        items = map(row.format, map(("," + inner + "  ").join,
+                                    map(map, repeat(int.__repr__), value)))
+    else:
+        items = (_json_text(item, default, inner) for item in value)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _render(result, args) -> str:
     """The text of a command's result: its one line, its JSON document or its CSV rows.
 
@@ -394,7 +431,7 @@ def _render(result, args) -> str:
             ",".join(rational(x) if isinstance(x, Fraction) else str(x) for x in row) + "\n"
             for row in rows
         )
-    return json.dumps(obj, indent=2, default=rational) + "\n"
+    return _json_text(obj, rational) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,9 +47,13 @@ STATE_LIMIT = 128
 STEP_LIMIT = 1000
 #: Digit tuples, summand arrays or group elements one enumeration visits.
 ENUMERATION_LIMIT = 10**7
-#: (state, r, s) triples of the whole ``verify moments`` grid: the default grid has 33,264;
-#: at the cap r = 3124 at b, n <= 2 takes about 14 s, n = 157 at b = 2, r = s = 0 about 230 s.
-MOMENT_GRID_LIMIT = 5 * 10**4
+#: states^2 x (r+1) x (s+1), summed over the chains of the whole ``verify moments`` grid: the
+#: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 16 s, b <= 177 at
+#: n = 1 about 13 s, n <= 44 at b = 2 about 3 s.
+MOMENT_GRID_LIMIT = 125 * 10**3
+#: Summands n_max of the ``verify eigen``, ``duality`` and ``sf-numbers`` grids: at the cap
+#: ``eigen`` takes about 12 s, ``duality`` and ``sf-numbers`` under 1 s.
+GRID_N_LIMIT = 20
 #: Digits a simulated path draws and holds (steps times summands).
 SIMULATE_LIMIT = 10**6
 #: Digits a sampled shuffle sequence draws (shuffles times cards).

@@ -37,6 +37,7 @@ from .moments import (
     variance_conditional,
 )
 from .process import (
+    GRID_N_LIMIT,
     MOMENT_GRID_LIMIT,
     SAMPLE_LIMIT,
     ProcessParams,
@@ -182,6 +183,7 @@ def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
 
 def suite_eigen(n_max: int = 6) -> SuiteReport:
     """Factorization P = R D L with R L = I, plus R against its double-sum oracle."""
+    check_limit("the eigen grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     ps = [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(3, 2)]
     report = SuiteReport(
         "eigen", f"p in {{1,2,3,4,3/2}}, two smallest valid b per sign, n<={n_max}"
@@ -207,6 +209,7 @@ def suite_eigen(n_max: int = 6) -> SuiteReport:
 
 def suite_duality(n_max: int = 5) -> SuiteReport:
     """Conjugate-parameter reflections of L and R, and rejection of p = 1."""
+    check_limit("the duality grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     ps = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(4), Fraction(4, 3)]
     report = SuiteReport("duality", f"p in {{2,3,3/2,4,4/3}}, n<={n_max}")
     for p in ps:
@@ -252,6 +255,7 @@ def suite_symmetry() -> SuiteReport:
 
 def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
     """Deformed first-kind rows against the scaled top row of R and references."""
+    check_limit("the sf-numbers grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     report = SuiteReport("sf-numbers", f"p in {{1,2,3}}, n<={n_max}")
     for p in (Fraction(1), Fraction(2), Fraction(3)):
         for n in range(0, n_max + 1):
@@ -322,11 +326,11 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
     """Closed-form moments against exact matrix powers on the full valid grid."""
     check_steps(r_max, s_max)
-    triples = 0
+    units = 0
     for params in _chain_grid(b_max, n_max):
-        triples += params.state_count * (r_max + 1) * (s_max + 1)
-        check_limit(f"the moments grid through {_param_key(params)}", triples,
-                    MOMENT_GRID_LIMIT, "(state, r, s) triples")
+        units += params.state_count**2 * (r_max + 1) * (s_max + 1)
+        check_limit(f"the moments grid through {_param_key(params)}", units,
+                    MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)")
     report = SuiteReport(
         "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
     )

@@ -1,6 +1,8 @@
 """End-to-end tests of the carries-lab command line harness."""
 
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from carrieslab import cli
 from carrieslab.colored import ColoredPermutation
 from carrieslab.process import (
     ENUMERATION_LIMIT,
+    GRID_N_LIMIT,
     MOMENT_GRID_LIMIT,
     SAMPLE_LIMIT,
     SHUFFLE_LIMIT,
@@ -241,11 +244,12 @@ def test_suites_refuse_negative_bounds_without_the_cli():
 
 
 def test_moments_grid_is_bounded_before_its_first_case():
-    # The default grid: 924 states over 280 chains, times 6 values of r and 6 of s.
-    assert sum(params.state_count for params in _chain_grid(8, 4)) * 6 * 6 == 33264
-    assert 33264 < MOMENT_GRID_LIMIT
+    # The default grid: 3,444 squared states over 280 chains, times 6 values of r and 6 of s.
+    assert sum(params.state_count**2 for params in _chain_grid(8, 4)) * 6 * 6 == 123984
+    assert 123984 < MOMENT_GRID_LIMIT
     for options in ({"b_max": 2, "n_max": 2, "s_max": 100000},
-                    {"b_max": 2, "n_max": 2, "r_max": 100000}, {"r_max": 10**30}):
+                    {"b_max": 2, "n_max": 2, "r_max": 100000}, {"r_max": 10**30},
+                    {"b_max": 2, "n_max": 157, "r_max": 0, "s_max": 0}):
         with pytest.raises(ValueError, match=f"limited to {MOMENT_GRID_LIMIT} "):
             run_suite("moments", **options)
 
@@ -396,6 +400,10 @@ OVER_CAP = {
                        MOMENT_GRID_LIMIT),
     "moments-grid-chains": (("verify", "moments", "--b", "100000", "--r", "0", "--s", "0"),
                             MOMENT_GRID_LIMIT),
+    "moments-grid-summands": (("verify", "moments", "--b", "2", "--n", "157", "--r", "0",
+                               "--s", "0"), MOMENT_GRID_LIMIT),
+    **{f"grid-n-{suite}": (("verify", suite, "--n", str(GRID_N_LIMIT + 1)), GRID_N_LIMIT)
+       for suite in ("eigen", "duality", "sf-numbers")},
     "samples-plus": (("verify", "bijection-plus", "--samples", str(SAMPLE_LIMIT + 1)),
                      SAMPLE_LIMIT),
     "samples-minus": (("verify", "bijection-minus", "--samples", str(SAMPLE_LIMIT + 1)),
@@ -918,53 +926,141 @@ _SHUFFLE_ONE_COLOR_JSON = """\
 """
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["--format", "csv", "--float", "--digits", "3",
-          "matrix", "--sign", "-", "--b", "8", "--n", "3", "--p", "3"],
-         "dim,4\n0.000,0.234,0.656,0.109\n0.002,0.314,0.615,0.068\n"
-         "0.008,0.398,0.555,0.039\n0.020,0.480,0.480,0.020\n"),
-        (["eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"], _EIGEN_JSON),
-        (["--format", "csv", "eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"],
-         "eigenvalues,1,1/2\nleft\ndim,2\n1,1\n1,-1\nright\ndim,2\n1/2,1/2\n1/2,-1/2\n"),
-        (["--format", "csv", "--float",
-          "moments", "--sign", "-", "--b", "8", "--n", "3", "--p", "3", "--stationary", "--r", "1"],
-         "schema,1\nstart,stationary\nr,1\nmean,1.666666666667\nvariance,0.333333333333\n"
-         "cov,-0.041666666667\n"),
-        (["--format", "csv",
-          "simulate", "--sign", "-", "--b", "2", "--n", "3", "--p", "1", "--N", "2", "--seed", "9"],
-         "step,kappa,remainder,digits\n1,1,1,1 1 1\n2,2,1,0 0 0\n"),
-        (["--format", "csv",
-          "shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "2", "--seed", "11"],
-         "step,descent,word,element\n1,2,3 4 3,(1,0)(3,1)(2,0)\n2,1,3 4 4,(1,0)(3,0)(2,2)\n"),
-        (["--format", "csv", "digits", "--x", "9", "--sign", "-", "--b", "2"],
-         "schema,1\nx,9\nsign,-\nb,2\nd,0\nvalue,9\ndigits,1 0 0 1 1\n"),
-        # p = 3/2 with b = 4, the smallest valid base for sign +: R has c = 2.
-        (["--format", "csv", "eigen", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2"],
-         "eigenvalues,1,1/4,1/16,1/64\nleft\ndim,4\n1,93/8,15/2,1/8\n1,9/4,-3,-1/4\n"
-         "1,-3/2,0,1/2\n1,-3,3,-1\nright\ndim,4\n4/81,8/27,13/27,14/81\n"
-         "4/81,2/27,-2/27,-4/81\n4/81,-4/27,1/27,5/81\n4/81,-10/27,22/27,-40/81\n"),
-        (["moments", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2",
-          "--i", "1", "--r", "2", "--s", "1"], _MOMENTS_JSON),
-        (["eigen", "--sign", "+", "--b", "4", "--n", "5", "--p", "3/2"], _EIGEN_P32_JSON),
-        (["--float", "moments", "--stationary", "--sign", "+", "--b", "5", "--n", "3",
-          "--p", "4/3", "--r", "1"], _MOMENTS_FLOAT_JSON),
-        (["matrix", "--sign", "-", "--b", "3", "--n", "3", "--p", "1"], _MATRIX_MINUS_JSON),
-        # b = 1000: binomials of large arguments m b + n.
-        (["--format", "csv", "matrix", "--sign", "+", "--b", "1000", "--n", "2", "--p", "999"],
-         "dim,3\n3/1000000,251247/500000,497503/1000000\n"
-         "1/1000000,250749/500000,498501/1000000\n0,1001/2000,999/2000\n"),
-        (["shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "6", "--seed", "7"],
-         _SHUFFLE_MINUS_JSON),
-        (["shuffle", "--sign", "-", "--b", "3", "--n", "3", "--p", "1", "--N", "4", "--seed", "11"],
-         _SHUFFLE_ONE_COLOR_JSON),
-        (["--format", "csv",
-          "shuffle", "--sign", "+", "--b", "4", "--n", "3", "--p", "3", "--N", "3", "--seed", "2"],
-         "step,descent,word,element\n1,0,0 0 0,(1,0)(2,0)(3,0)\n"
-         "2,2,2 1 2,(2,2)(1,1)(3,2)\n3,1,2 1 0,(2,0)(3,0)(1,2)\n"),
-    ],
-)
+# Each argv with the exact bytes the CLI writes for it.
+PINNED_OUTPUTS = [
+    (["--format", "csv", "--float", "--digits", "3",
+      "matrix", "--sign", "-", "--b", "8", "--n", "3", "--p", "3"],
+     "dim,4\n0.000,0.234,0.656,0.109\n0.002,0.314,0.615,0.068\n"
+     "0.008,0.398,0.555,0.039\n0.020,0.480,0.480,0.020\n"),
+    (["eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"], _EIGEN_JSON),
+    (["--format", "csv", "eigen", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"],
+     "eigenvalues,1,1/2\nleft\ndim,2\n1,1\n1,-1\nright\ndim,2\n1/2,1/2\n1/2,-1/2\n"),
+    (["--format", "csv", "--float",
+      "moments", "--sign", "-", "--b", "8", "--n", "3", "--p", "3", "--stationary", "--r", "1"],
+     "schema,1\nstart,stationary\nr,1\nmean,1.666666666667\nvariance,0.333333333333\n"
+     "cov,-0.041666666667\n"),
+    (["--format", "csv",
+      "simulate", "--sign", "-", "--b", "2", "--n", "3", "--p", "1", "--N", "2", "--seed", "9"],
+     "step,kappa,remainder,digits\n1,1,1,1 1 1\n2,2,1,0 0 0\n"),
+    (["--format", "csv",
+      "shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "2", "--seed", "11"],
+     "step,descent,word,element\n1,2,3 4 3,(1,0)(3,1)(2,0)\n2,1,3 4 4,(1,0)(3,0)(2,2)\n"),
+    (["--format", "csv", "digits", "--x", "9", "--sign", "-", "--b", "2"],
+     "schema,1\nx,9\nsign,-\nb,2\nd,0\nvalue,9\ndigits,1 0 0 1 1\n"),
+    # p = 3/2 with b = 4, the smallest valid base for sign +: R has c = 2.
+    (["--format", "csv", "eigen", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2"],
+     "eigenvalues,1,1/4,1/16,1/64\nleft\ndim,4\n1,93/8,15/2,1/8\n1,9/4,-3,-1/4\n"
+     "1,-3/2,0,1/2\n1,-3,3,-1\nright\ndim,4\n4/81,8/27,13/27,14/81\n"
+     "4/81,2/27,-2/27,-4/81\n4/81,-4/27,1/27,5/81\n4/81,-10/27,22/27,-40/81\n"),
+    (["moments", "--sign", "+", "--b", "4", "--n", "3", "--p", "3/2",
+      "--i", "1", "--r", "2", "--s", "1"], _MOMENTS_JSON),
+    (["eigen", "--sign", "+", "--b", "4", "--n", "5", "--p", "3/2"], _EIGEN_P32_JSON),
+    (["--float", "moments", "--stationary", "--sign", "+", "--b", "5", "--n", "3",
+      "--p", "4/3", "--r", "1"], _MOMENTS_FLOAT_JSON),
+    (["matrix", "--sign", "-", "--b", "3", "--n", "3", "--p", "1"], _MATRIX_MINUS_JSON),
+    # b = 1000: binomials of large arguments m b + n.
+    (["--format", "csv", "matrix", "--sign", "+", "--b", "1000", "--n", "2", "--p", "999"],
+     "dim,3\n3/1000000,251247/500000,497503/1000000\n"
+     "1/1000000,250749/500000,498501/1000000\n0,1001/2000,999/2000\n"),
+    (["shuffle", "--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "6", "--seed", "7"],
+     _SHUFFLE_MINUS_JSON),
+    (["shuffle", "--sign", "-", "--b", "3", "--n", "3", "--p", "1", "--N", "4", "--seed", "11"],
+     _SHUFFLE_ONE_COLOR_JSON),
+    (["--format", "csv",
+      "shuffle", "--sign", "+", "--b", "4", "--n", "3", "--p", "3", "--N", "3", "--seed", "2"],
+     "step,descent,word,element\n1,0,0 0 0,(1,0)(2,0)(3,0)\n"
+     "2,2,2 1 2,(2,2)(1,1)(3,2)\n3,1,2 1 0,(2,0)(3,0)(1,2)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_OUTPUTS)
 def test_output_bytes_are_pinned(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+def json_dumps_text(obj, as_float=False, digits=12):
+    """The oracle for the renderer: what ``json.dumps`` writes at a two-space indent."""
+    def rational(value):
+        return cli._decimal_string(value, digits) if as_float else str(value)
+    return json.dumps(obj, indent=2, default=rational) + "\n"
+
+
+def rendered(argv):
+    """The result object of a subcommand and the JSON text the CLI renders for it."""
+    args = cli.build_parser().parse_args(argv)
+    result = getattr(cli, f"cmd_{args.command}")(args)
+    return result[0], cli._render(result, args)
+
+
+RENDER_SHAPES = {
+    "empties": [[], (), {}, [[], ()], {"a": [], "b": {}, "c": ()}, [[[]]], [{}], ((), (1,))],
+    "bools-and-ints": [True, 1, 0, False],
+    "bool-rows": ((True, 1), (0, False)),
+    "none": None,
+    "top-level-int": 7,
+    "big-and-negative-ints": [-1, -(10**300) - 7, 10**299, 0, (-5, 7), {"x": -3}],
+    "floats": [0.0, 1e-05, 12.345, -2.5, {"wall_time_s": 0.125}],
+    "strings": ["é", '"', "\n", "\\", "", {"é\"\n\\": "ß"}],
+    "fractions": [Fraction(1, 3), Fraction(-7, 2), (Fraction(0), Fraction(5)), {"v": Fraction(2)}],
+    "int-tuples": ((1, 2), (3, 4, 5), (6,)),
+    "int-rows-with-an-empty-one": [(1, 2), ()],
+    "nested-int-rows": [((1, 0), (2, 1)), ((2, 2),), []],
+    "mixed-rows": [(1, "a"), [2, None], (Fraction(1, 2), 3)],
+    "deep": {"a": {"b": [{"c": [[1, [2, [3]]]]}]}},
+}
+
+
+@pytest.mark.parametrize("as_float", (False, True), ids=("num-den", "float"))
+@pytest.mark.parametrize("obj", RENDER_SHAPES.values(), ids=RENDER_SHAPES.keys())
+def test_renderer_writes_what_json_dumps_writes(obj, as_float):
+    args = argparse.Namespace(format="json", as_float=as_float, digits=12, command="test")
+    assert cli._render((obj, ()), args) == json_dumps_text(obj, as_float)
+
+
+def _subcommand_argvs(sign):
+    b = {"+": "7", "-": "8"}[sign]
+    chain = ("--sign", sign, "--b", b, "--p", "3")
+    yield "matrix", *chain, "--n", "3"
+    yield "eigen", *chain, "--n", "4"
+    yield "moments", *chain, "--n", "3", "--i", "1", "--r", "2", "--s", "1"
+    yield "moments", *chain, "--n", "3", "--stationary", "--r", "2"
+    yield "moments", *chain, "--n", "1", "--r", "3", "--s", "2"
+    yield "simulate", *chain, "--n", "3", "--N", "25", "--seed", "5"
+    yield "shuffle", *chain, "--n", "3", "--N", "25", "--seed", "5"
+    yield "digits", "--x", "12345", "--sign", sign, "--b", "3", "--d", "-1"
+
+
+@pytest.mark.parametrize("sign", ("+", "-"))
+def test_every_subcommand_renders_what_json_dumps_writes(sign):
+    verify_argvs = [("verify", suite) for suite in ("duality", "sf-numbers", "examples-golden")]
+    verify_argvs.append(("verify", "transition", "--b", "3", "--n", "2"))
+    for argv in (*_subcommand_argvs(sign), *verify_argvs):
+        for flags in ((), ("--float", "--digits", "5")):
+            obj, text = rendered([*flags, *argv])
+            assert text == json_dumps_text(obj, bool(flags), 5), (flags, argv)
+
+
+def test_calls_at_the_digit_caps_render_what_json_dumps_writes():
+    obj, text = rendered(["simulate", "--sign", "+", "--b", "7", "--n", "10", "--p", "3",
+                          "--N", str(SIMULATE_LIMIT // 10)])
+    assert len(obj["summand_digits"]) * 10 == SIMULATE_LIMIT
+    assert text == json_dumps_text(obj)
+    obj, text = rendered(["shuffle", "--sign", "+", "--b", "4", "--n", "4", "--p", "3",
+                          "--N", str(SHUFFLE_LIMIT // 4), "--seed", "2"])
+    assert len(obj["words"]) * 4 == SHUFFLE_LIMIT
+    assert text == json_dumps_text(obj)
+
+
+def test_rendering_never_reaches_the_pure_python_encoder(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json fell back to its pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1], indent=2)
+    code, out, err = run(capsys, "simulate", "--sign", "+", "--b", "7", "--n", "10", "--p", "3",
+                         "--N", str(SIMULATE_LIMIT // 10))
+    assert (code, len(out), err) == (0, 11_600_181, "")
+    for argv, expected in PINNED_OUTPUTS:
+        assert run(capsys, *argv) == (0, expected, "")
