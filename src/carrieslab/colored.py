@@ -122,16 +122,6 @@ def group_order(n: int, p: int) -> int:
     return order
 
 
-def check_group_grid(what: str, n_max: int, p_max: int, power: int, unit: str) -> None:
-    """Refuse ``what``, a grid over Z_p wr S_n for p <= p_max and n <= n_max, once the sum
-    of |G|^power ``unit``, taken p-major as the grid runs, passes ``ENUMERATION_LIMIT``."""
-    total = 0
-    for p in range(1, p_max + 1):
-        for n in range(1, n_max + 1):
-            total += group_order(n, p) ** power
-            check_limit(f"{what} through n={n} p={p}", total, ENUMERATION_LIMIT, unit)
-
-
 def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
     """Yield all p^n n! elements; guarded against oversized groups."""
     check_count("cards n", n)

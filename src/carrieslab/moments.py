@@ -24,7 +24,7 @@ from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
 from .ratmat import RationalMatrix, _integer_scaled
-from .spectral import stationary_distribution, transition_matrix
+from .spectral import stationary_fixed_point, transition_matrix
 
 
 def _center(params: ProcessParams, i: int) -> Fraction:
@@ -127,7 +127,7 @@ class MomentOracle:
     denominator (``ratmat._integer_scaled``) and cached, so every moment is
     an integer dot product and one ``Fraction``, and many (start, r, s)
     queries on one chain cost only its distinct powers.  A start is a state
-    or ``"stationary"``; the stationary law does not move with k.
+    or ``"stationary"``: the law ``stationary_fixed_point`` solves, fixed in k.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -143,7 +143,7 @@ class MomentOracle:
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                law = stationary_distribution(self.params)
+                law = stationary_fixed_point(self.params)
             else:
                 check_state(self.params, start)
                 if k not in self._powers:
@@ -169,8 +169,7 @@ class MomentOracle:
             self._mean_after[r] = _integer_scaled([means])[0]
         after, d_r = self._mean_after[r]
         m1 = sum(map(mul, law, range(self.dim)))
-        # Under the stationary law the mean r steps on is the mean itself.
-        m_sr = m1 * d_r if start == "stationary" else sum(map(mul, law, after))
+        m_sr = sum(map(mul, law, after))
         cross = sum(x * j * y for j, (x, y) in enumerate(zip(law, after)))
         return Fraction(cross * d_s - m1 * m_sr, d_s * d_s * d_r)
 

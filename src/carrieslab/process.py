@@ -5,8 +5,8 @@ summands n >= 1, and a rational parameter p >= 1 subject to the validity
 condition that (b - 1)/p (positive base) or (b + 1)/p (negative base) is a
 positive integer.  The normalized state space is {0, ..., n-1} when p = 1
 and {0, ..., n} otherwise.  This module owns that validity rule
-(``parameter_ratio``) and the work caps (the ``*_LIMIT`` table and
-``check_limit``); the rest of the package and the command line call them.
+(``parameter_ratio``) and the work caps: the ``*_LIMIT`` table, ``check_limit``
+and ``check_grid``, which the rest of the package and the command line call.
 
 It is also the only source of digit words: ``enumerate_words`` fixes the
 enumeration order (lexicographic, refused past ``ENUMERATION_LIMIT`` before
@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 SIGNS = ("+", "-")
 
@@ -45,7 +45,7 @@ DEFAULT_SEED = 1729
 STATE_LIMIT = 128
 #: Steps of a moments query (its closed forms hold b^(2r)) or of the moments oracle.
 STEP_LIMIT = 1000
-#: Digit tuples, summand arrays or group elements one enumeration visits.
+#: Digit tuples, arrays, group elements or compositions one enumeration or ``verify`` grid visits.
 ENUMERATION_LIMIT = 10**7
 #: states^2 x (r+1) x (s+1), summed over the chains of the whole ``verify moments`` grid: the
 #: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 16 s, b <= 177 at
@@ -70,6 +70,15 @@ def check_limit(what: str, amount: int | tuple[int, int], limit: int, unit: str)
     if base ** min(exponent, 64) > limit:
         got = f"{base}^{exponent}" if power else (base if base < 2**64 else "over 2^64")
         raise ValueError(f"{what} is limited to {limit} {unit}, got {got}")
+
+
+def check_grid(what: str, costs: Iterable[tuple[str, int]], limit: int, unit: str) -> None:
+    """Refuse ``what``, a grid priced by ``costs``, (label, cost) pairs read lazily in the
+    order the grid runs, as ``"{what} through {label}"`` once their sum passes ``limit``."""
+    total = 0
+    for label, cost in costs:
+        total += cost
+        check_limit(f"{what} through {label}", total, limit, unit)
 
 
 def enumerate_words(what: str, b: int, length: int, unit: str,

@@ -334,9 +334,9 @@ def gessel_coefficients(n: int, p: int, d: int, cutoff: int = 3) -> list[list[in
     sigma is any element with d(sigma) = d; the table is independent of the
     choice, and that independence is verified over every representative
     (mismatch raises RuntimeError), at one composition per representative
-    and element, refused past ``ENUMERATION_LIMIT``.  The table is also
-    checked against its two-variable generating identity through degree
-    ``cutoff`` in each variable.
+    and element.  The table is also checked against its two-variable
+    generating identity through degree ``cutoff`` in each variable; the
+    compositions and identity terms are refused past ``ENUMERATION_LIMIT``.
     """
     check_steps(cutoff, what="cutoff")
     elements = list(enumerate_group(n, p))
@@ -346,7 +346,8 @@ def gessel_coefficients(n: int, p: int, d: int, cutoff: int = 3) -> list[list[in
     if not representatives:
         raise ValueError(f"no element of Z_{p} wr S_{n} has descent count {d}")
     check_limit(f"the factorizations of Z_{p} wr S_{n} at d={d}",
-                len(representatives) * len(elements), ENUMERATION_LIMIT, "compositions")
+                len(representatives) * len(elements) + (cutoff + 1) ** 2 * (n + 1) ** 2,
+                ENUMERATION_LIMIT, "compositions and identity terms")
     table: list[list[int]] | None = None
     for sigma in representatives:
         current = [[0] * (n + 1) for _ in range(n + 1)]

@@ -224,9 +224,8 @@ def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
     matrix = transition_matrix(params)
     dim = matrix.dim
     # Rows of (P^T - I), with the last equation replaced by sum(pi) = 1.
-    transposed = matrix.transpose()
     rows = [
-        [transposed[i][j] - (1 if i == j else 0) for j in range(dim)]
+        [matrix[j][i] - (1 if i == j else 0) for j in range(dim)]
         for i in range(dim - 1)
     ]
     rows.append([Fraction(1)] * dim)

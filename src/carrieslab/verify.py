@@ -19,7 +19,6 @@ from typing import Iterator
 from . import reference
 from .colored import (
     ColoredPermutation,
-    check_group_grid,
     dash_descent_count,
     descent_count,
     enumerate_group,
@@ -37,11 +36,13 @@ from .moments import (
     variance_conditional,
 )
 from .process import (
+    ENUMERATION_LIMIT,
     GRID_N_LIMIT,
     MOMENT_GRID_LIMIT,
     SAMPLE_LIMIT,
     ProcessParams,
     check_count,
+    check_grid,
     check_limit,
     check_steps,
     draw_words,
@@ -50,7 +51,7 @@ from .process import (
     parameter_ratio,
     simulate_trace,
 )
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, _integer_scaled
 from .shuffle import (
     MultiDigitWord,
     _bijection_stages,
@@ -104,8 +105,6 @@ class SuiteReport:
         return bool(self.cases) and all(case.ok for case in self.cases)
 
     def add(self, key: str, ok: bool, detail: str = "") -> None:
-        if not ok and not detail:
-            detail = f"repro: carries-lab verify {self.suite}"
         self.cases.append(SuiteCase(key, ok, detail))
 
     def to_json_obj(self) -> dict:
@@ -162,14 +161,15 @@ def _chain_grid(b_max: int, n_max: int) -> Iterator[ProcessParams]:
 
 def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
     """Closed-form transition matrices against exhaustive enumeration."""
+    costs = ((_param_key(c), c.b**c.n * c.state_count) for c in _chain_grid(b_max, n_max))
+    check_grid("the transition grid", costs, ENUMERATION_LIMIT, "digit tuples x states")
     report = SuiteReport("transition", f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p")
     for params in _chain_grid(b_max, n_max):
         formula = transition_matrix(params)
         oracle = transition_oracle(params)
         ok = formula == oracle and formula.is_stochastic()
-        dim = params.state_count
         # Wielandt bound: primitive iff this power is positive.
-        primitive = formula.power((dim - 1) ** 2 + 1).is_positive()
+        primitive = formula.power((formula.dim - 1) ** 2 + 1).is_positive()
         report.add(
             _param_key(params),
             ok and primitive,
@@ -287,7 +287,9 @@ def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
 def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
     """Recursion tables against exhaustive descent counting in the group."""
     report = SuiteReport("descent-stats", f"p<={p_max}, n<={n_max}")
-    check_group_grid("the descent-stats grid", n_max, p_max, 1, "group elements")
+    costs = ((f"n={n} p={p}", group_order(n, p))
+             for p in range(1, p_max + 1) for n in range(1, n_max + 1))
+    check_grid("the descent-stats grid", costs, ENUMERATION_LIMIT, "group elements")
     for p in range(1, p_max + 1):
         for n in range(1, n_max + 1):
             standard = descent_statistics(n, p, "standard").ints()
@@ -326,11 +328,9 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
     """Closed-form moments against exact matrix powers on the full valid grid."""
     check_steps(r_max, s_max)
-    units = 0
-    for params in _chain_grid(b_max, n_max):
-        units += params.state_count**2 * (r_max + 1) * (s_max + 1)
-        check_limit(f"the moments grid through {_param_key(params)}", units,
-                    MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)")
+    costs = ((_param_key(c), c.state_count**2 * (r_max + 1) * (s_max + 1))
+             for c in _chain_grid(b_max, n_max))
+    check_grid("the moments grid", costs, MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)")
     report = SuiteReport(
         "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
     )
@@ -375,8 +375,10 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
             for s in range(s_max + 1):
                 if oracle.covariance(i, s, r) != covariances[r][s]:
                     return f"covariance i={i} s={s} r={r}"
-    # Stationary pair.  The mean clause holds for every chain; second
-    # moments only where the quadratic eigenfunction does.
+    # Stationary law (row 0 of L against the oracle's solve) and pair: the law and
+    # mean hold for every chain, second moments only with the quadratic eigenfunction.
+    if _integer_scaled([stationary_distribution(params)])[0] != oracle._law("stationary", 0):
+        return "stationary law"
     st_mean = Fraction(n + 1, 2) - Fraction(1) / params.p
     mean, variance = oracle.law_moments("stationary", 0)
     if mean != st_mean:
@@ -517,25 +519,25 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
 
 
 def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
-    """The first way the construction fails over every summand array, or "" if none."""
+    """The first way the construction fails over every summand array, or "" if none.
+
+    Each array's words must run through its carries, and no two arrays may
+    share words; as each word permutes a column of digits in {0..b-1}, the
+    map is then a bijection onto ({0..b-1}^n)^N, so the joint laws agree.
+    """
     check_steps(places)
     params = make_process(sign, b, n, p)
     run = _composer(n, p, sign)
     seen = set()
-    kappa_counter: Counter = Counter()
     for flat in enumerate_words(f"exhaustive b={b} n={n} p={p} N={places}", b, n * places,
                                 "summand arrays"):
         summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
         kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
-        kappa_counter[kappas] += 1
         words = tuple(_bijection_stages(summands, p, sign)[3])
         if tuple(run(words)[1]) != kappas:
             return f"mismatch at rows={summands.rows}"
         seen.add(words)
-    if len(seen) != b ** (n * places):
-        return "word map not injective"
-    descent_counter = _word_stack_law(run, b, n, places)[1]
-    return "" if descent_counter == kappa_counter else "joint laws differ"
+    return "" if len(seen) == b ** (n * places) else "word map not injective"
 
 
 def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4, 3, 3))) -> SuiteReport:
@@ -547,10 +549,9 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
     report = SuiteReport("shuffle-onestep", f"cases {list(cases)}")
     for b, n, p in cases:
         params = make_process("+", b, n, p)
-        matrix = transition_matrix(params)
-        dim = params.state_count
         counts = _word_stack_law(_composer(n, p, "+"), b, n, 1)[1]
-        enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(dim))
+        matrix = transition_matrix(params)
+        enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix.dim))
         report.add(f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
                    f"{enumerated} vs {matrix[0]}")
         table = gessel_coefficients(n, p, 0)
@@ -561,7 +562,7 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
                     sum(table[i][j] * comb(n + m - i, n) for i in range(n + 1)),
                     b ** (r * n),
                 )
-                for j in range(dim)
+                for j in range(matrix.dim)
             )
             report.add(
                 f"factorization-route b={b} n={n} p={p} r={r}",
@@ -575,13 +576,13 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
     report = SuiteReport("shuffle-prob", f"cases {list(cases)}")
     for b, n, p in cases:
         elements = list(enumerate_group(n, p))
+        run = _composer(n, p, "+")
+        laws = {r: _word_stack_law(run, b, n, r)[0] for r in (2, 1)}  # r = 2 first: refused early
         total = sum(shuffle_probability(e, b) for e in elements)
         report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
-        run = _composer(n, p, "+")
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
-            law = _word_stack_law(run, b, n, r)[0]
             ok = all(
-                shuffle_probability(e, b, r) == Fraction(law.get(e.pairs, 0), b ** (r * n))
+                shuffle_probability(e, b, r) == Fraction(laws[r].get(e.pairs, 0), b ** (r * n))
                 for e in elements
             )
             report.add(f"{key} b={b} n={n} p={p}", ok)
@@ -591,15 +592,16 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
 def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport:
     """Factorization counts: representative independence and generating identity.
 
-    Every representative at every d meets every element, so the grid's work
-    is the sum of |G|^2 compositions.
+    Per (n, p) the work is |G|^2 compositions, every representative meeting every
+    element, and n + 1 tables at most of (cutoff + 1)^2 sums of (n + 1)^2 terms.
     """
     report = SuiteReport("gessel", f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})")
-    check_group_grid("the gessel grid", n_max, p_max, 2, "compositions")
+    costs = ((f"n={n} p={p}", group_order(n, p) ** 2 + (n + 1) ** 3 * (cutoff + 1) ** 2)
+             for p in range(1, p_max + 1) for n in range(1, n_max + 1))
+    check_grid("the gessel grid", costs, ENUMERATION_LIMIT, "compositions and identity terms")
     for p in range(1, p_max + 1):
         for n in range(1, n_max + 1):
-            attained = sorted({descent_count(e) for e in enumerate_group(n, p)})
-            for d in attained:
+            for d in sorted({descent_count(e) for e in enumerate_group(n, p)}):
                 try:
                     table = gessel_coefficients(n, p, d, cutoff)
                     total = sum(sum(row) for row in table)

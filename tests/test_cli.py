@@ -1,12 +1,14 @@
 """End-to-end tests of the carries-lab command line harness."""
 
 import argparse
+import inspect
 import json
+import signal
 from fractions import Fraction
 
 import pytest
 
-from carrieslab import cli
+from carrieslab import cli, verify
 from carrieslab.colored import ColoredPermutation
 from carrieslab.process import (
     ENUMERATION_LIMIT,
@@ -243,6 +245,32 @@ def test_suites_refuse_negative_bounds_without_the_cli():
             run_suite(suite, **options)
 
 
+def test_every_priced_grid_is_priced_before_its_first_case(monkeypatch):
+    # Each default grid's sum, in the unit and under the cap its one check_grid names.
+    priced = {}
+
+    class Priced(Exception):
+        pass
+
+    def record(what, costs, limit, unit):
+        priced[what] = (sum(cost for _, cost in costs), limit, unit)
+        raise Priced
+
+    monkeypatch.setattr(verify, "check_grid", record)
+    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail("a case ran"))
+    for suite in ("transition", "moments", "gessel", "descent-stats"):
+        with pytest.raises(Priced):
+            run_suite(suite)
+    assert priced == {
+        # b^n digit tuples stepped from each state, over the 280 chains.
+        "the transition grid": (675892, ENUMERATION_LIMIT, "digit tuples x states"),
+        "the moments grid": (123984, MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)"),
+        # Sum |G|^2 = 2,413 compositions and sum (n+1)^3 (3+1)^2 = 3,168 identity terms.
+        "the gessel grid": (2413 + 3168, ENUMERATION_LIMIT, "compositions and identity terms"),
+        "the descent-stats grid": (153 + 4282 + 31287, ENUMERATION_LIMIT, "group elements"),
+    }
+
+
 def test_moments_grid_is_bounded_before_its_first_case():
     # The default grid: 3,444 squared states over 280 chains, times 6 values of r and 6 of s.
     assert sum(params.state_count**2 for params in _chain_grid(8, 4)) * 6 * 6 == 123984
@@ -402,6 +430,11 @@ OVER_CAP = {
                             MOMENT_GRID_LIMIT),
     "moments-grid-summands": (("verify", "moments", "--b", "2", "--n", "157", "--r", "0",
                                "--s", "0"), MOMENT_GRID_LIMIT),
+    "transition-grid-bases": (("verify", "transition", "--b", "100000", "--n", "1"),
+                              ENUMERATION_LIMIT),
+    "transition-grid-summands": (("verify", "transition", "--b", "2", "--n", "40"),
+                                 ENUMERATION_LIMIT),
+    "gessel-grid-cutoff": (("verify", "gessel", "--cutoff", "100000"), ENUMERATION_LIMIT),
     **{f"grid-n-{suite}": (("verify", suite, "--n", str(GRID_N_LIMIT + 1)), GRID_N_LIMIT)
        for suite in ("eigen", "duality", "sf-numbers")},
     "samples-plus": (("verify", "bijection-plus", "--samples", str(SAMPLE_LIMIT + 1)),
@@ -417,6 +450,52 @@ def test_every_cap_refuses_past_its_value(capsys, argv, cap):
     assert (code, out) == (2, "")
     assert err.startswith("carries-lab: ") and err.count("\n") == 1
     assert f"limited to {cap} " in err and "Traceback" not in err
+
+
+# Every verify keyword but the seed bounds a grid or the sampled tier.
+GRID_BOUNDS = {"b_max", "n_max", "p_max", "r_max", "s_max", "cutoff", "samples"}
+HUGE = 10**30
+
+
+def _huge_calls():
+    """One verify call per grid bound or case flag of each suite, with that one value huge."""
+    for suite, function in sorted(verify.SUITES.items()):
+        signature = inspect.signature(function).parameters
+        for flag, key in cli._VERIFY_KEYWORDS.items():
+            if key in GRID_BOUNDS and key in signature:
+                yield pytest.param(suite, (f"--{flag}", str(HUGE)), id=f"{suite}-{flag}")
+        if "cases" in signature:
+            first = signature["cases"].default[0]
+            for index, flag in enumerate(cli._CASE_FLAGS[:len(first)]):
+                case = list(first)
+                case[index] = HUGE
+                if flag == "p":  # a valid huge p takes b = 1 mod p (sign +) or -1 mod p (-)
+                    case[0] = HUGE - 1 if suite == "bijection-minus" else HUGE + 1
+                argv = [bit for name, value in zip(cli._CASE_FLAGS, case)
+                        for bit in (f"--{name}", str(value))]
+                yield pytest.param(suite, tuple(argv), id=f"{suite}-case-{flag}")
+
+
+def test_every_verify_keyword_is_a_grid_bound_or_the_seed():
+    assert set(cli._VERIFY_KEYWORDS.values()) == GRID_BOUNDS | {"seed"}
+
+
+@pytest.mark.parametrize("suite, argv", _huge_calls())
+def test_every_grid_bound_and_case_flag_has_a_cap(capsys, monkeypatch, suite, argv):
+    # A bound with no cap would run without end: the alarm turns that hang into a failure.
+    def hung(signum, frame):
+        raise TimeoutError(f"verify {suite} {' '.join(argv)} was not refused within 5 s")
+
+    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail("a case ran"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        code, out, err = run(capsys, "verify", suite, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err.startswith("carries-lab: ") and " is limited to " in err
 
 
 def test_one_summand_moments_take_the_step_cap(capsys):

@@ -156,13 +156,18 @@ def test_descent_stats_fails_when_the_dash_count_forks_at_one_color(monkeypatch)
 
 
 def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):
-    # gessel works sum |G|^2 compositions over its grid, descent-stats sum |G| elements.
+    # gessel works sum |G|^2 compositions and (n+1)^3 (cutoff+1)^2 identity terms over its
+    # grid, descent-stats sum |G| elements, transition sum b^n x states digit tuples.
     calls = []
     monkeypatch.setattr(verify, "enumerate_group", lambda n, p: calls.append((n, p)) or iter(()))
     monkeypatch.setattr(verify, "gessel_coefficients", lambda *args: calls.append(args))
+    monkeypatch.setattr(verify, "transition_oracle", lambda params: calls.append(params))
     for suite, options in ((verify.suite_gessel, {"n_max": 7}),
                            (verify.suite_gessel, {"n_max": 5}),
-                           (verify.suite_descent_stats, {"n_max": 7, "p_max": 3})):
+                           (verify.suite_gessel, {"cutoff": 100000}),
+                           (verify.suite_descent_stats, {"n_max": 7, "p_max": 3}),
+                           (verify.suite_transition, {"b_max": 100000, "n_max": 1}),
+                           (verify.suite_transition, {"b_max": 2, "n_max": 40})):
         with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} "):
             suite(**options)
     assert calls == []
