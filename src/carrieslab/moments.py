@@ -24,7 +24,7 @@ from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
 from .ratmat import RationalMatrix, _integer_scaled
-from .spectral import stationary_fixed_point, transition_matrix
+from .spectral import _stationary_solve, transition_matrix
 
 
 def _center(params: ProcessParams, i: int) -> Fraction:
@@ -143,7 +143,7 @@ class MomentOracle:
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                law = stationary_fixed_point(self.params)
+                law = _stationary_solve(self.matrix)
             else:
                 check_state(self.params, start)
                 if k not in self._powers:

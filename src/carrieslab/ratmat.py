@@ -97,8 +97,14 @@ class RationalMatrix:
     def is_stochastic(self) -> bool:
         return all(min(row) >= 0 and sum(row) == 1 for row in self.rows)
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
+    def is_primitive(self) -> bool:
+        """Whether some power of this nonnegative matrix is positive: by Wielandt's bound, power
+        (d-1)^2 + 1, taken as a boolean power of the zero pattern with bitmask rows and columns."""
+        cols = [sum(1 << j for j, x in enumerate(col) if x) for col in zip(*self.rows)]
+        reach = [sum(1 << k for k, x in enumerate(row) if x) for row in self.rows]
+        for _ in range((self.dim - 1) ** 2):
+            reach = [sum(1 << k for k, col in enumerate(cols) if r & col) for r in reach]
+        return all(r == (1 << self.dim) - 1 for r in reach)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Bareiss elimination; raises ValueError if singular."""

@@ -8,6 +8,7 @@ cross-checked elsewhere against brute-force enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,17 +57,19 @@ def transition_matrix(params: ProcessParams) -> RationalMatrix:
 def transition_oracle(params: ProcessParams) -> RationalMatrix:
     """Transition matrix by exhaustive enumeration of all digit columns.
 
-    Steps every state through every tuple in {0..b-1}^n with
-    ``step_carry``; independent of the closed form.  The tuples come from
-    ``enumerate_words``, which bounds b^n.
+    Tallies every tuple in {0..b-1}^n (``enumerate_words`` bounds b^n) by its sum
+    in one C-level pass: a column's carry depends on it only through its sum (Holte
+    1997).  ``step_carry`` then steps each state once per sum, weighted by its tally,
+    on one real column with that sum: digits b-1 while they fit, the rest, then 0s.
     """
     b, n = params.b, params.n
-    dim = params.state_count
-    counts = [[0] * dim for _ in range(dim)]
-    for digits in enumerate_words(f"the transition oracle at b={b} n={n}", b, n, "digit tuples"):
-        for i in range(dim):
+    counts = [[0] * params.state_count for _ in params.states]
+    columns = enumerate_words(f"the transition oracle at b={b} n={n}", b, n, "digit tuples")
+    for total, ways in Counter(map(sum, columns)).items():
+        digits = ((b - 1,) * (total // (b - 1)) + (total % (b - 1),) + (0,) * n)[:n]
+        for i in params.states:
             j, _ = step_carry(params, i, digits)
-            counts[i][j] += 1
+            counts[i][j] += ways
     denom = b**n
     return RationalMatrix([[Fraction(c, denom) for c in row] for row in counts])
 
@@ -221,16 +224,15 @@ def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
     Independent of the eigenvector formulas; used to check
     ``stationary_distribution``.
     """
-    matrix = transition_matrix(params)
-    dim = matrix.dim
-    # Rows of (P^T - I), with the last equation replaced by sum(pi) = 1.
-    rows = [
-        [matrix[j][i] - (1 if i == j else 0) for j in range(dim)]
-        for i in range(dim - 1)
-    ]
-    rows.append([Fraction(1)] * dim)
-    rhs = [Fraction(0)] * (dim - 1) + [Fraction(1)]
-    return solve_linear(RationalMatrix(rows), rhs)
+    return _stationary_solve(transition_matrix(params))
+
+
+def _stationary_solve(matrix: RationalMatrix) -> tuple[Fraction, ...]:
+    """pi with pi P = pi and sum(pi) = 1 for P = ``matrix``, by one exact solve."""
+    # Rows of (P^T - I), the last replaced by the equation sum(pi) = 1.
+    rows = [[x - (i == j) for j, x in enumerate(col)] for i, col in enumerate(zip(*matrix.rows))]
+    rows[-1] = [1] * matrix.dim
+    return solve_linear(RationalMatrix(rows), [0] * (matrix.dim - 1) + [1])
 
 
 def _conjugate_reflection(n: int, p, build, reflect) -> bool:

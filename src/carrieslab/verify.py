@@ -9,7 +9,7 @@ returns a report listing every case.  The command line exposes these under
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -50,6 +50,7 @@ from .process import (
     make_process,
     parameter_ratio,
     simulate_trace,
+    state_count,
 )
 from .ratmat import RationalMatrix, _integer_scaled
 from .shuffle import (
@@ -83,6 +84,7 @@ from .spectral import (
 
 #: Version of every JSON and CSV report layout.
 SCHEMA_VERSION = 1
+_Chain = namedtuple("_Chain", "sign b n p")  # an unbuilt chain: what _param_key reads
 
 
 @dataclass
@@ -143,33 +145,33 @@ def smallest_valid_bases(sign: str, p, count: int = 2) -> list[int]:
     raise ValueError(f"no valid bases found for sign={sign} p={p}")
 
 
-def _param_key(params: ProcessParams) -> str:
+def _param_key(params: ProcessParams | _Chain) -> str:
     return f"sign={params.sign} b={params.b} n={params.n} p={params.p}"
 
 
-def _chain_grid(b_max: int, n_max: int) -> Iterator[ProcessParams]:
-    """Every valid chain of both signs with 2 <= b <= b_max and 1 <= n <= n_max,
-    sign-major, then b, then n, then p largest first."""
+def _chain_grid(b_max: int, n_max: int, build=None) -> Iterator[ProcessParams]:
+    """Every valid chain of both signs, 2 <= b <= b_max and 1 <= n <= n_max, sign-major, then b,
+    n and p largest first, as ``build(sign, b, n, p)``: ``make_process``, or ``_Chain`` to price."""
     for sign in ("+", "-"):
         for b in range(2, b_max + 1):
             for n in range(1, n_max + 1):
                 for p in valid_parameters(sign, b):
-                    yield make_process(sign, b, n, p)
+                    yield (build or make_process)(sign, b, n, p)
 
 
 # --- transition ----------------------------------------------------------
 
 def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
     """Closed-form transition matrices against exhaustive enumeration."""
-    costs = ((_param_key(c), c.b**c.n * c.state_count) for c in _chain_grid(b_max, n_max))
+    costs = ((_param_key(c), c.b**c.n * state_count(c.n, c.p))
+             for c in _chain_grid(b_max, n_max, _Chain))
     check_grid("the transition grid", costs, ENUMERATION_LIMIT, "digit tuples x states")
     report = SuiteReport("transition", f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p")
     for params in _chain_grid(b_max, n_max):
         formula = transition_matrix(params)
         oracle = transition_oracle(params)
         ok = formula == oracle and formula.is_stochastic()
-        # Wielandt bound: primitive iff this power is positive.
-        primitive = formula.power((formula.dim - 1) ** 2 + 1).is_positive()
+        primitive = formula.is_primitive()
         report.add(
             _param_key(params),
             ok and primitive,
@@ -328,8 +330,8 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
     """Closed-form moments against exact matrix powers on the full valid grid."""
     check_steps(r_max, s_max)
-    costs = ((_param_key(c), c.state_count**2 * (r_max + 1) * (s_max + 1))
-             for c in _chain_grid(b_max, n_max))
+    costs = ((_param_key(c), state_count(c.n, c.p) ** 2 * (r_max + 1) * (s_max + 1))
+             for c in _chain_grid(b_max, n_max, _Chain))
     check_grid("the moments grid", costs, MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)")
     report = SuiteReport(
         "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"

@@ -271,6 +271,16 @@ def test_every_priced_grid_is_priced_before_its_first_case(monkeypatch):
     }
 
 
+def test_chain_grids_are_priced_without_building_a_chain(monkeypatch):
+    # Pricing reads (sign, b, n, p) and the state count only; a refusal builds no chain.
+    monkeypatch.setattr(verify, "make_process", lambda *chain: pytest.fail(f"built {chain}"))
+    for suite, options, cap in (("transition", {"b_max": 100000, "n_max": 1}, ENUMERATION_LIMIT),
+                                ("moments", {"b_max": 100000, "r_max": 0, "s_max": 0},
+                                 MOMENT_GRID_LIMIT)):
+        with pytest.raises(ValueError, match=f"limited to {cap} "):
+            run_suite(suite, **options)
+
+
 def test_moments_grid_is_bounded_before_its_first_case():
     # The default grid: 3,444 squared states over 280 chains, times 6 values of r and 6 of s.
     assert sum(params.state_count**2 for params in _chain_grid(8, 4)) * 6 * 6 == 123984

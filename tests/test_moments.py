@@ -16,6 +16,7 @@ from carrieslab import (
     transition_matrix,
     variance_conditional,
 )
+from carrieslab import spectral
 from carrieslab.moments import MomentOracle
 from carrieslab.process import STEP_LIMIT
 
@@ -41,6 +42,14 @@ def test_stationary_pair_matches_oracle(sign, b, n, p):
         oracle = moments_oracle(params, r, start="stationary")
         assert oracle.mean == mean and oracle.covariance == cov
         assert oracle.variance == stationary_moments(params, 0)[1]
+
+
+def test_oracle_solves_the_stationary_law_on_the_matrix_it_holds(monkeypatch):
+    params = make_process("-", 8, 3, 3)
+    oracle = MomentOracle(params)
+    monkeypatch.setattr(spectral, "transition_matrix", lambda params: pytest.fail("P rebuilt"))
+    mean, _ = oracle.law_moments("stationary", 0)
+    assert mean == stationary_moments(params)[0]
 
 
 def _plain_moments(params, start, s, r):

@@ -1,8 +1,9 @@
 """Property tests: the shuffle engine against the carries chain and the group law,
 the closed-form transition matrix against enumeration and P = R D L,
 integer-row matrix products against schoolbook ``Fraction`` sums, exact
-solves and inverses against their residuals, and the round trips of digit
-expansions and of the star and bar maps."""
+solves and inverses against their residuals, primitivity on the zero pattern
+against a positive Wielandt power, and the round trips of digit expansions
+and of the star and bar maps."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -247,3 +248,21 @@ def test_solves_and_inverses_are_exact(case):
     inverse = matrix.inverse()
     assert all(type(v) is Fraction for row in inverse.rows for v in row)
     assert matrix @ inverse == RationalMatrix.identity(len(rows))
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """A d x d matrix, d <= 5, zero where a drawn pattern says so and positive elsewhere."""
+    dim = draw(st.integers(1, 5))
+    zero = draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim))
+    positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    values = draw(st.lists(positive, min_size=dim * dim, max_size=dim * dim))
+    return RationalMatrix([[0 if zero[i * dim + j] else values[i * dim + j] for j in range(dim)]
+                           for i in range(dim)])
+
+
+@BOUNDED
+@given(nonnegative_matrices())
+def test_primitivity_is_a_positive_wielandt_power(matrix):
+    power = matrix.power((matrix.dim - 1) ** 2 + 1)
+    assert matrix.is_primitive() == all(x > 0 for row in power.rows for x in row)

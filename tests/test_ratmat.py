@@ -95,9 +95,25 @@ def test_transpose_scale_row_col_mul():
     assert m.col_mul([1, 0]) == (1, 3)  # matrix times column vector
 
 
-def test_stochastic_and_positive_predicates():
+def test_stochastic_and_primitive_predicates():
     half = Fraction(1, 2)
     m = RationalMatrix([[half, half], [1, 0]])
-    assert m.is_stochastic() and not m.is_positive()
-    assert RationalMatrix([[half, half], [half, half]]).is_positive()
+    assert m.is_stochastic() and m.is_primitive()  # not positive, but m^2 is
+    assert RationalMatrix([[half, half], [half, half]]).is_primitive()
     assert not RationalMatrix([[half, 1]] * 2).is_stochastic()
+
+
+def _positive(m):
+    return all(x > 0 for row in m.rows for x in row)
+
+
+def test_is_primitive_named_cases():
+    half = Fraction(1, 2)
+    assert not RationalMatrix([[0, 1], [1, 0]]).is_primitive()  # a 2-cycle: period 2
+    assert not RationalMatrix([[half, half], [0, 1]]).is_primitive()  # reducible, triangular
+    assert RationalMatrix([[1]]).is_primitive() and not RationalMatrix([[0]]).is_primitive()
+    # Wielandt's extremal matrix at d = 4: the cycle 0 -> 1 -> 2 -> 3 -> 0 plus 3 -> 1.
+    # Its first positive power is (d-1)^2 + 1 = 10, so the bound cannot be lowered.
+    wielandt = RationalMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [half, half, 0, 0]])
+    assert wielandt.is_primitive()
+    assert not _positive(wielandt.power(9)) and _positive(wielandt.power(10))

@@ -1,5 +1,7 @@
 """Transition matrices, eigen structure, and counting statistics."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,8 @@ from carrieslab import (
     transition_oracle,
 )
 from carrieslab import spectral
-from carrieslab.verify import run_suite
+from carrieslab.process import enumerate_words, step_carry
+from carrieslab.verify import _chain_grid, run_suite
 
 PARAMS = [
     ("+", 2, 2, 1),
@@ -46,6 +49,51 @@ def test_transition_matches_oracle_and_is_stochastic(sign, b, n, p):
     matrix = transition_matrix(params)
     assert matrix == transition_oracle(params)
     assert matrix.is_stochastic()
+
+
+def _per_column_oracle(params):
+    """The enumeration oracle as one ``step_carry`` per (digit column, state), kept as the
+    reference the tallied oracle must equal."""
+    b, n = params.b, params.n
+    dim = params.state_count
+    counts = [[0] * dim for _ in range(dim)]
+    for digits in enumerate_words(f"the reference oracle at b={b} n={n}", b, n, "digit tuples"):
+        for i in range(dim):
+            j, _ = step_carry(params, i, digits)
+            counts[i][j] += 1
+    return RationalMatrix([[Fraction(c, b**n) for c in row] for row in counts])
+
+
+def test_transition_oracle_equals_the_per_column_loop():
+    # A tally that dropped its weights would count each column sum once, not b^n columns.
+    for params in _chain_grid(6, 3):
+        assert transition_oracle(params) == _per_column_oracle(params), params
+
+
+def test_transition_oracle_steps_each_state_once_per_column_sum(monkeypatch):
+    stepped = []
+
+    def counted(params, kappa, digits):
+        stepped.append(tuple(digits))
+        return step_carry(params, kappa, digits)
+
+    monkeypatch.setattr(spectral, "step_carry", counted)
+    for sign, b, n, p in [*PARAMS, ("+", 7, 4, 3), ("-", 8, 3, 3), ("+", 9, 1, 4)]:
+        params = make_process(sign, b, n, p)
+        stepped.clear()
+        assert transition_oracle(params) == transition_matrix(params)
+        # n (b - 1) + 1 column sums, each a real column of n digits in 0..b-1.
+        assert len(stepped) <= params.state_count * (n * (b - 1) + 1)
+        assert all(len(col) == n and all(0 <= x < b for x in col) for col in stepped)
+
+
+def test_transition_oracle_uses_no_closed_form():
+    # The oracle counts enumerated columns; a formula for the counts would check P with itself.
+    tree = ast.parse(inspect.getsource(spectral.transition_oracle))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "step_carry" in names and "enumerate_words" in names
+    assert not names & {"comb", "_signed_binomial_convolution", "transition_matrix"}
 
 
 def test_classical_two_summand_matrix():
