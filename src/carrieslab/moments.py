@@ -40,10 +40,7 @@ def has_quadratic_eigenfunction(params: ProcessParams) -> bool:
     degenerately when the function is zero at every state (which pins
     n = 2 on two states).  Altogether the condition is exactly n >= 2.
     """
-    if params.state_count >= 3:
-        return True
-    spread = Fraction(params.n + 1, 12)
-    return all(_center(params, i) ** 2 == spread for i in params.states)
+    return params.n >= 2
 
 
 def _require_quadratic(params: ProcessParams, what: str) -> None:

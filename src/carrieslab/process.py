@@ -72,13 +72,15 @@ def check_limit(what: str, amount: int | tuple[int, int], limit: int, unit: str)
         raise ValueError(f"{what} is limited to {limit} {unit}, got {got}")
 
 
-def check_grid(what: str, costs: Iterable[tuple[str, int]], limit: int, unit: str) -> None:
-    """Refuse ``what``, a grid priced by ``costs``, (label, cost) pairs read lazily in the
-    order the grid runs, as ``"{what} through {label}"`` once their sum passes ``limit``."""
-    total = 0
-    for label, cost in costs:
+def check_grid(what: str, cells: Iterable[tuple[str, int, object]], limit: int, unit: str) -> list:
+    """The cells of ``what``, a grid of (label, cost, cell) triples read lazily in the order
+    the grid runs; refused as ``"{what} through {label}"`` once the costs' sum passes ``limit``."""
+    total, grid = 0, []
+    for label, cost, cell in cells:
         total += cost
         check_limit(f"{what} through {label}", total, limit, unit)
+        grid.append(cell)
+    return grid
 
 
 def enumerate_words(what: str, b: int, length: int, unit: str,

@@ -5,8 +5,9 @@ integer powers, inversion and exact linear solves.  Products run on
 integer rows: each row of the left factor and each column of the right
 factor is scaled to integers over one denominator, the lcm of its entries'
 denominators, so every entry is one integer dot product and one
-``Fraction``.  Solves and inverses run fraction-free Bareiss elimination
-on rows scaled the same way; ``Fraction``s appear only in back-substitution.
+``Fraction``.  A solve runs fraction-free Bareiss elimination on rows
+scaled the same way, ``Fraction``s appearing only in back-substitution; an
+inverse solves the identity's columns one at a time.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class RationalMatrix:
         return all(r == (1 << self.dim) - 1 for r in reach)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Bareiss elimination; raises ValueError if singular."""
-        return RationalMatrix(_bareiss_solve(self, RationalMatrix.identity(self.dim).rows))
+        """Exact inverse, one ``solve_linear`` per unit column; raises ValueError if singular."""
+        return RationalMatrix(zip(*(solve_linear(self, e) for e in self.identity(self.dim).rows)))
 
 
 def _integer_scaled(vectors: Iterable[Sequence[Fraction]]) -> list:
@@ -129,18 +130,19 @@ def _dot_products(rows: Iterable[Sequence[Fraction]], cols: Iterable[Sequence[Fr
     ]
 
 
-def _bareiss_solve(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | int]]) -> list:
-    """matrix^-1 @ extra, as rows; raises ValueError if ``matrix`` is singular.
+def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """Solve matrix @ x = rhs exactly; raises ValueError if singular.
 
     Fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the rows
-    [matrix | extra], each scaled to integers, divides exactly; its last
+    [matrix | rhs], each scaled to integers, divides exactly; its last
     pivot d is +-det of the scaled matrix.  d x is an integer vector
     (Cramer), so back-substitution divides exactly too; x_i = Fraction(d x_i, d).
     """
     dim = matrix.dim
+    if len(rhs) != dim:
+        raise ValueError("right-hand side length mismatch")
     work = [nums for nums, _ in _integer_scaled(
-        row + tuple(Fraction(x) for x in tail) for row, tail in zip(matrix.rows, extra))]
-    width = len(work[0])
+        row + (Fraction(x),) for row, x in zip(matrix.rows, rhs))]
     det = 1  # leading minor of the columns eliminated so far: the exact divisor
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if work[r][col]), None)
@@ -154,18 +156,8 @@ def _bareiss_solve(matrix: RationalMatrix, extra: Sequence[Sequence[Fraction | i
             row[col + 1:] = [(lead * x - factor * y) // det
                              for x, y in zip(row[col + 1:], top[col + 1:])]
         det = lead
-    columns = []
-    for c in range(dim, width):
-        scaled = [0] * dim  # det * x, an integer vector
-        for i in reversed(range(dim)):
-            row = work[i]
-            scaled[i] = (det * row[c] - sum(map(mul, row[i + 1:dim], scaled[i + 1:]))) // row[i]
-        columns.append([Fraction(v, det) for v in scaled])
-    return [list(row) for row in zip(*columns)]
-
-
-def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Solve matrix @ x = rhs exactly; raises ValueError if singular."""
-    if len(rhs) != matrix.dim:
-        raise ValueError("right-hand side length mismatch")
-    return tuple(row[0] for row in _bareiss_solve(matrix, [[x] for x in rhs]))
+    scaled = [0] * dim  # det * x, an integer vector
+    for i in reversed(range(dim)):
+        row = work[i]
+        scaled[i] = (det * row[dim] - sum(map(mul, row[i + 1:dim], scaled[i + 1:]))) // row[i]
+    return tuple(Fraction(v, det) for v in scaled)

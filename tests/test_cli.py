@@ -20,6 +20,7 @@ from carrieslab.process import (
     STATE_LIMIT,
     STEP_LIMIT,
     make_process,
+    state_count,
 )
 from carrieslab.shuffle import (
     MultiDigitWord,
@@ -214,14 +215,17 @@ def test_verify_unused_flag_rejected(capsys):
     assert code == 2 and "--samples" in err
 
 
-def test_verify_refuses_options_that_leave_no_case(capsys):
+def test_verify_refuses_options_that_leave_no_case(capsys, monkeypatch):
     assert not SuiteReport("eigen", "empty grid").passed
     with pytest.raises(ValueError):
         run_suite("eigen", n_max=0)
+    # An empty grid is refused before any case, so spot cases outside it cannot pass alone.
+    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail(f"ran {case[1]}"))
     for argv in (["transition", "--b", "1"], ["eigen", "--n", "0"],
-                 ["descent-stats", "--n", "0"], ["gessel", "--n", "0"]):
+                 ["descent-stats", "--n", "0"], ["gessel", "--n", "0"],
+                 ["moments", "--b", "1"], ["moments", "--n", "0"], ["duality", "--n", "0"]):
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2 and out == "" and "no cases" in err
+        assert code == 2 and out == "" and "has no cases to check" in err
 
 
 def test_verify_refuses_sample_counts_below_one(capsys):
@@ -252,8 +256,8 @@ def test_every_priced_grid_is_priced_before_its_first_case(monkeypatch):
     class Priced(Exception):
         pass
 
-    def record(what, costs, limit, unit):
-        priced[what] = (sum(cost for _, cost in costs), limit, unit)
+    def record(what, cells, limit, unit):
+        priced[what] = (sum(cost for _, cost, _ in cells), limit, unit)
         raise Priced
 
     monkeypatch.setattr(verify, "check_grid", record)
@@ -281,9 +285,24 @@ def test_chain_grids_are_priced_without_building_a_chain(monkeypatch):
             run_suite(suite, **options)
 
 
+def test_chain_grids_are_walked_once(monkeypatch):
+    # valid_parameters runs once per (sign, b, n): 2 x 7 x 4 = 56 calls, pricing included.
+    calls = []
+
+    def counted(sign, b):
+        calls.append((sign, b))
+        return valid_parameters(sign, b)
+
+    monkeypatch.setattr(verify, "valid_parameters", counted)
+    for suite in ("transition", "moments"):
+        calls.clear()
+        assert run_suite(suite).passed
+        assert len(calls) == 56, suite
+
+
 def test_moments_grid_is_bounded_before_its_first_case():
     # The default grid: 3,444 squared states over 280 chains, times 6 values of r and 6 of s.
-    assert sum(params.state_count**2 for params in _chain_grid(8, 4)) * 6 * 6 == 123984
+    assert sum(state_count(c.n, c.p) ** 2 for c in _chain_grid(8, 4)) * 6 * 6 == 123984
     assert 123984 < MOMENT_GRID_LIMIT
     for options in ({"b_max": 2, "n_max": 2, "s_max": 100000},
                     {"b_max": 2, "n_max": 2, "r_max": 100000}, {"r_max": 10**30},

@@ -66,7 +66,8 @@ def _per_column_oracle(params):
 
 def test_transition_oracle_equals_the_per_column_loop():
     # A tally that dropped its weights would count each column sum once, not b^n columns.
-    for params in _chain_grid(6, 3):
+    for chain in _chain_grid(6, 3):
+        params = make_process(*chain)
         assert transition_oracle(params) == _per_column_oracle(params), params
 
 
