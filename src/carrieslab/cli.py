@@ -17,7 +17,7 @@ import inspect
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .moments import (
@@ -371,8 +371,8 @@ def _json_text(value, default, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, default=default)`` lays it out; ``pad`` is
     the newline and indent that the closing bracket of ``value`` follows.
 
-    A sequence of plain ints, or of nonempty such sequences, is joined in one pass at C
-    speed; ``json`` itself drops to a Python frame per value whenever it indents.
+    Plain ints, or nonempty rows (of nonempty rows ...) of them, are joined level by level
+    at C speed; ``json`` itself drops to a Python frame per value whenever it indents.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -389,14 +389,20 @@ def _json_text(value, default, pad: str = "\n") -> str:
         items = (encode_basestring_ascii(key) + ": " + _json_text(item, default, inner)
                  for key, item in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    levels, rows = [], value  # levels[d]: every row d + 1 brackets deep, in document order
     kinds = set(map(type, value))
-    if kinds <= {int}:
-        items = map(int.__repr__, value)
-    elif (kinds <= {list, tuple} and all(value)
-          and set(map(type, chain.from_iterable(value))) <= {int}):
-        row = "[" + inner + "  {}" + inner + "]"
-        items = map(row.format, map(("," + inner + "  ").join,
-                                    map(map, repeat(int.__repr__), value)))
+    while kinds <= {list, tuple} and all(rows):
+        levels.append(rows)
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= {list, tuple}:
+            rows = list(chain.from_iterable(rows))
+    if kinds <= {int}:  # the ints stream through: a list of them would raise the peak RSS
+        items = map(int.__repr__, chain.from_iterable(levels[-1]) if levels else value)
+        for depth in reversed(range(len(levels))):  # each row of a level takes its items
+            below = inner + "  " * (depth + 1)
+            row = "[" + below + "{}" + inner + "  " * depth + "]"
+            items = map(row.format, map(("," + below).join,
+                                        map(islice, repeat(items), map(len, levels[depth]))))
     else:
         items = (_json_text(item, default, inner) for item in value)
     return "[" + inner + ("," + inner).join(items) + pad + "]"

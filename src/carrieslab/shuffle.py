@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .colored import (
     ColoredPermutation,
@@ -201,38 +201,55 @@ class ShuffleTrace:
     descents: tuple[int, ...]
 
 
-def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list[Pairs], list[int]]]:
+def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list, list[int]]]:
     """The trace engine: words in application order -> (window after each step, step values).
 
-    Factors and values follow the sign rule described on ``ShuffleTrace``.
-    Factor windows per word, negated or not, and step values per window and
-    statistic are memoised for as long as the returned callable lives.
+    Factors and values follow the sign rule described on ``ShuffleTrace``.  Letter (k, c)
+    has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes
+    and a factor the 256-byte table of its image of each letter, so a step is one
+    ``bytes.translate``; past that a window is its pairs and a step ``_compose_pairs``.
+    ``_window_pairs`` decodes either form.  Factors per word and negation, and values per
+    window and statistic, are memoised while the returned callable lives; nothing is
+    built before the first word.
     """
-    minus = sign == "-"
-    factors: tuple[dict, dict] = ({}, {})  # by negation: word -> factor window
-    values: tuple[dict, dict] = ({}, {})  # descents, n - dash descents: window -> value
+    coded = n * p <= 256
+    # Phases (negate, dash, factor memo, value memo), cycled over the steps.
+    phases = ([(False, False, {}, {})] if sign == "+"
+              else [(False, True, {}, {}), (True, False, {}, {})])
 
-    def run(words: Sequence[tuple[int, ...]]) -> tuple[list[Pairs], list[int]]:
-        elements: list[Pairs] = []
-        steps: list[int] = []
-        current: Pairs | None = None
-        for r, word in enumerate(words, start=1):
-            negate, dash = minus and r % 2 == 0, minus and r % 2 == 1
-            pairs = factors[negate].get(word)
-            if pairs is None:
-                factor = gsr_to_permutation(word, p)
-                pairs = (negate_colors(factor) if negate else factor).pairs
-                factors[negate][word] = pairs
-            current = pairs if current is None else _compose_pairs(pairs, current, p)
-            value = values[dash].get(current)
+    def factor(word: tuple[int, ...], negate: bool) -> bytes | Pairs:
+        sigma = gsr_to_permutation(word, p)
+        pairs = (negate_colors(sigma) if negate else sigma).pairs
+        if not coded:
+            return pairs
+        images = _compose_pairs(pairs, _window_pairs(bytes(range(n * p)), p), p)  # all letters
+        return bytes([(k - 1) * p + c for k, c in images]).ljust(256, b"\0")
+
+    def run(words: Iterable[tuple[int, ...]]) -> tuple[list, list[int]]:
+        windows, steps, current = [], [], None
+        for word, (negate, dash, built, seen) in zip(words, cycle(phases)):
+            table = built.get(word)
+            if table is None:
+                table = built[word] = factor(word, negate)
+            if current is None:  # the factor's own window: its images of (1, 0) .. (n, 0)
+                current = table[: n * p : p] if coded else table
+            else:
+                current = current.translate(table) if coded else _compose_pairs(table, current, p)
+            value = seen.get(current)
             if value is None:
-                value = n - _descents(current, p, dash=True) if dash else _descents(current, p)
-                values[dash][current] = value
-            elements.append(current)
+                pairs = _window_pairs(current, p)
+                value = n - _descents(pairs, p, dash=True) if dash else _descents(pairs, p)
+                seen[current] = value
+            windows.append(current)
             steps.append(value)
-        return elements, steps
+        return windows, steps
 
     return run
+
+
+def _window_pairs(window: bytes | Pairs, p: int) -> Pairs:
+    """The pairs of a trace-engine window: letter code x decodes to (x // p + 1, x % p)."""
+    return tuple([(x // p + 1, x % p) for x in window]) if isinstance(window, bytes) else window
 
 
 def trace_from_words(
@@ -245,8 +262,9 @@ def trace_from_words(
     frozen = tuple(tuple(int(x) for x in w) for w in words)
     check_words(frozen, b, n)
     windows, descents = _composer(n, p, sign)(frozen)
-    elements = tuple(ColoredPermutation(n, p, pairs) for pairs in windows)
-    return ShuffleTrace(b, n, p, sign, frozen, elements, tuple(descents))
+    distinct = {w: ColoredPermutation(n, p, _window_pairs(w, p)) for w in dict.fromkeys(windows)}
+    return ShuffleTrace(b, n, p, sign, frozen, tuple(map(distinct.__getitem__, windows)),
+                        tuple(descents))
 
 
 def sample_sequence(

@@ -57,6 +57,7 @@ from .shuffle import (
     MultiDigitWord,
     _bijection_stages,
     _composer,
+    _window_pairs,
     bijection_minus,
     bijection_plus,
     gessel_coefficients,
@@ -456,8 +457,8 @@ def _sample_descent_joint(
     return Counter(tuple(run(islice(words, steps))[1]) for _ in range(samples))
 
 
-def _word_stack_law(run, b: int, n: int, steps: int) -> tuple[Counter, Counter]:
-    """Counts of the final window and of the step values over every stack of
+def _word_stack_law(run, b: int, n: int, p: int, steps: int) -> tuple[Counter, Counter]:
+    """Counts of the final window (as pairs) and of the step values over every stack of
     ``steps`` words in {0..b-1}^n, each stack run through the trace engine ``run``."""
     windows: Counter = Counter()
     values: Counter = Counter()
@@ -466,7 +467,7 @@ def _word_stack_law(run, b: int, n: int, steps: int) -> tuple[Counter, Counter]:
         after, step_values = run([flat[r * n : (r + 1) * n] for r in range(steps)])
         windows[after[-1]] += 1
         values[tuple(step_values)] += 1
-    return windows, values
+    return Counter({_window_pairs(w, p): count for w, count in windows.items()}), values
 
 
 def suite_bijection_plus(
@@ -549,7 +550,7 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
     report = SuiteReport("shuffle-onestep", f"cases {list(cases)}")
     for b, n, p in cases:
         params = make_process("+", b, n, p)
-        counts = _word_stack_law(_composer(n, p, "+"), b, n, 1)[1]
+        counts = _word_stack_law(_composer(n, p, "+"), b, n, p, 1)[1]
         matrix = transition_matrix(params)
         enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix.dim))
         report.add(f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
@@ -577,7 +578,7 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
     for b, n, p in cases:
         elements = list(enumerate_group(n, p))
         run = _composer(n, p, "+")
-        laws = {r: _word_stack_law(run, b, n, r)[0] for r in (2, 1)}  # r = 2 first: refused early
+        laws = {r: _word_stack_law(run, b, n, p, r)[0] for r in (2, 1)}  # r = 2 is refused first
         total = sum(shuffle_probability(e, b) for e in elements)
         report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):

@@ -1114,6 +1114,10 @@ RENDER_SHAPES = {
     "int-tuples": ((1, 2), (3, 4, 5), (6,)),
     "int-rows-with-an-empty-one": [(1, 2), ()],
     "nested-int-rows": [((1, 0), (2, 1)), ((2, 2),), []],
+    "window-rows": [((1, 0), (2, 1)), ((2, 2),), ((0, -3), (10**40, 0))],
+    "four-level-rows": [[[[1], [2, 3]]], ([(4, 0)],)],
+    "deep-rows-with-an-empty-one": [[[1, 2], [3]], [[4], []]],
+    "deep-rows-with-a-bool": [[(1, 0), (2, True)], [(3, 4)]],
     "mixed-rows": [(1, "a"), [2, None], (Fraction(1, 2), 3)],
     "deep": {"a": {"b": [{"c": [[1, [2, [3]]]]}]}},
 }

@@ -19,6 +19,7 @@ from carrieslab import (
     bijection_minus,
     bijection_plus,
     compose,
+    dash_descent_count,
     descent_count,
     digit_expansion,
     digit_value,
@@ -34,6 +35,7 @@ from carrieslab import (
     unbar_map,
     unstar_map,
 )
+from carrieslab import shuffle
 from carrieslab.ratmat import solve_linear
 
 BOUNDED = settings(derandomize=True, deadline=None)
@@ -84,21 +86,49 @@ def test_bijection_descents_are_the_carries(case):
     assert trace.descents == carries
 
 
-@BOUNDED
-@given(word_stacks())
-def test_trace_folds_the_group_law(case):
-    sign, b, n, p, words = case
-    expected, current = [], None
+def folded_trace(sign, n, p, words):
+    """The elements and step values of a trace, folded from ``compose`` and ``negate_colors``."""
+    elements, values, current = [], [], None
     for r, word in enumerate(words, start=1):
         factor = gsr_to_permutation(word, p)
         if sign == "-" and r % 2 == 0:
             factor = negate_colors(factor)
         current = factor if current is None else compose(factor, current)
-        expected.append(current)
+        elements.append(current)
+        dash = sign == "-" and r % 2 == 1
+        values.append(n - dash_descent_count(current) if dash else descent_count(current))
+    return tuple(elements), tuple(values)
+
+
+@BOUNDED
+@given(word_stacks())
+def test_trace_folds_the_group_law(case):
+    sign, b, n, p, words = case
     trace = trace_from_words(b, n, p, words, sign)
-    assert trace.elements == tuple(expected)
-    if sign == "+":
-        assert trace.descents == tuple(descent_count(e) for e in expected)
+    assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
+
+
+# (sign, b, n, p) on both sides of the byte-window bound n p <= 256, and at large p.
+WIDE_CHAINS = [("+", 129, 2, 128), ("-", 127, 2, 128), ("+", 2, 256, 1),
+               ("+", 258, 1, 257), ("-", 256, 1, 257), ("-", 2, 257, 1),
+               ("+", 1001, 2, 1000), ("-", 999, 2, 1000)]
+
+
+@st.composite
+def wide_word_stacks(draw):
+    """A chain of ``WIDE_CHAINS`` with at most 4 digit words."""
+    sign, b, n, p = draw(st.sampled_from(WIDE_CHAINS))
+    return sign, b, n, p, draw(digit_rows(b, draw(st.integers(1, 4)), n))
+
+
+@BOUNDED
+@given(wide_word_stacks())
+def test_trace_folds_the_group_law_in_both_window_forms(case):
+    sign, b, n, p, words = case
+    windows = shuffle._composer(n, p, sign)([tuple(word) for word in words])[0]
+    assert isinstance(windows[0], bytes) == (n * p <= 256)
+    trace = trace_from_words(b, n, p, words, sign)
+    assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
 
 
 @BOUNDED

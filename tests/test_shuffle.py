@@ -1,5 +1,6 @@
 """Digit words, shuffle composition, and the carry-descent constructions."""
 
+import signal
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -230,6 +231,34 @@ def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
         words.clear()
         assert verify._bijection_failure(sign, 3, 2, 2, 2) == ""
         assert len(words) <= negations * 9
+
+
+def test_pair_window_traces_compose_by_the_engine_rule(monkeypatch):
+    # Past 256 letters (here n p = 2000) windows stay pairs; the same planted fault shows.
+    words = [(3, 500), (7, 2)]
+    expected = compose(gsr_to_permutation(words[1], 1000), gsr_to_permutation(words[0], 1000))
+    assert trace_from_words(1001, 2, 1000, words).elements[-1] == expected
+
+    def no_colour_sum(tau_pairs, sigma_pairs, p):
+        return tuple(tau_pairs[k - 1] for k, _ in sigma_pairs)
+
+    monkeypatch.setattr(shuffle, "_compose_pairs", no_colour_sum)
+    assert trace_from_words(1001, 2, 1000, words).elements[-1] != expected
+
+
+def test_trace_engine_builds_nothing_before_the_first_word():
+    # Nothing sized by n or p is built up front, so a refused case is refused at once.
+    def hung(signum, frame):
+        raise TimeoutError("the trace engine did not start within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for sign in "+-":
+            assert callable(shuffle._composer(10**30, 10**30, sign))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_golden_pipelines_name_the_first_wrong_stage(monkeypatch):
