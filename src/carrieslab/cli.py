@@ -397,12 +397,13 @@ def _json_text(value, default, pad: str = "\n") -> str:
         if kinds <= {list, tuple}:
             rows = list(chain.from_iterable(rows))
     if kinds <= {int}:  # the ints stream through: a list of them would raise the peak RSS
-        items = map(int.__repr__, chain.from_iterable(levels[-1]) if levels else value)
+        items = map(int.__repr__, value)
         for depth in reversed(range(len(levels))):  # each row of a level takes its items
             below = inner + "  " * (depth + 1)
             row = "[" + below + "{}" + inner + "  " * depth + "]"
-            items = map(row.format, map(("," + below).join,
-                                        map(islice, repeat(items), map(len, levels[depth]))))
+            groups = (map(map, repeat(int.__repr__), levels[depth]) if depth == len(levels) - 1
+                      else map(islice, repeat(items), map(len, levels[depth])))
+            items = map(row.format, map(("," + below).join, groups))
     else:
         items = (_json_text(item, default, inner) for item in value)
     return "[" + inner + ("," + inner).join(items) + pad + "]"

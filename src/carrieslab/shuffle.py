@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import cycle, islice
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -205,39 +206,43 @@ def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list, list[int]]
     """The trace engine: words in application order -> (window after each step, step values).
 
     Factors and values follow the sign rule described on ``ShuffleTrace``.  Letter (k, c)
-    has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes
-    and a factor the 256-byte table of its image of each letter, so a step is one
-    ``bytes.translate``; past that a window is its pairs and a step ``_compose_pairs``.
-    ``_window_pairs`` decodes either form.  Factors per word and negation, and values per
-    window and statistic, are memoised while the returned callable lives; nothing is
-    built before the first word.
+    has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes,
+    else its pairs.  A factor (per word and negation) steps by ``_compose_pairs`` until it
+    has driven p steps of byte windows; then it becomes the 256-byte table of its image of
+    each letter, about the cost of p steps, and steps by ``bytes.translate``: words that
+    repeat run at C speed, and words that rarely do never pay for a table.  Factors, tables
+    and values are memoised while the returned callable lives; nothing is built before the
+    first word.
     """
     coded = n * p <= 256
-    # Phases (negate, dash, factor memo, value memo), cycled over the steps.
-    phases = ([(False, False, {}, {})] if sign == "+"
-              else [(False, True, {}, {}), (True, False, {}, {})])
-
-    def factor(word: tuple[int, ...], negate: bool) -> bytes | Pairs:
-        sigma = gsr_to_permutation(word, p)
-        pairs = (negate_colors(sigma) if negate else sigma).pairs
-        if not coded:
-            return pairs
-        images = _compose_pairs(pairs, _window_pairs(bytes(range(n * p)), p), p)  # all letters
-        return bytes([(k - 1) * p + c for k, c in images]).ljust(256, b"\0")
+    letters = cache(lambda: _window_pairs(bytes(range(n * p)), p))  # with the first table
+    # Phases (negate, dash, factor memo, uses, value memo), cycled over the steps.
+    phases = ([(False, False, {}, {}, {})] if sign == "+"
+              else [(False, True, {}, {}, {}), (True, False, {}, {}, {})])
 
     def run(words: Iterable[tuple[int, ...]]) -> tuple[list, list[int]]:
-        windows, steps, current = [], [], None
-        for word, (negate, dash, built, seen) in zip(words, cycle(phases)):
-            table = built.get(word)
-            if table is None:
-                table = built[word] = factor(word, negate)
-            if current is None:  # the factor's own window: its images of (1, 0) .. (n, 0)
-                current = table[: n * p : p] if coded else table
+        windows, steps, current, pairs = [], [], None, None  # pairs: current's, if known
+        for word, (negate, dash, built, uses, seen) in zip(words, cycle(phases)):
+            factor = built.get(word)
+            if factor is None:
+                sigma = gsr_to_permutation(word, p)
+                factor = built[word] = (negate_colors(sigma) if negate else sigma).pairs
+            if type(factor) is bytes:  # the factor's own window is its images of (k, 0)
+                current = factor[: n * p : p] if current is None else current.translate(factor)
+                pairs = None
             else:
-                current = current.translate(table) if coded else _compose_pairs(table, current, p)
+                pairs = (_compose_pairs(factor, pairs or _window_pairs(current, p), p)
+                         if current else factor)
+                current = pairs
+                if coded:
+                    current = _window_code(pairs, p)
+                    uses[word] = used = uses.get(word, 0) + 1
+                    if used == p:  # every letter's image, padded to a translation table
+                        table = _compose_pairs(factor, letters(), p)
+                        built[word] = _window_code(table, p).ljust(256, b"\0")
             value = seen.get(current)
             if value is None:
-                pairs = _window_pairs(current, p)
+                pairs = pairs or _window_pairs(current, p)
                 value = n - _descents(pairs, p, dash=True) if dash else _descents(pairs, p)
                 seen[current] = value
             windows.append(current)
@@ -245,6 +250,11 @@ def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list, list[int]]
         return windows, steps
 
     return run
+
+
+def _window_code(pairs: Pairs, p: int) -> bytes:
+    """The letter codes of a window of at most 256 letters, (k, c) -> (k - 1) p + c."""
+    return bytes([(k - 1) * p + c for k, c in pairs])
 
 
 def _window_pairs(window: bytes | Pairs, p: int) -> Pairs:

@@ -131,6 +131,26 @@ def test_trace_folds_the_group_law_in_both_window_forms(case):
     assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
 
 
+@pytest.mark.parametrize("sign, b, n, p", [("+", 7, 3, 3), ("-", 5, 3, 3), ("+", 17, 4, 16)])
+def test_a_factor_becomes_a_table_once_it_has_driven_p_steps(monkeypatch, sign, b, n, p):
+    # Each word drives pair steps until its p-th use builds its table over all n p letters;
+    # a word used fewer than p times never pays for one.  Both kinds of step fold alike.
+    tables, real = [], shuffle._compose_pairs
+
+    def counted(tau_pairs, sigma_pairs, p):
+        if len(sigma_pairs) == n * p:
+            tables.append(tau_pairs)
+        return real(tau_pairs, sigma_pairs, p)
+
+    monkeypatch.setattr(shuffle, "_compose_pairs", counted)
+    pair = [tuple(range(n)), tuple(b - 1 - i % b for i in range(n))]
+    for uses, built in ((p - 1, 0), (p + 2, 2)):
+        tables.clear()
+        trace = trace_from_words(b, n, p, pair * uses, sign)
+        assert len(tables) == built
+        assert (trace.elements, trace.descents) == folded_trace(sign, n, p, pair * uses)
+
+
 @BOUNDED
 @given(word_stacks())
 def test_star_and_unstar_are_inverse(case):
