@@ -12,6 +12,7 @@ from .colored import (
     compose,
     dash_descent_count,
     descent_count,
+    descent_histograms,
     enumerate_group,
     inverse,
     negate_colors,

@@ -11,14 +11,17 @@ orders on the letters drive two descent statistics:
   Dash descents count the end position when its color is p-1.
 
 Both are one rule, ``_descents``: a key comparison of adjacent letters plus
-the order's end predicate.  At p = 1 the dash end always counts, so the dash
-count is the standard count plus one.
+the order's end predicate, ``_end_descent``.  At p = 1 the dash end always
+counts, so the dash count is the standard count plus one.
+``descent_histograms`` counts the whole group by the same rule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, cycle, permutations, product, repeat, starmap, tee
+from operator import add, gt, itemgetter
 from typing import Iterator
 
 from .process import ENUMERATION_LIMIT, check_count, check_limit
@@ -81,16 +84,20 @@ def _letter_key(pair: tuple[int, int], p: int, dash: bool = False) -> tuple[int,
     return (c if dash or c == 0 else p - c, k)
 
 
+def _end_descent(color: int, p: int, dash: bool = False) -> bool:
+    """Whether the end position counts as a descent, from its color: nonzero
+    (standard) or p-1 (dash, even when p = 1)."""
+    return color == p - 1 if dash else color != 0
+
+
 def _descents(pairs: Pairs, p: int, dash: bool = False) -> int:
     """Descents of a window in the standard order, or in the dash order when ``dash``.
 
     Counts i < n whose letter sorts above letter i+1 under the order's key,
-    plus the end position n when the order's end predicate holds for its
-    color: nonzero (standard) or p-1 (dash, even when p = 1).
+    plus the end position n when ``_end_descent`` holds for its color.
     """
     keys = [_letter_key(pair, p, dash) for pair in pairs]
-    end = pairs[-1][1]
-    return sum(1 for a, b in zip(keys, keys[1:]) if a > b) + (end == p - 1 if dash else end != 0)
+    return sum(map(gt, keys, keys[1:])) + _end_descent(pairs[-1][1], p, dash)
 
 
 def descent_count(sigma: ColoredPermutation) -> int:
@@ -122,11 +129,44 @@ def group_order(n: int, p: int) -> int:
     return order
 
 
-def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
-    """Yield all p^n n! elements; guarded against oversized groups."""
+def _check_group(n: int, p: int) -> None:
+    """Refuse a bad or oversized Z_p wr S_n before any element is visited."""
     check_count("cards n", n)
     check_count("colors p", p)
     check_limit(f"enumerating Z_{p} wr S_{n}", group_order(n, p), ENUMERATION_LIMIT, "elements")
+
+
+def enumerate_group(n: int, p: int) -> Iterator[ColoredPermutation]:
+    """Yield all p^n n! elements; guarded against oversized groups."""
+    _check_group(n, p)
     for positions in permutations(range(1, n + 1)):
         for colors in product(range(p), repeat=n):
             yield ColoredPermutation(n, p, tuple(zip(positions, colors)))
+
+
+def descent_histograms(n: int, p: int) -> tuple[Counter, Counter]:
+    """Counts of the p^n n! elements by standard descents and by dash descents.
+
+    One pass visits every element, as its letters' ranks in both orders, and
+    builds none.  Each order ranks the letters by ``_letter_key``, letter (k, c)
+    at row k - 1 and column c of its table.  An element's descents are the drops
+    between the ranks of adjacent letters, plus ``_end_descent`` of its last
+    color.  C iterators do the work per element; memory is O(n p).
+    """
+    _check_group(n, p)
+    letters = [(k, c) for k in range(1, n + 1) for c in range(p)]
+    streams = []
+    for dash in (False, True):
+        order = sorted(letters, key=lambda letter: _letter_key(letter, p, dash))
+        rank = {letter: r for r, letter in enumerate(order)}
+        tables = [[rank[k, c] for c in range(p)] for k in range(1, n + 1)]
+        # Each element's letter ranks: position permutations outer, color tuples inner.
+        windows, shifted = tee(chain.from_iterable(starmap(product, permutations(tables))))
+        drops = map(sum, map(map, repeat(gt), windows, map(itemgetter(slice(1, None)), shifted)))
+        # The last color varies fastest, through p^n windows per permutation: its end terms cycle.
+        streams.append(map(add, drops, cycle([_end_descent(c, p, dash) for c in range(p)])))
+    counts, dash_counts = Counter(), Counter()
+    for (value, dash_value), count in Counter(zip(*streams)).items():
+        counts[value] += count
+        dash_counts[dash_value] += count
+    return counts, dash_counts

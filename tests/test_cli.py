@@ -4,11 +4,12 @@ import argparse
 import inspect
 import json
 import signal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from carrieslab import cli, verify
+from carrieslab import cli, spectral, verify
 from carrieslab.colored import ColoredPermutation
 from carrieslab.process import (
     ENUMERATION_LIMIT,
@@ -22,6 +23,7 @@ from carrieslab.process import (
     make_process,
     state_count,
 )
+from carrieslab.ratmat import RationalMatrix
 from carrieslab.shuffle import (
     MultiDigitWord,
     bijection_minus,
@@ -363,6 +365,34 @@ def test_verify_failure_exits_one_with_reproduce_line(capsys, monkeypatch):
     assert "reproduce: carries-lab verify transition" in err
     obj = json.loads(out)
     assert obj["passed"] is False and obj["cases"][0]["detail"] == "boom"
+
+
+def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
+    # A broken recursion is an internal failure, not bad input: each suite names the
+    # cases that read the non-integer table and exits 1, never 2.
+    shift = Fraction(1, 10**6)
+    left, frobenius = spectral.left_eigen_matrix, verify.stirling_frobenius
+
+    def shifted_left(n, p):
+        matrix = left(n, p)
+        if (n, p) != (2, 2):
+            return matrix
+        return RationalMatrix([[v + shift for v in row] for row in matrix.rows])
+
+    def shifted_frobenius(n, p):
+        table = frobenius(n, p)
+        if (n, p) != (3, 2):
+            return table
+        return replace(table, values=tuple(v + shift for v in table.values))
+
+    monkeypatch.setattr(spectral, "left_eigen_matrix", shifted_left)
+    monkeypatch.setattr(verify, "stirling_frobenius", shifted_frobenius)
+    for suite, failed in (("descent-stats", ["dash n=2 p=2", "standard n=2 p=2"]),
+                          ("sf-numbers", ["reference row n=3 p=2", "row n=3 p=2"])):
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 1 and "non-integer" not in err
+        assert f"reproduce: carries-lab verify {suite}" in err
+        assert [case["key"] for case in json.loads(out)["cases"] if not case["ok"]] == failed
 
 
 def test_argparse_rejections_exit_two(capsys):

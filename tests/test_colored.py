@@ -1,5 +1,6 @@
 """Colored permutations: algebra, orders, and descent statistics."""
 
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ from carrieslab import (
     compose,
     dash_descent_count,
     descent_count,
+    descent_histograms,
     enumerate_group,
     inverse,
     negate_colors,
@@ -115,29 +117,52 @@ def test_text_and_pairs_round_trip():
     assert sigma.to_text() == "(2,1)(3,0)(1,1)"
 
 
+def test_descent_histograms_match_the_per_element_rule():
+    # The kernel's two counts are those of descent_count and dash_descent_count, element
+    # by element, on every group with n <= 4 and p <= 3 and on one with p > n.
+    for n, p in [(n, p) for n in range(1, 5) for p in range(1, 4)] + [(2, 5)]:
+        standard, dash = descent_histograms(n, p)
+        assert standard == Counter(map(descent_count, enumerate_group(n, p))), (n, p)
+        assert dash == Counter(map(dash_descent_count, enumerate_group(n, p))), (n, p)
+    with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} elements"):
+        descent_histograms(11, 1)
+
+
 def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
     # One pass per (n, p) must serve both the standard and the dash counts.
-    yielded = []
+    calls = []
 
     def counted(n, p):
-        for element in enumerate_group(n, p):
-            yielded.append(element)
-            yield element
+        calls.append((n, p))
+        return descent_histograms(n, p)
 
-    monkeypatch.setattr(verify, "enumerate_group", counted)
+    monkeypatch.setattr(verify, "descent_histograms", counted)
     report = verify.suite_descent_stats(n_max=3, p_max=2)
     assert report.passed
-    assert len(yielded) == sum(factorial(n) * p**n for p in (1, 2) for n in (1, 2, 3))
+    assert calls == [(n, p) for p in (1, 2) for n in (1, 2, 3)]
+
+
+def test_descent_stats_fails_when_the_counts_miss_the_group_order(monkeypatch):
+    # A count past the table's last index leaves every compared entry equal, so only
+    # the total against the group order can catch it.
+    def padded(n, p):
+        standard, dash = descent_histograms(n, p)
+        return standard + Counter({n + 2: 1}), dash
+
+    monkeypatch.setattr(verify, "descent_histograms", padded)
+    report = verify.suite_descent_stats(n_max=2, p_max=2)
+    assert [case.key for case in report.cases if not case.ok] == [
+        f"standard n={n} p={p}" for p in (1, 2) for n in (1, 2)]
 
 
 def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
     # The shuffle engine counts the dash end at p = 1; dropping it must fail those cases.
-    keep = colored._descents
+    keep = colored._end_descent
 
-    def no_dash_end(pairs, p, dash=False):
-        return keep(pairs, p, dash) - (dash and pairs[-1][1] == p - 1)
+    def no_dash_end(color, p, dash=False):
+        return not dash and keep(color, p, dash)
 
-    monkeypatch.setattr(colored, "_descents", no_dash_end)
+    monkeypatch.setattr(colored, "_end_descent", no_dash_end)
     report = verify.suite_descent_stats(n_max=3, p_max=1)
     assert [(case.key, case.ok) for case in report.cases if case.key.startswith("dash")] == [
         (f"dash==standard counting n={n} p=1", False) for n in (1, 2, 3)]
@@ -146,10 +171,11 @@ def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
 def test_descent_stats_fails_when_the_dash_count_forks_at_one_color(monkeypatch):
     # A dash count that falls back to the standard count at p = 1 drops the
     # dash end there; every p = 1 dash case of the default grid must catch it.
-    def forked(sigma):
-        return descent_count(sigma) if sigma.p == 1 else dash_descent_count(sigma)
+    def forked(n, p):
+        standard, dash = descent_histograms(n, p)
+        return standard, standard if p == 1 else dash
 
-    monkeypatch.setattr(verify, "dash_descent_count", forked)
+    monkeypatch.setattr(verify, "descent_histograms", forked)
     report = verify.suite_descent_stats()
     failed = [case.key for case in report.cases if not case.ok]
     assert failed == [f"dash==standard counting n={n} p=1" for n in range(1, 6)]
@@ -159,7 +185,8 @@ def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):
     # gessel works sum |G|^2 compositions and (n+1)^3 (cutoff+1)^2 identity terms over its
     # grid, descent-stats sum |G| elements, transition sum b^n x states digit tuples.
     calls = []
-    monkeypatch.setattr(verify, "enumerate_group", lambda n, p: calls.append((n, p)) or iter(()))
+    monkeypatch.setattr(verify, "descent_histograms",
+                        lambda n, p: calls.append((n, p)) or (Counter(), Counter()))
     monkeypatch.setattr(verify, "gessel_coefficients", lambda *args: calls.append(args))
     monkeypatch.setattr(verify, "transition_oracle", lambda params: calls.append(params))
     for suite, options in ((verify.suite_gessel, {"n_max": 7}),
