@@ -178,8 +178,8 @@ def _bounded_process(args, d=None):
 
 def cmd_matrix(args):
     params = _bounded_process(args, args.d)
-    matrix = transition_matrix(params)
-    return matrix.rows, [("dim", matrix.dim), *matrix.rows]
+    rows = transition_matrix(params).rows
+    return rows, [("dim", len(rows)), *rows]
 
 
 def cmd_eigen(args):
@@ -195,8 +195,8 @@ def cmd_eigen(args):
         "right": {"dim": system.right.dim, "rows": system.right.rows},
     }
     rows = [("eigenvalues", *system.eigenvalues)]
-    rows += [("left",), ("dim", system.left.dim), *system.left.rows]
-    rows += [("right",), ("dim", system.right.dim), *system.right.rows]
+    rows += [("left",), ("dim", system.left.dim), *obj["left"]["rows"]]
+    rows += [("right",), ("dim", system.right.dim), *obj["right"]["rows"]]
     return obj, rows
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
-from .ratmat import RationalMatrix, _integer_scaled
+from .ratmat import RationalMatrix, integer_row
 from .spectral import _stationary_solve, transition_matrix
 
 
@@ -119,12 +119,12 @@ class MomentOracle:
     """Moments of one chain from exact powers of its transition matrix.
 
     No closed form is involved.  P^k is one ``RationalMatrix`` product on
-    P^(k-1) when that is known.  Each law row P^k[i], the stationary law and
-    the vector E[state after r | start j] are read once as integers over one
-    denominator (``ratmat._integer_scaled``) and cached, so every moment is
-    an integer dot product and one ``Fraction``, and many (start, r, s)
-    queries on one chain cost only its distinct powers.  A start is a state
-    or ``"stationary"``: the law ``stationary_fixed_point`` solves, fixed in k.
+    P^(k-1) when that is known.  A law row P^k[i] is that matrix's own integer
+    row; the stationary law and the vector E[state after r | start j] are put
+    in the same form once (``ratmat.integer_row``).  All are cached, so every
+    moment is an integer dot product and one ``Fraction``, and many (start, r, s)
+    queries on one chain cost only its distinct powers.  A start is a state or
+    ``"stationary"``: the law ``stationary_fixed_point`` solves, fixed in k.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -132,22 +132,21 @@ class MomentOracle:
         self.matrix = transition_matrix(params)
         self.dim = self.matrix.dim
         self._powers = {0: RationalMatrix.identity(self.dim), 1: self.matrix}
-        self._laws: dict[tuple[int | str, int], tuple[list[int], int]] = {}
-        self._mean_after: dict[int, tuple[list[int], int]] = {}
+        self._laws: dict[tuple[int | str, int], tuple[tuple[int, ...], int]] = {}
+        self._mean_after: dict[int, tuple[tuple[int, ...], int]] = {}
 
-    def _law(self, start: int | str, k: int) -> tuple[list[int], int]:
+    def _law(self, start: int | str, k: int) -> tuple[tuple[int, ...], int]:
         """Law of the state after k steps from ``start``, as integers over one denominator."""
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                law = _stationary_solve(self.matrix)
+                self._laws[key] = integer_row(_stationary_solve(self.matrix))
             else:
                 check_state(self.params, start)
                 if k not in self._powers:
                     below = self._powers.get(k - 1)
                     self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
-                law = self._powers[k][start]
-            self._laws[key] = _integer_scaled([law])[0]
+                self._laws[key] = self._powers[k].integer_rows[start]
         return self._laws[key]
 
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
@@ -162,8 +161,7 @@ class MomentOracle:
         law, d_s = self._law(start, s)
         if r not in self._mean_after:
             # E[state after r steps | start j], for each state j.
-            means = [self.law_moments(j, r)[0] for j in range(self.dim)]
-            self._mean_after[r] = _integer_scaled([means])[0]
+            self._mean_after[r] = integer_row(self.law_moments(j, r)[0] for j in range(self.dim))
         after, d_r = self._mean_after[r]
         m1 = sum(map(mul, law, range(self.dim)))
         m_sr = sum(map(mul, law, after))

@@ -41,18 +41,18 @@ SIGNS = ("+", "-")
 DEFAULT_SEED = 1729
 
 #: Chain states the ``matrix``, ``eigen`` and ``moments`` commands accept:
-#: ``eigen`` at 128 states takes about 5 s at b = 4, 15 s at b = 1000.
+#: ``eigen --check`` at 128 states takes about 3 s at b = 4, 9 s at b = 1000.
 STATE_LIMIT = 128
 #: Steps of a moments query (its closed forms hold b^(2r)) or of the moments oracle.
 STEP_LIMIT = 1000
 #: Digit tuples, arrays, group elements or compositions one enumeration or ``verify`` grid visits.
 ENUMERATION_LIMIT = 10**7
 #: states^2 x (r+1) x (s+1), summed over the chains of the whole ``verify moments`` grid: the
-#: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 16 s, b <= 177 at
-#: n = 1 about 13 s, n <= 44 at b = 2 about 3 s.
+#: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 11 s, b <= 177 at
+#: n = 1 about 8 s, n <= 44 at b = 2 about 3.5 s.
 MOMENT_GRID_LIMIT = 125 * 10**3
 #: Summands n_max of the ``verify eigen``, ``duality`` and ``sf-numbers`` grids: at the cap
-#: ``eigen`` takes about 12 s, ``duality`` and ``sf-numbers`` under 1 s.
+#: ``eigen`` takes about 9 s, ``duality`` and ``sf-numbers`` under 1 s.
 GRID_N_LIMIT = 20
 #: Digits a simulated path draws and holds (steps times summands).
 SIMULATE_LIMIT = 10**6

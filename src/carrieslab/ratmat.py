@@ -1,52 +1,84 @@
-"""Dense square matrices of exact rationals.
+"""Dense square matrices of exact rationals, held as integer rows.
 
-Just enough linear algebra for the spectral analysis: multiplication,
-integer powers, inversion and exact linear solves.  Products run on
-integer rows: each row of the left factor and each column of the right
-factor is scaled to integers over one denominator, the lcm of its entries'
-denominators, so every entry is one integer dot product and one
-``Fraction``.  A solve runs fraction-free Bareiss elimination on rows
-scaled the same way, ``Fraction``s appearing only in back-substitution; an
-inverse solves the identity's columns one at a time.
+Multiplication, integer powers, inversion and exact linear solves.  The one
+stored form, ``integer_rows``, holds row i as (numerators, d) with entries
+numerators[j] / d, d > 0 and gcd(d, *numerators) = 1, so equal matrices have
+equal rows.  A product scales the right factor's rows to one common
+denominator; each result row costs one ``gcd``.  Solves run fraction-free
+Bareiss elimination on the integers.  ``Fraction``s are built only where a
+value leaves the type: ``rows``, ``m[i]``, vectors and solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 
-class RationalMatrix:
-    """Immutable square matrix with Fraction entries."""
+def integer_row(values: Iterable[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """The rationals ``values`` as one canonical integer row: (numerators, d), d the lcm of
+    their reduced denominators, so the numerators and d share no factor."""
+    values = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
-    __slots__ = ("rows",)
+
+def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The integer row nums / den with its common factor divided out and den > 0 (if den != 0)."""
+    g = (gcd(den, *nums) if den > 0 else -gcd(den, *nums)) or 1
+    return (tuple(nums) if g == 1 else tuple(x // g for x in nums)), den // g
+
+
+def _common_columns(rows: Sequence[tuple]) -> tuple[int, list[tuple[int, ...]]]:
+    """The columns of ``rows`` as integers over the rows' one common denominator."""
+    den = lcm(*(d for _, d in rows))
+    return den, list(zip(*([x * (den // d) for x in nums] for nums, d in rows)))
+
+
+def _square(rows: tuple) -> tuple:
+    if not rows or any(len(nums) != len(rows) or not d for nums, d in rows):
+        raise ValueError("matrix must be square and non-empty, each row over a nonzero d")
+    return rows
+
+
+class RationalMatrix:
+    """Immutable square matrix of exact rationals, stored as canonical integer rows."""
+
+    __slots__ = ("integer_rows",)
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not frozen:
-            raise ValueError("matrix must have at least one row")
-        dim = len(frozen)
-        if any(len(row) != dim for row in frozen):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", frozen)
+        object.__setattr__(self, "integer_rows", _square(tuple(map(integer_row, rows))))
+
+    @classmethod
+    def from_integer_rows(cls, rows: Iterable[tuple[Sequence[int], int]]) -> "RationalMatrix":
+        """The matrix whose row i is numerators / d for the i-th pair (numerators, d), d != 0."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "integer_rows", _square(tuple(_canonical(*r) for r in rows)))
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.integer_rows)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as reduced ``Fraction``s, built on each access."""
+        return tuple(map(self.__getitem__, range(self.dim)))
 
     def __getitem__(self, index: int) -> tuple[Fraction, ...]:
-        return self.rows[index]
+        nums, den = self.integer_rows[index]
+        return tuple(Fraction(x, den) for x in nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return isinstance(other, RationalMatrix) and self.integer_rows == other.integer_rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.integer_rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -54,12 +86,14 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls.from_integer_rows(([int(i == j) for j in range(dim)], 1) for i in range(dim))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return RationalMatrix(_dot_products(self.rows, zip(*other.rows)))
+        den, cols = _common_columns(other.integer_rows)
+        return RationalMatrix.from_integer_rows(
+            ([sum(map(mul, nums, col)) for col in cols], d * den) for nums, d in self.integer_rows)
 
     def power(self, k: int) -> "RationalMatrix":
         if k < 0:
@@ -78,11 +112,13 @@ class RationalMatrix:
             base = base @ base
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.rows))
+        den, cols = _common_columns(self.integer_rows)
+        return RationalMatrix.from_integer_rows((col, den) for col in cols)
 
     def scale(self, factor: Fraction | int) -> "RationalMatrix":
-        factor = Fraction(factor)
-        return RationalMatrix([[factor * x for x in row] for row in self.rows])
+        top, bottom = Fraction(factor).as_integer_ratio()
+        return RationalMatrix.from_integer_rows(
+            ([x * top for x in nums], d * bottom) for nums, d in self.integer_rows)
 
     def row_mul(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """vector @ self for a row vector."""
@@ -92,17 +128,19 @@ class RationalMatrix:
         """self @ vector for a column vector."""
         if len(vector) != self.dim:
             raise ValueError("vector length mismatch")
-        column = [Fraction(v) for v in vector]
-        return tuple(row[0] for row in _dot_products(self.rows, [column]))
+        column, den = integer_row(vector)
+        return tuple(Fraction(sum(map(mul, nums, column)), d * den)
+                     for nums, d in self.integer_rows)
 
     def is_stochastic(self) -> bool:
-        return all(min(row) >= 0 and sum(row) == 1 for row in self.rows)
+        return all(min(nums) >= 0 and sum(nums) == d for nums, d in self.integer_rows)
 
     def is_primitive(self) -> bool:
         """Whether some power of this nonnegative matrix is positive: by Wielandt's bound, power
         (d-1)^2 + 1, taken as a boolean power of the zero pattern with bitmask rows and columns."""
-        cols = [sum(1 << j for j, x in enumerate(col) if x) for col in zip(*self.rows)]
-        reach = [sum(1 << k for k, x in enumerate(row) if x) for row in self.rows]
+        rows = [nums for nums, _ in self.integer_rows]
+        cols = [sum(1 << j for j, x in enumerate(col) if x) for col in zip(*rows)]
+        reach = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
         for _ in range((self.dim - 1) ** 2):
             reach = [sum(1 << k for k, col in enumerate(cols) if r & col) for r in reach]
         return all(r == (1 << self.dim) - 1 for r in reach)
@@ -112,37 +150,21 @@ class RationalMatrix:
         return RationalMatrix(zip(*(solve_linear(self, e) for e in self.identity(self.dim).rows)))
 
 
-def _integer_scaled(vectors: Iterable[Sequence[Fraction]]) -> list:
-    """Each vector as (integer numerators, d) with d the lcm of its denominators."""
-    scaled = []
-    for vector in vectors:
-        den = lcm(*(x.denominator for x in vector))
-        scaled.append(([x.numerator * (den // x.denominator) for x in vector], den))
-    return scaled
-
-
-def _dot_products(rows: Iterable[Sequence[Fraction]], cols: Iterable[Sequence[Fraction]]) -> list:
-    """Exact dot product of every row with every column, one ``Fraction`` each."""
-    cols = _integer_scaled(cols)
-    return [
-        [Fraction(sum(map(mul, row, col)), row_den * col_den) for col, col_den in cols]
-        for row, row_den in _integer_scaled(rows)
-    ]
-
-
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """Solve matrix @ x = rhs exactly; raises ValueError if singular.
 
-    Fraction-free Bareiss elimination (Math. Comp. 22, 1968) on the rows
-    [matrix | rhs], each scaled to integers, divides exactly; its last
-    pivot d is +-det of the scaled matrix.  d x is an integer vector
-    (Cramer), so back-substitution divides exactly too; x_i = Fraction(d x_i, d).
+    With e the lcm of rhs's denominators, row i (numerators / d_i) @ x = rhs_i
+    is numerators @ (e x) = e rhs_i d_i, all integers.  Fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968) on those rows divides exactly; its
+    last pivot d is +-det of the numerators.  d e x is an integer vector
+    (Cramer), so back-substitution divides exactly too; x_i = Fraction(d e x_i, d e).
     """
     dim = matrix.dim
     if len(rhs) != dim:
         raise ValueError("right-hand side length mismatch")
-    work = [nums for nums, _ in _integer_scaled(
-        row + (Fraction(x),) for row, x in zip(matrix.rows, rhs))]
+    e = lcm(*(x.denominator for x in rhs))
+    work = [[*nums, x.numerator * (e // x.denominator) * d]
+            for (nums, d), x in zip(matrix.integer_rows, rhs)]
     det = 1  # leading minor of the columns eliminated so far: the exact divisor
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if work[r][col]), None)
@@ -156,8 +178,8 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple
             row[col + 1:] = [(lead * x - factor * y) // det
                              for x, y in zip(row[col + 1:], top[col + 1:])]
         det = lead
-    scaled = [0] * dim  # det * x, an integer vector
+    scaled = [0] * dim  # det * e * x, an integer vector
     for i in reversed(range(dim)):
         row = work[i]
         scaled[i] = (det * row[dim] - sum(map(mul, row[i + 1:dim], scaled[i + 1:]))) // row[i]
-    return tuple(Fraction(v, det) for v in scaled)
+    return tuple(Fraction(v, det * e) for v in scaled)

@@ -42,16 +42,13 @@ def transition_matrix(params: ProcessParams) -> RationalMatrix:
     for sign -, as in ``step_carry``.
     """
     b, n = params.b, params.n
-    denom = b**n
     targets = ([m * b + b - 1 - i - params.column_shift for m in range(n + 1)]
                for i in params.states)
     tables = ([comb(t + n, n) if t >= 0 else 0 for t in row] for row in targets)
-    rows = []
-    for counts in _signed_binomial_convolution(n, tables):
-        if params.sign == "-":
-            counts.reverse()
-        rows.append([Fraction(x, denom) for x in counts[: params.state_count]])
-    return RationalMatrix(rows)
+    order = -1 if params.sign == "-" else 1  # quotient m is state n - m for sign -
+    return RationalMatrix.from_integer_rows(
+        (counts[::order][: params.state_count], b**n)
+        for counts in _signed_binomial_convolution(n, tables))
 
 
 def transition_oracle(params: ProcessParams) -> RationalMatrix:
@@ -70,8 +67,7 @@ def transition_oracle(params: ProcessParams) -> RationalMatrix:
         for i in params.states:
             j, _ = step_carry(params, i, digits)
             counts[i][j] += ways
-    denom = b**n
-    return RationalMatrix([[Fraction(c, denom) for c in row] for row in counts])
+    return RationalMatrix.from_integer_rows((row, b**n) for row in counts)
 
 
 def right_eigen_oracle(n: int, p) -> RationalMatrix:
@@ -85,20 +81,12 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
     """
     p = Fraction(p)
     dim = check_shape(n, p)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = Fraction(0)
-            for k in range(i, n + 1):
-                for l in range(n - j, k + 1):
-                    term = Fraction(stirling_first(k, l), factorial(k)) / p**l
-                    term *= (-1) ** ((n - j - l) % 2)
-                    term *= comb(l, n - j) * comb(n - i, n - k)
-                    acc += term
-            row.append(acc)
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix(
+        [sum(Fraction(stirling_first(k, l), factorial(k)) / p**l
+             * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
+             for k in range(i, n + 1) for l in range(n - j, k + 1)) for j in range(dim)]
+        for i in range(dim)
+    )
 
 
 def left_eigen_oracle(n: int, p) -> RationalMatrix:
@@ -129,17 +117,16 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
     is a left eigenvector of every valid chain for eigenvalue (+-1/b)^i.
     For p = a/c in lowest terms, p m + 1 = (a m + c)/c, so row i is the
     integers sum_r (-1)^r C(n+1, r) (a(j-r) + c)^(n-i) over c^(n-i): one
-    power table per row, one ``Fraction`` per entry.  ``left_eigen_oracle``
+    power table per row, and one integer row each.  ``left_eigen_oracle``
     sums the same terms as ``Fraction``s to check it.
     """
     p = Fraction(p)
     a, c = p.numerator, p.denominator
     dim = check_shape(n, p)
     powers = ([(a * m + c) ** (n - i) for m in range(dim)] for i in range(dim))
-    return RationalMatrix([
-        [Fraction(x, c ** (n - i)) for x in row]
-        for i, row in enumerate(_signed_binomial_convolution(n, powers))
-    ])
+    return RationalMatrix.from_integer_rows(
+        (row, c ** (n - i)) for i, row in enumerate(_signed_binomial_convolution(n, powers))
+    )
 
 
 def right_eigen_matrix(n: int, p) -> RationalMatrix:
@@ -151,7 +138,7 @@ def right_eigen_matrix(n: int, p) -> RationalMatrix:
     lowest terms, y = (u + c x)/a with u = a(n-i) - c, and expanding each
     (u + c x)^l binomially makes every coefficient an integer over the one
     shared denominator a^n n!.  A row costs O(n^2) integer operations and
-    each entry one ``Fraction``.  ``right_eigen_oracle`` is the double-sum
+    is one integer row.  ``right_eigen_oracle`` is the double-sum
     form it is checked against.
     """
     p = Fraction(p)
@@ -165,15 +152,10 @@ def right_eigen_matrix(n: int, p) -> RationalMatrix:
         [stirling[l] * a ** (n - l) * comb(l, t) for l in range(t, n + 1)]
         for t in range(n + 1)
     ]
-    rows = []
-    for i in range(dim):
-        u = a * (n - i) - c
-        u_powers = [u**k for k in range(n + 1)]
-        rows.append([
-            Fraction(c ** (n - j) * sum(map(mul, shared[n - j], u_powers)), denom)
-            for j in range(dim)
-        ])
-    return RationalMatrix(rows)
+    u_powers = ([(a * (n - i) - c) ** k for k in range(n + 1)] for i in range(dim))
+    return RationalMatrix.from_integer_rows(
+        ([c ** (n - j) * sum(map(mul, shared[n - j], powers)) for j in range(dim)], denom)
+        for powers in u_powers)
 
 
 def eigen_values(params: ProcessParams) -> tuple[Fraction, ...]:
@@ -200,22 +182,23 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
     """
     left = left_eigen_matrix(params.n, params.p)
     right = right_eigen_matrix(params.n, params.p)
-    dim = params.state_count
-    if right @ left != RationalMatrix.identity(dim):
+    if right @ left != RationalMatrix.identity(params.state_count):
         raise RuntimeError(f"R L != I for {params}")
     values = eigen_values(params)
-    # R D L as one product: D only scales the columns of R.
-    right_d = RationalMatrix([[x * v for x, v in zip(row, values)] for row in right.rows])
-    if right_d @ left != transition_matrix(params):
+    # Given R L = I, L P = D L is P = R D L (P = R L P), and D only scales the rows of L.
+    left_d = RationalMatrix.from_integer_rows(
+        ([x * v.numerator for x in nums], d * v.denominator)
+        for v, (nums, d) in zip(values, left.integer_rows))
+    if left @ transition_matrix(params) != left_d:
         raise RuntimeError(f"R D L != P for {params}")
     return EigenSystem(params, left, right, values)
 
 
 def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:
     """Stationary law of the chain: row 0 of L, normalized to sum 1."""
-    row = left_eigen_matrix(params.n, params.p)[0]
+    row, _ = left_eigen_matrix(params.n, params.p).integer_rows[0]
     total = sum(row)
-    return tuple(x / total for x in row)
+    return tuple(Fraction(x, total) for x in row)
 
 
 def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
@@ -230,9 +213,10 @@ def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
 def _stationary_solve(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     """pi with pi P = pi and sum(pi) = 1 for P = ``matrix``, by one exact solve."""
     # Rows of (P^T - I), the last replaced by the equation sum(pi) = 1.
-    rows = [[x - (i == j) for j, x in enumerate(col)] for i, col in enumerate(zip(*matrix.rows))]
-    rows[-1] = [1] * matrix.dim
-    return solve_linear(RationalMatrix(rows), [0] * (matrix.dim - 1) + [1])
+    rows = [([x - d * (i == j) for j, x in enumerate(nums)], d)
+            for i, (nums, d) in enumerate(matrix.transpose().integer_rows)]
+    rows[-1] = ([1] * matrix.dim, 1)
+    return solve_linear(RationalMatrix.from_integer_rows(rows), [0] * (matrix.dim - 1) + [1])
 
 
 def _conjugate_reflection(n: int, p, build, reflect) -> bool:
@@ -245,8 +229,8 @@ def _conjugate_reflection(n: int, p, build, reflect) -> bool:
     if p == 1:
         raise ValueError("p = 1 is self-conjugate in the degenerate sense; no dual matrix")
     conj = p / (p - 1)
-    at_p = build(n, p)
-    at_conj = build(n, conj)
+    at_p = build(n, p).rows
+    at_conj = build(n, conj).rows
     return all(
         at_conj[i][j] == reflect(at_p, i, j, conj / p)
         for i in range(n + 1)
@@ -290,23 +274,23 @@ def symmetry_check(params: ProcessParams) -> dict[str, bool]:
     b, n, p = params.b, params.n, params.p
     results: dict[str, bool] = {}
     matrix = transition_matrix(params)
-    dim = params.state_count
-    cells = [(i, j) for i in range(dim) for j in range(dim)]
     if p in (1, 2):
         plus, minus = (
             matrix if params.sign == sign else transition_matrix(make_process(sign, b, n, p))
             for sign in ("+", "-")
         )
-        # The last state is n - 1 for p = 1 and n for p = 2.
-        last = dim - 1
         if p == 1:
-            results["centro"] = all(plus[i][j] == plus[last - i][last - j] for i, j in cells)
-        results[f"sign-flip-p{p}"] = all(minus[i][j] == plus[i][last - j] for i, j in cells)
+            results["centro"] = plus.integer_rows == _mirrored(plus)[::-1]
+        results[f"sign-flip-p{p}"] = minus.integer_rows == _mirrored(plus)
     if p > 1:
         conj = make_process(params.sign, b, n, p / (p - 1))
-        conj_matrix = transition_matrix(conj)
-        results["conjugate"] = all(matrix[i][j] == conj_matrix[n - i][n - j] for i, j in cells)
+        results["conjugate"] = matrix.integer_rows == _mirrored(transition_matrix(conj))[::-1]
     return results
+
+
+def _mirrored(matrix: RationalMatrix) -> tuple:
+    """The integer rows of ``matrix`` with each row reversed: entry (i, j) at (i, last - j)."""
+    return tuple((nums[::-1], d) for nums, d in matrix.integer_rows)
 
 
 @dataclass(frozen=True)
@@ -328,15 +312,8 @@ def _triangle_row(n: int, stay, step) -> tuple[Fraction, ...]:
     """Row n of w_k(m) = stay(m, k) w_k(m-1) + step(m, k) w_{k-1}(m-1), w_0(0) = 1."""
     row = [Fraction(1)]
     for m in range(1, n + 1):
-        nxt = []
-        for k in range(m + 1):
-            acc = Fraction(0)
-            if k <= m - 1:
-                acc += stay(m, k) * row[k]
-            if 0 <= k - 1 <= m - 1:
-                acc += step(m, k) * row[k - 1]
-            nxt.append(acc)
-        row = nxt
+        row = [(stay(m, k) * row[k] if k < m else 0) + (step(m, k) * row[k - 1] if k else 0)
+               for k in range(m + 1)]
     return tuple(row)
 
 

@@ -53,7 +53,7 @@ from .process import (
     simulate_trace,
     state_count,
 )
-from .ratmat import RationalMatrix, _integer_scaled
+from .ratmat import RationalMatrix, integer_row
 from .shuffle import (
     MultiDigitWord,
     _bijection_stages,
@@ -273,17 +273,17 @@ def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
                 report.add(f"w(0) p={p}", row == (Fraction(1),))
                 continue
             scale = factorial(n) * p**n
-            right = right_eigen_matrix(n, p)
+            top = right_eigen_matrix(n, p)[0]
             if p == 1:
                 # w_0 = 0 and the matrix has only n columns; compare w_1..w_n.
                 ok = row[0] == 0 and all(
-                    row[j] == scale * right[0][n - j] for j in range(1, n + 1)
+                    row[j] == scale * top[n - j] for j in range(1, n + 1)
                 )
                 ok = ok and all(
                     row[j] == abs(stirling_first(n, j)) for j in range(n + 1)
                 )
             else:
-                ok = all(row[j] == scale * right[0][n - j] for j in range(n + 1))
+                ok = all(row[j] == scale * top[n - j] for j in range(n + 1))
             report.add(f"row n={n} p={p}", ok)
     for (n, p), expected in reference.STIRLING_FROBENIUS_ROWS.items():
         got = _integral(stirling_frobenius(n, p))
@@ -296,9 +296,11 @@ def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
 def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
     """Recursion tables against exhaustive descent counting in the group."""
     report = SuiteReport("descent-stats", f"p<={p_max}, n<={n_max}")
-    cells = ((f"n={n} p={p}", group_order(n, p), (n, p))
+    # A letter of the kernel's rank tables takes about two elements' time (2 us vs 1.5 us).
+    cells = ((f"n={n} p={p}", group_order(n, p) + 2 * n * p, (n, p))
              for p in range(1, p_max + 1) for n in range(1, n_max + 1))
-    for n, p in check_grid("the descent-stats grid", cells, ENUMERATION_LIMIT, "group elements"):
+    for n, p in check_grid("the descent-stats grid", cells, ENUMERATION_LIMIT,
+                           "group elements + 2 x letters"):
         standard = _integral(descent_statistics(n, p, "standard"))
         dash = _integral(descent_statistics(n, p, "dash"))
         counts, dash_counts = descent_histograms(n, p)
@@ -381,7 +383,7 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
                     return f"covariance i={i} s={s} r={r}"
     # Stationary law (row 0 of L against the oracle's solve) and pair: the law and
     # mean hold for every chain, second moments only with the quadratic eigenfunction.
-    if _integer_scaled([stationary_distribution(params)])[0] != oracle._law("stationary", 0):
+    if integer_row(stationary_distribution(params)) != oracle._law("stationary", 0):
         return "stationary law"
     st_mean = Fraction(n + 1, 2) - Fraction(1) / params.p
     mean, variance = oracle.law_moments("stationary", 0)
@@ -430,11 +432,11 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
 
 def _exact_kappa_joint(params: ProcessParams, steps: int) -> dict[tuple[int, ...], Fraction]:
     """Exact joint law of the first ``steps`` states, starting from 0."""
-    matrix = transition_matrix(params)
+    rows = transition_matrix(params).rows
     joint: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     for _ in range(steps):
         joint = {path + (j,): prob * q for path, prob in joint.items()
-                 for j, q in enumerate(matrix[path[-1] if path else 0]) if q}
+                 for j, q in enumerate(rows[path[-1] if path else 0]) if q}
     return joint
 
 

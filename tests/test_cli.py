@@ -273,7 +273,9 @@ def test_every_priced_grid_is_priced_before_its_first_case(monkeypatch):
         "the moments grid": (123984, MOMENT_GRID_LIMIT, "units of states^2 x (r+1) x (s+1)"),
         # Sum |G|^2 = 2,413 compositions and sum (n+1)^3 (3+1)^2 = 3,168 identity terms.
         "the gessel grid": (2413 + 3168, ENUMERATION_LIMIT, "compositions and identity terms"),
-        "the descent-stats grid": (153 + 4282 + 31287, ENUMERATION_LIMIT, "group elements"),
+        # Sum |G| = 153 + 4,282 + 31,287 elements and 2 x sum n p = 2 x 90 rank-table letters.
+        "the descent-stats grid": (153 + 4282 + 31287 + 2 * 90, ENUMERATION_LIMIT,
+                                   "group elements + 2 x letters"),
     }
 
 
@@ -494,6 +496,8 @@ OVER_CAP = {
     "transition-grid-summands": (("verify", "transition", "--b", "2", "--n", "40"),
                                  ENUMERATION_LIMIT),
     "gessel-grid-cutoff": (("verify", "gessel", "--cutoff", "100000"), ENUMERATION_LIMIT),
+    "descent-stats-grid-letters": (("verify", "descent-stats", "--n", "1", "--p", "4471"),
+                                   ENUMERATION_LIMIT),
     **{f"grid-n-{suite}": (("verify", suite, "--n", str(GRID_N_LIMIT + 1)), GRID_N_LIMIT)
        for suite in ("eigen", "duality", "sf-numbers")},
     "samples-plus": (("verify", "bijection-plus", "--samples", str(SAMPLE_LIMIT + 1)),

@@ -1,10 +1,13 @@
 """Exact matrix arithmetic."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import carrieslab
 from carrieslab import RationalMatrix
 from carrieslab.ratmat import solve_linear
 
@@ -117,3 +120,60 @@ def test_is_primitive_named_cases():
     wielandt = RationalMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [half, half, 0, 0]])
     assert wielandt.is_primitive()
     assert not _positive(wielandt.power(9)) and _positive(wielandt.power(10))
+
+
+def test_integer_rows_are_canonical_however_they_are_scaled():
+    # One stored form: d > 0 and gcd(d, *numerators) = 1, whatever scaling the rows came in.
+    by_fractions = RationalMatrix([[Fraction(1, 2), Fraction(-3, 4), 0], [0, 0, 0],
+                                   [Fraction(-2, 3), 5, Fraction(1, 6)]])
+    scalings = (
+        [([2, -3, 0], 4), ([0, 0, 0], 7), ([4, -30, -1], -6)],
+        [([6, -9, 0], 12), ([0, 0, 0], -1), ([-8, 60, 2], 12)],
+        [([-2, 3, 0], -4), ([0, 0, 0], 1), ([-4, 30, 1], 6)],
+    )
+    for rows in scalings:
+        scaled = RationalMatrix.from_integer_rows(rows)
+        assert scaled == by_fractions and hash(scaled) == hash(by_fractions)
+        assert scaled.rows == by_fractions.rows
+        assert scaled.integer_rows == (((2, -3, 0), 4), ((0, 0, 0), 1), ((-4, 30, 1), 6))
+    assert all(type(x) is Fraction for row in by_fractions.rows for x in row)
+    with pytest.raises(ValueError):
+        RationalMatrix.from_integer_rows([([1], 0)])
+
+
+def _fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def test_operations_match_a_plain_fraction_fold():
+    rng = Random(11)
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            m, other = _random_matrix(rng, dim), _random_matrix(rng, dim)
+            a, b = [list(row) for row in m.rows], [list(row) for row in other.rows]
+            assert (m @ other).rows == tuple(map(tuple, _fraction_product(a, b)))
+            folded = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+            for k in range(5):
+                assert m.power(k).rows == tuple(map(tuple, folded))
+                folded = _fraction_product(folded, a)
+            assert m.transpose().rows == tuple(zip(*a))
+            factor = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert m.scale(factor).rows == tuple(tuple(factor * x for x in row) for row in a)
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+            try:
+                x = solve_linear(m, rhs)
+            except ValueError:
+                continue
+            assert [row[0] for row in _fraction_product(a, [[v] for v in x])] == rhs
+
+
+def test_no_module_reaches_into_ratmat_privates():
+    # The integer-row format lives in ratmat: no other module imports one of its private names.
+    for path in Path(carrieslab.__file__).parent.glob("*.py"):
+        if path.name == "ratmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ratmat"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "ratmat" and node.attr.startswith("_")), path.name
