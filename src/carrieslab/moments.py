@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
 from .ratmat import RationalMatrix, integer_row
-from .spectral import _stationary_solve, transition_matrix
+from .spectral import proved_stationary_law, transition_matrix
 
 
 def _center(params: ProcessParams, i: int) -> Fraction:
@@ -100,7 +101,7 @@ def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fra
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Moments computed from exact matrix powers, no closed forms involved."""
+    """Moments computed from exact matrix powers and the proved stationary law."""
 
     params: ProcessParams
     start: int | str
@@ -118,13 +119,13 @@ class MomentReport:
 class MomentOracle:
     """Moments of one chain from exact powers of its transition matrix.
 
-    No closed form is involved.  P^k is one ``RationalMatrix`` product on
+    No moment formula is involved.  P^k is one ``RationalMatrix`` product on
     P^(k-1) when that is known.  A law row P^k[i] is that matrix's own integer
-    row; the stationary law and the vector E[state after r | start j] are put
-    in the same form once (``ratmat.integer_row``).  All are cached, so every
-    moment is an integer dot product and one ``Fraction``, and many (start, r, s)
-    queries on one chain cost only its distinct powers.  A start is a state or
-    ``"stationary"``: the law ``stationary_fixed_point`` solves, fixed in k.
+    row; the stationary law is put in that form once (``ratmat.integer_row``);
+    and E[state after r | start j] is P^r's rows times the states.  All are cached,
+    so every moment is an integer dot product and one ``Fraction``, and many
+    (start, r, s) queries on one chain cost only their distinct powers.  A start
+    is a state or ``"stationary"``: row 0 of L once proved P's one fixed law.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -140,7 +141,7 @@ class MomentOracle:
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                self._laws[key] = integer_row(_stationary_solve(self.matrix))
+                self._laws[key] = integer_row(proved_stationary_law(self.matrix, self.params))
             else:
                 check_state(self.params, start)
                 if k not in self._powers:
@@ -160,8 +161,11 @@ class MomentOracle:
         """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary."""
         law, d_s = self._law(start, s)
         if r not in self._mean_after:
-            # E[state after r steps | start j], for each state j.
-            self._mean_after[r] = integer_row(self.law_moments(j, r)[0] for j in range(self.dim))
+            # E[state after r steps | start j] = P^r[j] . (0, 1, ..., dim-1), for each state j.
+            rows = [self._law(j, r) for j in range(self.dim)]
+            den = lcm(*(d for _, d in rows))
+            self._mean_after[r] = (tuple(sum(map(mul, nums, range(self.dim))) * (den // d)
+                                         for nums, d in rows), den)
         after, d_r = self._mean_after[r]
         m1 = sum(map(mul, law, range(self.dim)))
         m_sr = sum(map(mul, law, after))

@@ -52,7 +52,7 @@ ENUMERATION_LIMIT = 10**7
 #: n = 1 about 8 s, n <= 44 at b = 2 about 3.5 s.
 MOMENT_GRID_LIMIT = 125 * 10**3
 #: Summands n_max of the ``verify eigen``, ``duality`` and ``sf-numbers`` grids: at the cap
-#: ``eigen`` takes about 9 s, ``duality`` and ``sf-numbers`` under 1 s.
+#: ``eigen`` takes about 5 s, ``duality`` and ``sf-numbers`` under 1 s.
 GRID_N_LIMIT = 20
 #: Digits a simulated path draws and holds (steps times summands).
 SIMULATE_LIMIT = 10**6

@@ -4,16 +4,17 @@ Multiplication, integer powers, inversion and exact linear solves.  The one
 stored form, ``integer_rows``, holds row i as (numerators, d) with entries
 numerators[j] / d, d > 0 and gcd(d, *numerators) = 1, so equal matrices have
 equal rows.  A product scales the right factor's rows to one common
-denominator; each result row costs one ``gcd``.  Solves run fraction-free
-Bareiss elimination on the integers.  ``Fraction``s are built only where a
-value leaves the type: ``rows``, ``m[i]``, vectors and solutions.
+denominator; each result row costs one ``gcd``.  Solves, which no chain
+computation needs, run fraction-free Bareiss.  ``Fraction``s are built only
+where a value leaves the type: ``rows``, ``m[i]``, vectors and solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 
@@ -136,13 +137,11 @@ class RationalMatrix:
         return all(min(nums) >= 0 and sum(nums) == d for nums, d in self.integer_rows)
 
     def is_primitive(self) -> bool:
-        """Whether some power of this nonnegative matrix is positive: by Wielandt's bound, power
-        (d-1)^2 + 1, taken as a boolean power of the zero pattern with bitmask rows and columns."""
-        rows = [nums for nums, _ in self.integer_rows]
-        cols = [sum(1 << j for j, x in enumerate(col) if x) for col in zip(*rows)]
-        reach = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
-        for _ in range((self.dim - 1) ** 2):
-            reach = [sum(1 << k for k, col in enumerate(cols) if r & col) for r in reach]
+        """Whether some power of this nonnegative matrix is positive: by Wielandt's bound, every
+        power past (d-1)^2, so the zero pattern, as bitmask rows, is squared till it gets there."""
+        reach = [sum(1 << k for k, x in enumerate(nums) if x) for nums, _ in self.integer_rows]
+        for _ in range(((self.dim - 1) ** 2).bit_length()):  # square: OR the rows each reaches
+            reach = [reduce(or_, (x for k, x in enumerate(reach) if r >> k & 1), 0) for r in reach]
         return all(r == (1 << self.dim) - 1 for r in reach)
 
     def inverse(self) -> "RationalMatrix":

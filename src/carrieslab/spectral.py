@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .process import (ProcessParams, check_count, check_shape, enumerate_words, make_process,
                       step_carry)
-from .ratmat import RationalMatrix, solve_linear
+from .ratmat import RationalMatrix
 
 
 def _signed_binomial_convolution(n: int, tables) -> Iterator[list[int]]:
@@ -75,15 +75,16 @@ def right_eigen_oracle(n: int, p) -> RationalMatrix:
 
     Entry (i, j) is
     sum_{k=i}^{n} sum_{l=n-j}^{k} s(k,l) (-1)^(n-j-l) / (k! p^l)
-    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers.  Independent
-    of the generating polynomial ``right_eigen_matrix`` expands; used to
-    check it.
+    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers, each term
+    s(k,l)/(k! p^l) computed once per call.  Independent of the generating
+    polynomial ``right_eigen_matrix`` expands; used to check it.
     """
     p = Fraction(p)
     dim = check_shape(n, p)
+    term = [[Fraction(stirling_first(k, l), factorial(k)) / p**l for l in range(k + 1)]
+            for k in range(n + 1)]
     return RationalMatrix(
-        [sum(Fraction(stirling_first(k, l), factorial(k)) / p**l
-             * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
+        [sum(term[k][l] * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
              for k in range(i, n + 1) for l in range(n - j, k + 1)) for j in range(dim)]
         for i in range(dim)
     )
@@ -202,21 +203,19 @@ def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:
 
 
 def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
-    """Stationary law by exact linear solve of pi P = pi, sum(pi) = 1.
-
-    Independent of the eigenvector formulas; used to check
-    ``stationary_distribution``.
-    """
-    return _stationary_solve(transition_matrix(params))
+    """``stationary_distribution``, proved P's one fixed law by ``proved_stationary_law``."""
+    return proved_stationary_law(transition_matrix(params), params)
 
 
-def _stationary_solve(matrix: RationalMatrix) -> tuple[Fraction, ...]:
-    """pi with pi P = pi and sum(pi) = 1 for P = ``matrix``, by one exact solve."""
-    # Rows of (P^T - I), the last replaced by the equation sum(pi) = 1.
-    rows = [([x - d * (i == j) for j, x in enumerate(nums)], d)
-            for i, (nums, d) in enumerate(matrix.transpose().integer_rows)]
-    rows[-1] = ([1] * matrix.dim, 1)
-    return solve_linear(RationalMatrix.from_integer_rows(rows), [0] * (matrix.dim - 1) + [1])
+def proved_stationary_law(matrix: RationalMatrix, params: ProcessParams) -> tuple[Fraction, ...]:
+    """``stationary_distribution(params)`` once proved P = ``matrix``'s one stationary law: sum 1,
+    fixed by P, and P stochastic and primitive, so 1 is a simple eigenvalue (Kemeny-Snell, *Finite
+    Markov Chains*, 1960).  A failed proof (a broken closed form) raises RuntimeError."""
+    law = stationary_distribution(params)
+    if not (len(law) == matrix.dim and sum(law) == 1 and matrix.is_stochastic()
+            and matrix.is_primitive() and matrix.row_mul(law) == law):
+        raise RuntimeError("stationary law: row 0 of L is not proved P's one fixed law")
+    return law
 
 
 def _conjugate_reflection(n: int, p, build, reflect) -> bool:

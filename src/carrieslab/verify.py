@@ -53,7 +53,7 @@ from .process import (
     simulate_trace,
     state_count,
 )
-from .ratmat import RationalMatrix, integer_row
+from .ratmat import RationalMatrix
 from .shuffle import (
     MultiDigitWord,
     _bijection_stages,
@@ -76,7 +76,6 @@ from .spectral import (
     left_eigen_matrix,
     right_eigen_matrix,
     right_eigen_oracle,
-    stationary_distribution,
     stationary_fixed_point,
     stirling_first,
     stirling_frobenius,
@@ -152,6 +151,14 @@ def _param_key(params: ProcessParams | _Chain) -> str:
     return f"sign={params.sign} b={params.b} n={params.n} p={params.p}"
 
 
+def _refused(compute) -> tuple:
+    """(compute(), "") or (None, its RuntimeError's text): a refused check is a failed case."""
+    try:
+        return compute(), ""
+    except RuntimeError as error:
+        return None, str(error)
+
+
 def _chain_grid(b_max: int, n_max: int) -> Iterator[_Chain]:
     """Every valid chain of both signs, 2 <= b <= b_max and 1 <= n <= n_max, sign-major, then b,
     n and p largest first, unbuilt, so that a grid is priced before any chain is built."""
@@ -195,12 +202,8 @@ def suite_eigen(n_max: int = 6) -> SuiteReport:
             for b in smallest_valid_bases(sign, p):
                 for n in range(1, n_max + 1):
                     params = make_process(sign, b, n, p)
-                    try:
-                        eigen_system(params)  # raises unless R L = I and R D L = P
-                        ok, detail = True, ""
-                    except RuntimeError as exc:
-                        ok, detail = False, str(exc)
-                    report.add(_param_key(params), ok, detail)
+                    _, why = _refused(lambda: eigen_system(params))  # R L = I and R D L = P
+                    report.add(_param_key(params), not why, why)
         for n in range(1, n_max + 1):
             ok = right_eigen_matrix(n, p) == right_eigen_oracle(n, p)
             report.add(f"poly-form n={n} p={p}", ok)
@@ -340,8 +343,8 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
     )
     for params in starmap(make_process, check_grid("the moments grid", cells, MOMENT_GRID_LIMIT,
                                                    "units of states^2 x (r+1) x (s+1)")):
-        why = _moments_failure(params, r_max, s_max)
-        report.add(_param_key(params), not why, why)
+        failure, refusal = _refused(lambda: _moments_failure(params, r_max, s_max))
+        report.add(_param_key(params), not (failure or refusal), failure or refusal)
     if not report.cases:  # an empty grid: the oracle-object spot points must not pass alone
         return report
     # Exercise the public oracle object on a few spot points.
@@ -352,10 +355,9 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
             and rep.variance == variance_conditional(params, 1, 0)
             and rep.covariance == covariance_conditional(params, 1, 1, 0)
         )
-        rep_pi = moments_oracle(params, r=1, start="stationary")
-        st_mean, st_cov = stationary_moments(params, 1)
-        ok = ok and rep_pi.mean == st_mean and rep_pi.covariance == st_cov
-        report.add(f"oracle-object {_param_key(params)}", ok)
+        rep_pi, why = _refused(lambda: moments_oracle(params, r=1, start="stationary"))
+        ok = ok and not why and (rep_pi.mean, rep_pi.covariance) == stationary_moments(params, 1)
+        report.add(f"oracle-object {_param_key(params)}", ok, why)
     return report
 
 
@@ -381,10 +383,8 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
             for s in range(s_max + 1):
                 if oracle.covariance(i, s, r) != covariances[r][s]:
                     return f"covariance i={i} s={s} r={r}"
-    # Stationary law (row 0 of L against the oracle's solve) and pair: the law and
+    # Stationary law (a failed proof raises, and fails the case) and pair: the law and
     # mean hold for every chain, second moments only with the quadratic eigenfunction.
-    if integer_row(stationary_distribution(params)) != oracle._law("stationary", 0):
-        return "stationary law"
     st_mean = Fraction(n + 1, 2) - Fraction(1) / params.p
     mean, variance = oracle.law_moments("stationary", 0)
     if mean != st_mean:
@@ -607,13 +607,10 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport
     for n, p in check_grid("the gessel grid", cells, ENUMERATION_LIMIT,
                            "compositions and identity terms"):
         for d in sorted(descent_histograms(n, p)[0]):
-            try:
-                table = gessel_coefficients(n, p, d, cutoff)
-                total = sum(sum(row) for row in table)
-                report.add(f"n={n} p={p} d={d}", total == group_order(n, p),
-                           f"total {total}")
-            except RuntimeError as exc:
-                report.add(f"n={n} p={p} d={d}", False, str(exc))
+            table, why = _refused(lambda: gessel_coefficients(n, p, d, cutoff))
+            total = sum(sum(row) for row in table or ())
+            report.add(f"n={n} p={p} d={d}", not why and total == group_order(n, p),
+                       why or f"total {total}")
     return report
 
 
@@ -640,10 +637,10 @@ def suite_examples_golden() -> SuiteReport:
          RationalMatrix([[2 * third, third], [third, 2 * third]])),
         ("eigenvalues - b=8 n=3 p=3", eigen_values(make_process("-", 8, 3, 3)),
          (1, Fraction(-1, 8), Fraction(1, 64), Fraction(-1, 512))),
-        # The closed-form stationary law and the linear solve agree with the reference.
+        # The closed-form stationary law, proved P's one fixed law, agrees with the reference.
         *((f"stationary sign={c.sign} b={c.b} n=3 p=2",
-           (stationary_distribution(c), stationary_fixed_point(c)),
-           ((pi_48, 23 * pi_48, 23 * pi_48, pi_48),) * 2) for c in chains),
+           _refused(lambda: stationary_fixed_point(c)),
+           ((pi_48, 23 * pi_48, 23 * pi_48, pi_48), "")) for c in chains),
         ("left row0 n=3 p=1", left_eigen_matrix(3, 1)[0], (1, 4, 1)),
         ("left row0 n=3 p=2", left_eigen_matrix(3, 2)[0], (1, 23, 23, 1)),
         ("window inversion example",

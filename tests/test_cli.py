@@ -1,6 +1,7 @@
 """End-to-end tests of the carries-lab command line harness."""
 
 import argparse
+import functools
 import inspect
 import json
 import signal
@@ -357,16 +358,44 @@ def test_shuffle_refuses_empty_deck_and_unit_base(capsys):
 
 
 def test_verify_failure_exits_one_with_reproduce_line(capsys, monkeypatch):
-    def stub():
-        return SuiteReport("transition", "stub grid",
-                           [SuiteCase("forced", False, "boom")])
+    # A default run of a sampled suite pins its tier's default samples and seed.
+    for suite, line in (("transition", "carries-lab verify transition"),
+                        ("bijection-plus",
+                         "carries-lab verify bijection-plus --samples 1000000 --seed 20240601")):
+        @functools.wraps(cli.SUITES[suite])  # the stub keeps the suite's signature
+        def stub(**options):
+            return SuiteReport(suite, "stub grid", [SuiteCase("forced", False, "boom")])
 
-    monkeypatch.setitem(cli.SUITES, "transition", stub)
-    code, out, err = run(capsys, "verify", "transition")
-    assert code == 1
-    assert "reproduce: carries-lab verify transition" in err
-    obj = json.loads(out)
-    assert obj["passed"] is False and obj["cases"][0]["detail"] == "boom"
+        monkeypatch.setitem(cli.SUITES, suite, stub)
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 1
+        assert f"reproduce: {line}\n" in err
+        obj = json.loads(out)
+        assert obj["passed"] is False and obj["cases"][0]["detail"] == "boom"
+
+
+@pytest.mark.parametrize("keeps_sum", [True, False])
+def test_a_broken_stationary_law_fails_its_cases_and_exits_one(capsys, monkeypatch, tmp_path,
+                                                                keeps_sum):
+    # A shifted row 0 of L fails the proof that it is P's one fixed law: each suite that reads
+    # it reports failed cases and exits 1, whether or not the shift keeps the sum at 1.
+    shift, closed_form = Fraction(1, 10**6), spectral.stationary_distribution
+
+    def shifted(params):
+        pi = closed_form(params)
+        return (pi[0] + shift, *pi[1:-1], pi[-1] - shift * keeps_sum)
+
+    monkeypatch.setattr(spectral, "stationary_distribution", shifted)
+    for suite, must_fail in (("moments", lambda key: True),
+                             ("examples-golden", lambda key: key.startswith("stationary "))):
+        report = tmp_path / f"{suite}.json"
+        code, out, err = run(capsys, "--out", str(report), "verify", suite)
+        assert (code, out) == (1, "")
+        assert f"reproduce: carries-lab verify {suite}\n" in err
+        cases = json.loads(report.read_text())["cases"]
+        failed = [case["key"] for case in cases if not case["ok"]]
+        assert failed == [case["key"] for case in cases if must_fail(case["key"])]
+        assert len(failed) >= {"moments": 280, "examples-golden": 4}[suite]
 
 
 def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):

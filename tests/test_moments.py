@@ -44,7 +44,7 @@ def test_stationary_pair_matches_oracle(sign, b, n, p):
         assert oracle.variance == stationary_moments(params, 0)[1]
 
 
-def test_oracle_solves_the_stationary_law_on_the_matrix_it_holds(monkeypatch):
+def test_oracle_proves_the_stationary_law_on_the_matrix_it_holds(monkeypatch):
     params = make_process("-", 8, 3, 3)
     oracle = MomentOracle(params)
     monkeypatch.setattr(spectral, "transition_matrix", lambda params: pytest.fail("P rebuilt"))

@@ -168,12 +168,14 @@ def test_operations_match_a_plain_fraction_fold():
 
 
 def test_no_module_reaches_into_ratmat_privates():
-    # The integer-row format lives in ratmat: no other module imports one of its private names.
-    for path in Path(carrieslab.__file__).parent.glob("*.py"):
-        if path.name == "ratmat.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ratmat"):
-                assert not [a.name for a in node.names if a.name.startswith("_")], path.name
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                assert not (node.value.id == "ratmat" and node.attr.startswith("_")), path.name
+    # The integer-row format lives in ratmat, and the stationary law's proof in spectral: no
+    # other module imports a private name of either.
+    for owner in ("ratmat", "spectral"):
+        for path in Path(carrieslab.__file__).parent.glob("*.py"):
+            if path.name == f"{owner}.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(owner):
+                    assert not [a.name for a in node.names if a.name.startswith("_")], path.name
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert not (node.value.id == owner and node.attr.startswith("_")), path.name

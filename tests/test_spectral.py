@@ -29,7 +29,7 @@ from carrieslab import (
     transition_matrix,
     transition_oracle,
 )
-from carrieslab import spectral
+from carrieslab import moments, ratmat, spectral, verify
 from carrieslab.process import enumerate_words, step_carry
 from carrieslab.verify import _chain_grid, run_suite
 
@@ -191,6 +191,30 @@ def test_stationary_is_the_fixed_point(sign, b, n, p):
     assert pi == stationary_fixed_point(params)
     matrix = transition_matrix(params)
     assert matrix.row_mul(pi) == pi
+
+
+def test_the_stationary_proof_refuses_a_fixed_law_that_is_not_the_only_one():
+    # (1/2, 1/2) is the stationary law of + b=3 n=1 p=2.  The identity (reducible) and the
+    # 2-cycle (periodic) fix it too, but neither is primitive, so neither pins it.
+    params = make_process("+", 3, 1, 2)
+    half = (Fraction(1, 2),) * 2
+    assert spectral.proved_stationary_law(transition_matrix(params), params) == half
+    for matrix in (RationalMatrix.identity(2), RationalMatrix([[0, 1], [1, 0]])):
+        assert matrix.is_stochastic() and matrix.row_mul(half) == half
+        with pytest.raises(RuntimeError, match="stationary law"):
+            spectral.proved_stationary_law(matrix, params)
+
+
+def test_no_stationary_law_needs_a_linear_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a linear solve ran")
+
+    for module in (ratmat, spectral, moments, verify):
+        monkeypatch.setattr(module, "solve_linear", refuse, raising=False)
+    for suite in ("moments", "examples-golden"):
+        assert run_suite(suite).passed
+    params = make_process("-", 8, 30, 3)  # the largest chain of the large-chain benchmark
+    assert stationary_fixed_point(params) == stationary_distribution(params)
 
 
 def test_dualities_and_their_domain():
