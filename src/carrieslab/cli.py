@@ -371,8 +371,9 @@ def _json_text(value, default, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, default=default)`` lays it out; ``pad`` is
     the newline and indent that the closing bracket of ``value`` follows.
 
-    Plain ints, or nonempty rows (of nonempty rows ...) of them, are joined level by level
-    at C speed; ``json`` itself drops to a Python frame per value whenever it indents.
+    Plain ints, or nonempty rows (of nonempty rows ...) of them, are laid out level by level
+    at C speed, each row by one ``%`` of a printf template for its length; ``json`` itself
+    drops to a Python frame per value whenever it indents.  Each container is one join.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -388,7 +389,7 @@ def _json_text(value, default, pad: str = "\n") -> str:
     if isinstance(value, dict):
         items = (encode_basestring_ascii(key) + ": " + _json_text(item, default, inner)
                  for key, item in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "".join(("{", inner, ("," + inner).join(items), pad, "}"))
     levels, rows = [], value  # levels[d]: every row d + 1 brackets deep, in document order
     kinds = set(map(type, value))
     while kinds <= {list, tuple} and all(rows):
@@ -396,17 +397,18 @@ def _json_text(value, default, pad: str = "\n") -> str:
         kinds = set(map(type, chain.from_iterable(rows)))
         if kinds <= {list, tuple}:
             rows = list(chain.from_iterable(rows))
-    if kinds <= {int}:  # the ints stream through: a list of them would raise the peak RSS
-        items = map(int.__repr__, value)
+    if kinds <= {int}:  # exact ints: "%d" would print True as 1 and 2.5 as 2
+        items = map(int.__repr__, value)  # streamed: a list of them would raise the peak RSS
         for depth in reversed(range(len(levels))):  # each row of a level takes its items
-            below = inner + "  " * (depth + 1)
-            row = "[" + below + "{}" + inner + "  " * depth + "]"
-            groups = (map(map, repeat(int.__repr__), levels[depth]) if depth == len(levels) - 1
-                      else map(islice, repeat(items), map(len, levels[depth])))
-            items = map(row.format, map(("," + below).join, groups))
+            rows, below, row_pad = levels[depth], inner + "  " * (depth + 1), inner + "  " * depth
+            field, args = (("%d", map(tuple, rows)) if depth == len(levels) - 1
+                           else ("%s", map(tuple, map(islice, repeat(items), map(len, rows)))))
+            templates = {k: "[" + below + ("," + below).join([field] * k) + row_pad + "]"
+                         for k in set(map(len, rows))}
+            items = map(str.__mod__, map(templates.__getitem__, map(len, rows)), args)
     else:
         items = (_json_text(item, default, inner) for item in value)
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return "".join(("[", inner, ("," + inner).join(items), pad, "]"))
 
 
 def _render(result, args) -> str:

@@ -121,13 +121,17 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
     power table per row, and one integer row each.  ``left_eigen_oracle``
     sums the same terms as ``Fraction``s to check it.
     """
+    return RationalMatrix.from_integer_rows(_left_integer_rows(n, p))
+
+
+def _left_integer_rows(n: int, p) -> Iterator[tuple[list[int], int]]:
+    """Row i of ``left_eigen_matrix(n, p)`` as its integers over c^(n-i), built when read."""
     p = Fraction(p)
     a, c = p.numerator, p.denominator
     dim = check_shape(n, p)
     powers = ([(a * m + c) ** (n - i) for m in range(dim)] for i in range(dim))
-    return RationalMatrix.from_integer_rows(
-        (row, c ** (n - i)) for i, row in enumerate(_signed_binomial_convolution(n, powers))
-    )
+    for i, row in enumerate(_signed_binomial_convolution(n, powers)):
+        yield row, c ** (n - i)
 
 
 def right_eigen_matrix(n: int, p) -> RationalMatrix:
@@ -197,7 +201,7 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
 
 def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:
     """Stationary law of the chain: row 0 of L, normalized to sum 1."""
-    row, _ = left_eigen_matrix(params.n, params.p).integer_rows[0]
+    row, _ = next(_left_integer_rows(params.n, params.p))
     total = sum(row)
     return tuple(Fraction(x, total) for x in row)
 
@@ -338,8 +342,8 @@ def descent_statistics(n: int, p, variant: str = "standard") -> StatTable:
     p = Fraction(p)
     check_count("colors p", p.numerator if p.denominator == 1 else p)
     if variant == "standard":
-        top = left_eigen_matrix(n, p)[0]
-        return StatTable(n, p, "descents", top)
+        row, den = next(_left_integer_rows(n, p))
+        return StatTable(n, p, "descents", tuple(Fraction(x, den) for x in row))
     if variant != "dash":
         raise ValueError(f"unknown variant {variant!r}")
     row = _triangle_row(n, lambda m, k: p * k + p - 1, lambda m, k: p * (m - k) + 1)

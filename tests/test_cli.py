@@ -2,10 +2,13 @@
 
 import argparse
 import functools
+import gc
 import inspect
 import json
 import signal
+import sys
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,6 @@ from carrieslab.process import (
     make_process,
     state_count,
 )
-from carrieslab.ratmat import RationalMatrix
 from carrieslab.shuffle import (
     MultiDigitWord,
     bijection_minus,
@@ -402,13 +404,13 @@ def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
     # A broken recursion is an internal failure, not bad input: each suite names the
     # cases that read the non-integer table and exits 1, never 2.
     shift = Fraction(1, 10**6)
-    left, frobenius = spectral.left_eigen_matrix, verify.stirling_frobenius
+    left, frobenius = spectral._left_integer_rows, verify.stirling_frobenius
 
-    def shifted_left(n, p):
-        matrix = left(n, p)
-        if (n, p) != (2, 2):
-            return matrix
-        return RationalMatrix([[v + shift for v in row] for row in matrix.rows])
+    def shifted_left(n, p):  # every entry of L(2, 2) up by shift, as integer rows
+        for nums, den in left(n, p):
+            if (n, p) == (2, 2):
+                nums, den = [x * shift.denominator + den for x in nums], den * shift.denominator
+            yield nums, den
 
     def shifted_frobenius(n, p):
         table = frobenius(n, p)
@@ -416,7 +418,7 @@ def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
             return table
         return replace(table, values=tuple(v + shift for v in table.values))
 
-    monkeypatch.setattr(spectral, "left_eigen_matrix", shifted_left)
+    monkeypatch.setattr(spectral, "_left_integer_rows", shifted_left)
     monkeypatch.setattr(verify, "stirling_frobenius", shifted_frobenius)
     for suite, failed in (("descent-stats", ["dash n=2 p=2", "standard n=2 p=2"]),
                           ("sf-numbers", ["reference row n=3 p=2", "row n=3 p=2"])):
@@ -1164,6 +1166,11 @@ def rendered(argv):
     return result[0], cli._render(result, args)
 
 
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
 RENDER_SHAPES = {
     "empties": [[], (), {}, [[], ()], {"a": [], "b": {}, "c": ()}, [[[]]], [{}], ((), (1,))],
     "bools-and-ints": [True, 1, 0, False],
@@ -1182,6 +1189,12 @@ RENDER_SHAPES = {
     "deep-rows-with-an-empty-one": [[[1, 2], [3]], [[4], []]],
     "deep-rows-with-a-bool": [[(1, 0), (2, True)], [(3, 4)]],
     "mixed-rows": [(1, "a"), [2, None], (Fraction(1, 2), 3)],
+    "int-rows-with-a-float": [(1, 2.5), (3, 4)],
+    "int-enum-row": [(Colour.RED, Colour.BLUE), (1, 2)],
+    "list-and-tuple-rows": [[1, 2], (3, 4), [5]],
+    "uniform-depth-three": [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10], [11, -12]]],
+    "a-300-int-row": [list(range(-150, 150))],
+    "rows-of-lengths-one-to-six": [tuple(range(k, 2 * k)) for k in (3, 1, 6, 2, 5, 4)],
     "deep": {"a": {"b": [{"c": [[1, [2, [3]]]]}]}},
 }
 
@@ -1239,3 +1252,29 @@ def test_rendering_never_reaches_the_pure_python_encoder(capsys, monkeypatch):
     assert (code, len(out), err) == (0, 11_600_181, "")
     for argv, expected in PINNED_OUTPUTS:
         assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_rendering_makes_no_python_call_per_row():
+    # Python frames entered while a result renders: a fixed count at every size means
+    # every row, however many, is laid out by C code alone.  The collector stays off, so
+    # no finalizer of an earlier test's garbage runs in between.
+    def python_calls(argv):
+        args = cli.build_parser().parse_args(argv)
+        result = getattr(cli, f"cmd_{args.command}")(args)
+        calls = []
+        previous = sys.getprofile()
+        gc.collect()
+        gc.disable()
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(None))
+        try:
+            cli._render(result, args)
+        finally:
+            sys.setprofile(previous)
+            gc.enable()
+        return len(calls)
+
+    chain = ("--sign", "+", "--b", "7", "--n", "10", "--p", "3", "--seed", "5")
+    cards = ("--sign", "+", "--b", "4", "--n", "4", "--p", "3", "--seed", "5")
+    for command, flags in (("simulate", chain), ("shuffle", cards)):
+        counts = [python_calls([command, *flags, "--N", size]) for size in ("10", "10000")]
+        assert counts[0] == counts[1] > 0, (command, counts)

@@ -2,9 +2,11 @@
 the closed-form transition matrix against enumeration and P = R D L,
 integer-row matrix products against schoolbook ``Fraction`` sums, exact
 solves and inverses against their residuals, primitivity on the zero pattern
-against a positive Wielandt power, and the round trips of digit expansions
-and of the star and bar maps."""
+against a positive Wielandt power, the round trips of digit expansions
+and of the star and bar maps, and the CLI's JSON renderer against ``json.dumps``."""
 
+import argparse
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -35,7 +37,7 @@ from carrieslab import (
     unbar_map,
     unstar_map,
 )
-from carrieslab import shuffle
+from carrieslab import cli, shuffle
 from carrieslab.ratmat import solve_linear
 
 BOUNDED = settings(derandomize=True, deadline=None)
@@ -316,3 +318,34 @@ def nonnegative_matrices(draw):
 def test_primitivity_is_a_positive_wielandt_power(matrix):
     power = matrix.power((matrix.dim - 1) ** 2 + 1)
     assert matrix.is_primitive() == all(x > 0 for row in power.rows for x in row)
+
+
+@st.composite
+def json_leaves(draw):
+    """Mostly ints (small, negative or near 10^40), now and then a bool or a float."""
+    pick = draw(st.integers(0, 49))
+    if pick == 0:
+        return draw(st.booleans())
+    if pick == 1:
+        return draw(st.floats())
+    return draw(st.one_of(st.integers(-9, 9), st.integers(-10**4, 10**4),
+                          st.integers(10**40 - 9, 10**40 + 9), st.integers(-10**40 - 9, -10**40)))
+
+
+@st.composite
+def nested_rows(draw, depth):
+    """A leaf at depth 0, else a list or tuple of up to 4 rows one level less deep (empty
+    rows included), whose first row is now and then a leaf instead (ragged depth)."""
+    if depth == 0:
+        return draw(json_leaves())
+    rows = draw(st.lists(nested_rows(depth - 1), max_size=4))
+    if rows and draw(st.integers(0, 19)) == 0:
+        rows[0] = draw(json_leaves())
+    return draw(st.sampled_from((list, tuple)))(rows)
+
+
+@settings(BOUNDED, max_examples=200)
+@given(st.integers(0, 4).flatmap(nested_rows))
+def test_the_renderer_writes_what_json_dumps_writes(obj):
+    args = argparse.Namespace(format="json", as_float=False, digits=12, command="test")
+    assert cli._render((obj, ()), args) == json.dumps(obj, indent=2) + "\n"
