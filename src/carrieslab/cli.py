@@ -17,9 +17,10 @@ import inspect
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
+from .colored import ColoredPermutation
 from .moments import (
     covariance_conditional,
     has_quadratic_eigenfunction,
@@ -241,14 +242,9 @@ def cmd_simulate(args):
         "remainders": trace.remainders,
         "summand_digits": trace.summand_digits,
     }
-
-    def rows():
-        yield "step", "kappa", "remainder", "digits"
-        for step in range(trace.steps):
-            digits = " ".join(str(x) for x in trace.summand_digits[step])
-            yield step + 1, trace.kappas[step + 1], trace.remainders[step], digits
-
-    return obj, rows()
+    digits = map(" ".join, map(map, repeat(str), trace.summand_digits))
+    return obj, chain([("step", "kappa", "remainder", "digits")],
+                      zip(count(1), islice(trace.kappas, 1, None), trace.remainders, digits))
 
 
 def cmd_shuffle(args):
@@ -266,14 +262,10 @@ def cmd_shuffle(args):
         "elements": [e.pairs for e in trace.elements],
         "descents": trace.descents,
     }
-
-    def rows():
-        yield "step", "descent", "word", "element"
-        for step in range(len(trace.words)):
-            word = " ".join(str(x) for x in trace.words[step])
-            yield step + 1, trace.descents[step], word, trace.elements[step].to_text()
-
-    return obj, rows()
+    words = map(" ".join, map(map, repeat(str), trace.words))
+    return obj, chain([("step", "descent", "word", "element")],
+                      zip(count(1), trace.descents, words,
+                          map(ColoredPermutation.to_text, trace.elements)))
 
 
 def cmd_digits(args):
@@ -289,7 +281,7 @@ def cmd_digits(args):
         "value": check,
     }
     rows = [item for item in obj.items() if item[0] != "digits"]
-    rows.append(("digits", " ".join(str(a) for a in digits)))
+    rows.append(("digits", " ".join(map(str, digits))))
     return obj, rows
 
 
@@ -435,11 +427,11 @@ def _render(result, args) -> str:
                              f"{sys.get_int_max_str_digits()} digits as num/den; "
                              "print it with --float") from None
 
+    def cell(value):
+        return rational(value) if type(value) is Fraction else str(value)
+
     if args.format == "csv":
-        return "".join(
-            ",".join(rational(x) if isinstance(x, Fraction) else str(x) for x in row) + "\n"
-            for row in rows
-        )
+        return "".join(map("%s\n".__mod__, map(",".join, map(map, repeat(cell), rows))))
     return _json_text(obj, rational) + "\n"
 
 

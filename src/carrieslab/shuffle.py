@@ -206,43 +206,38 @@ def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list, list[int]]
     """The trace engine: words in application order -> (window after each step, step values).
 
     Factors and values follow the sign rule described on ``ShuffleTrace``.  Letter (k, c)
-    has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes,
-    else its pairs.  A factor (per word and negation) steps by ``_compose_pairs`` until it
-    has driven p steps of byte windows; then it becomes the 256-byte table of its image of
-    each letter, about the cost of p steps, and steps by ``bytes.translate``: words that
-    repeat run at C speed, and words that rarely do never pay for a table.  Factors, tables
-    and values are memoised while the returned callable lives; nothing is built before the
-    first word.
+    has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes and
+    a factor is its translation table: the images of every letter, position by position,
+    padded to 256 bytes, so each step is one ``bytes.translate``.  A position's p images
+    come from ``_compose_pairs`` on that position's one letter, once per distinct letter.
+    Past 256 letters windows are pairs and step by ``_compose_pairs``.  Factors (per word
+    and negation), letter images and values (per window) are memoised while the returned
+    callable lives; nothing is built before the first word.
     """
     coded = n * p <= 256
-    letters = cache(lambda: _window_pairs(bytes(range(n * p)), p))  # with the first table
-    # Phases (negate, dash, factor memo, uses, value memo), cycled over the steps.
-    phases = ([(False, False, {}, {}, {})] if sign == "+"
-              else [(False, True, {}, {}, {}), (True, False, {}, {}, {})])
+    block = cache(lambda letter: _window_code(
+        _compose_pairs((letter,), [(1, c) for c in range(p)], p), p))
+    # Phases (negate, dash, factor memo, value memo), cycled over the steps.
+    phases = ([(False, False, {}, {})] if sign == "+"
+              else [(False, True, {}, {}), (True, False, {}, {})])
 
     def run(words: Iterable[tuple[int, ...]]) -> tuple[list, list[int]]:
-        windows, steps, current, pairs = [], [], None, None  # pairs: current's, if known
-        for word, (negate, dash, built, uses, seen) in zip(words, cycle(phases)):
+        windows, steps, current = [], [], None
+        for word, (negate, dash, built, seen) in zip(words, cycle(phases)):
             factor = built.get(word)
             if factor is None:
                 sigma = gsr_to_permutation(word, p)
-                factor = built[word] = (negate_colors(sigma) if negate else sigma).pairs
-            if type(factor) is bytes:  # the factor's own window is its images of (k, 0)
-                current = factor[: n * p : p] if current is None else current.translate(factor)
-                pairs = None
-            else:
-                pairs = (_compose_pairs(factor, pairs or _window_pairs(current, p), p)
-                         if current else factor)
-                current = pairs
+                factor = (negate_colors(sigma) if negate else sigma).pairs
                 if coded:
-                    current = _window_code(pairs, p)
-                    uses[word] = used = uses.get(word, 0) + 1
-                    if used == p:  # every letter's image, padded to a translation table
-                        table = _compose_pairs(factor, letters(), p)
-                        built[word] = _window_code(table, p).ljust(256, b"\0")
+                    factor = b"".join(map(block, factor)).ljust(256, b"\0")
+                built[word] = factor
+            if current is None:  # a table's own window is its images of each (k, 0)
+                current = factor[: n * p : p] if coded else factor
+            else:
+                current = current.translate(factor) if coded else _compose_pairs(factor, current, p)
             value = seen.get(current)
             if value is None:
-                pairs = pairs or _window_pairs(current, p)
+                pairs = _window_pairs(current, p)
                 value = n - _descents(pairs, p, dash=True) if dash else _descents(pairs, p)
                 seen[current] = value
             windows.append(current)
@@ -269,6 +264,7 @@ def trace_from_words(
     check_sign(sign)
     check_base(b)
     check_count("cards n", n)
+    check_count("colors p", p)
     frozen = tuple(tuple(int(x) for x in w) for w in words)
     check_words(frozen, b, n)
     windows, descents = _composer(n, p, sign)(frozen)
@@ -284,6 +280,7 @@ def sample_sequence(
     ``draw_words(seed, b, n)``."""
     check_steps(steps, what="shuffle count")
     check_count("cards n", n)
+    check_count("colors p", p)
     check_limit("a shuffle sequence", steps * n, SHUFFLE_LIMIT, "digits (shuffles x cards)")
     return trace_from_words(b, n, p, tuple(islice(draw_words(seed, b, n), steps)), sign)
 

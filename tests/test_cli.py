@@ -3,6 +3,7 @@
 import argparse
 import functools
 import gc
+import hashlib
 import inspect
 import json
 import signal
@@ -1150,6 +1151,28 @@ PINNED_OUTPUTS = [
 def test_output_bytes_are_pinned(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+# sha256 of the JSON of long default-seed `shuffle` traces, where words repeat many times:
+# high and low reuse, exactly 256 letters, sign -, and letters past 256 (pairs).
+PINNED_SHUFFLE_DIGESTS = [
+    (["--b", "4", "--n", "4", "--p", "3", "--N", "2000"],
+     "c1f9b2c89cf44981a13fede02e3079d6ad097c921fdf7bbe88343d56b7bb7040"),
+    (["--b", "17", "--n", "4", "--p", "16", "--N", "2000"],
+     "149e4de33e1a677e47f2ad2198c0bd69260a2bba3f2633a923e4c25bd1882aaa"),
+    (["--b", "129", "--n", "2", "--p", "128", "--N", "2000"],
+     "151f4a9c049451f89e99bb5097880769f3298a55a258591191ae22aecdd15018"),
+    (["--sign", "-", "--b", "5", "--n", "3", "--p", "3", "--N", "2000"],
+     "49fc5adf888e3d0f2dd712aa7a433963c11572f6f3dfc621afe65d1a0d3a282c"),
+    (["--b", "3000", "--n", "2", "--p", "2999", "--N", "500"],
+     "456c36ac145d2b8b26ce8dc63836517ecd61ee41ac4b75a5a1cf3d61a801f9fd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SHUFFLE_DIGESTS)
+def test_long_shuffle_traces_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "shuffle", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 def json_dumps_text(obj, as_float=False, digits=12):

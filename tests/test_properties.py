@@ -134,23 +134,35 @@ def test_trace_folds_the_group_law_in_both_window_forms(case):
 
 
 @pytest.mark.parametrize("sign, b, n, p", [("+", 7, 3, 3), ("-", 5, 3, 3), ("+", 17, 4, 16)])
-def test_a_factor_becomes_a_table_once_it_has_driven_p_steps(monkeypatch, sign, b, n, p):
-    # Each word drives pair steps until its p-th use builds its table over all n p letters;
-    # a word used fewer than p times never pays for one.  Both kinds of step fold alike.
-    tables, real = [], shuffle._compose_pairs
+def test_a_factor_is_a_table_of_one_letter_blocks_from_its_first_use(monkeypatch, sign, b, n, p):
+    # Each word becomes a permutation once per phase, and its table joins the images of one
+    # letter at a time, each composed once, so an engine makes at most n p compositions.
+    # Words used any number of times fold like the group law.
+    factors, blocks = [], []
+    real_factor, real_compose = shuffle.gsr_to_permutation, shuffle._compose_pairs
 
-    def counted(tau_pairs, sigma_pairs, p):
-        if len(sigma_pairs) == n * p:
-            tables.append(tau_pairs)
-        return real(tau_pairs, sigma_pairs, p)
+    def counted_factor(word, p):
+        factors.append(word)
+        return real_factor(word, p)
 
-    monkeypatch.setattr(shuffle, "_compose_pairs", counted)
+    def counted_compose(tau_pairs, sigma_pairs, p):
+        blocks.append((tuple(tau_pairs), tuple(sigma_pairs)))
+        return real_compose(tau_pairs, sigma_pairs, p)
+
+    monkeypatch.setattr(shuffle, "gsr_to_permutation", counted_factor)
+    monkeypatch.setattr(shuffle, "_compose_pairs", counted_compose)
+    phases = 1 if sign == "+" else 2
+    one_position = tuple((1, c) for c in range(p))
     pair = [tuple(range(n)), tuple(b - 1 - i % b for i in range(n))]
-    for uses, built in ((p - 1, 0), (p + 2, 2)):
-        tables.clear()
-        trace = trace_from_words(b, n, p, pair * uses, sign)
-        assert len(tables) == built
-        assert (trace.elements, trace.descents) == folded_trace(sign, n, p, pair * uses)
+    for uses in (1, p - 1, p + 2):
+        factors.clear()
+        blocks.clear()
+        words = pair * uses
+        trace = trace_from_words(b, n, p, words, sign)
+        assert len(factors) == len({(word, i % phases) for i, word in enumerate(words)})
+        assert all(len(tau) == 1 and sigma == one_position for tau, sigma in blocks)
+        assert len(blocks) == len({tau for tau, _ in blocks}) <= n * p
+        assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
 
 
 @BOUNDED

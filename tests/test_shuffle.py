@@ -117,6 +117,14 @@ def test_trace_refuses_empty_deck_and_unit_base():
         trace_from_words(1, 2, 1, [(0, 0)], "+")
 
 
+@pytest.mark.parametrize("p", [0, -4, 2.5])
+def test_traces_refuse_a_bad_color_count_with_no_words(p):
+    with pytest.raises(ValueError, match="colors p"):
+        trace_from_words(3, 2, p, [])
+    with pytest.raises(ValueError, match="colors p"):
+        shuffle.sample_sequence(3, 2, p, 0)
+
+
 def test_bijection_plus_tracks_carries():
     b, n, p, places = 4, 2, 3, 3
     params = make_process("+", b, n, p)
