@@ -32,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 SIGNS = ("+", "-")
@@ -107,26 +107,29 @@ def draw_words(seed: int, b: int, length: int) -> Iterator[tuple[int, ...]]:
 
     So the top byte of each output, shifted right by 8 - k, is one draw; a
     ``bytes.translate`` deletes the redrawn ones and maps the rest to digits.
-    Outputs drawn past the last digit used only advance a generator no one
-    else holds.
+    Each refill's whole words come out of one ``zip``, chained, so a word costs
+    no Python frame.  Outputs drawn past the last digit used only advance a
+    generator no one else holds.
     """
     check_base(b)
     rng = random.Random(seed)
     if b >= 256 or length == 0:
         draw = rng.randrange
-        while True:
-            yield tuple([draw(b) for _ in range(length)])
+        return (tuple([draw(b) for _ in range(length)]) for _ in repeat(None))
     shift = 8 - b.bit_length()
     table = bytes(x >> shift for x in range(256))
     redrawn = bytes(x for x in range(256) if x >> shift >= b)
-    digits = b""
-    while True:
-        while len(digits) < length:
+
+    def refills() -> Iterator[Iterator[tuple[int, ...]]]:
+        digits = b""
+        while True:
             top = rng.getrandbits(32 * 4096).to_bytes(4 * 4096, "little")[3::4]
             digits += top.translate(table, redrawn)
-        whole = len(digits) - len(digits) % length
-        yield from zip(*[iter(digits[:whole])] * length)
-        digits = digits[whole:]
+            whole = len(digits) - len(digits) % length
+            yield zip(*[iter(digits[:whole])] * length)
+            digits = digits[whole:]
+
+    return chain.from_iterable(refills())
 
 
 def check_sign(sign: str) -> None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import cycle, islice
+from functools import cache, cached_property
+from itertools import accumulate, cycle, islice, repeat
 from math import comb
-from typing import Callable, Iterable, Sequence
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .colored import (
     ColoredPermutation,
@@ -202,49 +203,88 @@ class ShuffleTrace:
     descents: tuple[int, ...]
 
 
-def _composer(n: int, p: int, sign: str) -> Callable[..., tuple[list, list[int]]]:
-    """The trace engine: words in application order -> (window after each step, step values).
+class _Memo(dict):
+    """A memo whose misses ``build`` fills in; a hit is a plain ``dict`` lookup, in C."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _composer:
+    """The trace engine: words in application order -> windows after each step, and values.
 
     Factors and values follow the sign rule described on ``ShuffleTrace``.  Letter (k, c)
     has the code (k - 1) p + c.  While n p <= 256 a window is the ``bytes`` of its codes and
     a factor is its translation table: the images of every letter, position by position,
     padded to 256 bytes, so each step is one ``bytes.translate``.  A position's p images
     come from ``_compose_pairs`` on that position's one letter, once per distinct letter.
-    Past 256 letters windows are pairs and step by ``_compose_pairs``.  Factors (per word
-    and negation), letter images and values (per window) are memoised while the returned
-    callable lives; nothing is built before the first word.
+    Past 256 letters windows are pairs and step by ``_compose_pairs``.  Every stack starts
+    from the identity window, whose image under a table is the table's own window.
+
+    Each phase holds a factor memo (per word) and a value memo (per window), filled on a
+    miss while the engine lives, so a repeated word or window costs one ``dict`` lookup.
+    The engine steps that one rule by two drivers: calling it runs one stack as a lazy
+    ``accumulate`` and ``step_values`` maps its windows to values; ``columns`` runs a batch
+    of stacks one step column at a time.  Nothing sized by n or p is built before the
+    first word.
     """
-    coded = n * p <= 256
-    block = cache(lambda letter: _window_code(
-        _compose_pairs((letter,), [(1, c) for c in range(p)], p), p))
-    # Phases (negate, dash, factor memo, value memo), cycled over the steps.
-    phases = ([(False, False, {}, {})] if sign == "+"
-              else [(False, True, {}, {}), (True, False, {}, {})])
 
-    def run(words: Iterable[tuple[int, ...]]) -> tuple[list, list[int]]:
-        windows, steps, current = [], [], None
-        for word, (negate, dash, built, seen) in zip(words, cycle(phases)):
-            factor = built.get(word)
-            if factor is None:
+    def __init__(self, n: int, p: int, sign: str) -> None:
+        self.n, self.p, self.coded = n, p, n * p <= 256
+        self.step = bytes.translate if self.coded else self._compose
+        block = cache(lambda letter: _window_code(
+            _compose_pairs((letter,), [(1, c) for c in range(p)], p), p))
+
+        def factor(negate: bool) -> Callable:
+            def build(word: tuple[int, ...]) -> bytes | Pairs:
                 sigma = gsr_to_permutation(word, p)
-                factor = (negate_colors(sigma) if negate else sigma).pairs
-                if coded:
-                    factor = b"".join(map(block, factor)).ljust(256, b"\0")
-                built[word] = factor
-            if current is None:  # a table's own window is its images of each (k, 0)
-                current = factor[: n * p : p] if coded else factor
-            else:
-                current = current.translate(factor) if coded else _compose_pairs(factor, current, p)
-            value = seen.get(current)
-            if value is None:
-                pairs = _window_pairs(current, p)
-                value = n - _descents(pairs, p, dash=True) if dash else _descents(pairs, p)
-                seen[current] = value
-            windows.append(current)
-            steps.append(value)
-        return windows, steps
+                pairs = (negate_colors(sigma) if negate else sigma).pairs
+                return b"".join(map(block, pairs)).ljust(256, b"\0") if self.coded else pairs
+            return build
 
-    return run
+        def value(dash: bool) -> Callable:
+            def build(window: bytes | Pairs) -> int:
+                pairs = _window_pairs(window, p)
+                return n - _descents(pairs, p, dash=True) if dash else _descents(pairs, p)
+            return build
+
+        # The phases (negate, dash), cycled over the steps, as factor memos and value memos.
+        phases = [(False, False)] if sign == "+" else [(False, True), (True, False)]
+        self.factors = [_Memo(factor(negate)) for negate, _ in phases]
+        self.values = [_Memo(value(dash)) for _, dash in phases]
+
+    def _compose(self, window: Pairs, factor: Pairs) -> Pairs:
+        return _compose_pairs(factor, window, self.p)
+
+    @cached_property
+    def identity(self) -> bytes | Pairs:
+        n, p = self.n, self.p
+        return bytes(range(0, n * p, p)) if self.coded else tuple((k, 0) for k in range(1, n + 1))
+
+    def __call__(self, words: Iterable[tuple[int, ...]]) -> Iterator[bytes | Pairs]:
+        """One stack: the window after each step of ``words``, in application order."""
+        steps = map(getitem, cycle(self.factors), words)
+        return islice(accumulate(steps, self.step, initial=self.identity), 1, None)
+
+    def step_values(self, windows: Iterable[bytes | Pairs]) -> Iterator[int]:
+        """The step values of one stack's windows, in step order."""
+        return map(getitem, cycle(self.values), windows)
+
+    def columns(self, columns: Sequence[Sequence[tuple[int, ...]]]) -> tuple[list, list[list[int]]]:
+        """A batch of equal-length stacks of one or more words, ``columns[r]`` holding word
+        r + 1 of each stack: the windows after the last step and each step's values."""
+        windows, values = repeat(self.identity), []
+        for column, factors, seen in zip(columns, cycle(self.factors), cycle(self.values)):
+            windows = list(map(self.step, windows, map(factors.__getitem__, column)))
+            values.append(list(map(seen.__getitem__, windows)))
+        return windows, values
 
 
 def _window_code(pairs: Pairs, p: int) -> bytes:
@@ -267,10 +307,11 @@ def trace_from_words(
     check_count("colors p", p)
     frozen = tuple(tuple(int(x) for x in w) for w in words)
     check_words(frozen, b, n)
-    windows, descents = _composer(n, p, sign)(frozen)
+    run = _composer(n, p, sign)
+    windows = list(run(frozen))
     distinct = {w: ColoredPermutation(n, p, _window_pairs(w, p)) for w in dict.fromkeys(windows)}
     return ShuffleTrace(b, n, p, sign, frozen, tuple(map(distinct.__getitem__, windows)),
-                        tuple(descents))
+                        tuple(run.step_values(windows)))
 
 
 def sample_sequence(

@@ -12,8 +12,8 @@ import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, starmap
-from math import comb, factorial
+from itertools import chain, islice, starmap
+from math import ceil, comb, factorial, log
 from typing import Iterator
 
 from . import reference
@@ -86,6 +86,11 @@ from .spectral import (
 
 #: Version of every JSON and CSV report layout.
 SCHEMA_VERSION = 1
+#: Word stacks the trace engine's column driver runs at once: the sampled tiers at 4096 held
+#: about 2.3 MiB more than at 256 and ran no faster.
+STACK_BATCH = 256
+#: The total-variation distance a sampled tier's empirical law must stay under.
+TV_BOUND = Fraction(1, 50)
 _Chain = namedtuple("_Chain", "sign b n p")  # an unbuilt chain: make_process(*chain) builds it
 
 
@@ -448,6 +453,16 @@ def _total_variation(
                Fraction(0)) / 2
 
 
+def _stack_batches(run, words: Iterator[tuple[int, ...]], steps: int,
+                   stacks: int) -> Iterator[tuple[list, list[list[int]]]]:
+    """``stacks`` stacks, each the next ``steps`` words of ``words``, run through the trace
+    engine ``run`` ``STACK_BATCH`` stacks at a time; yields each batch's last windows and
+    step-value columns, stack by stack."""
+    for start in range(0, stacks, STACK_BATCH):
+        block = list(islice(words, steps * min(STACK_BATCH, stacks - start)))
+        yield run.columns([block[r::steps] for r in range(steps)])
+
+
 def _sample_descent_joint(
     b: int, n: int, p: int, steps: int, samples: int, seed: int, sign: str
 ) -> Counter:
@@ -455,23 +470,25 @@ def _sample_descent_joint(
 
     Each sample is the next ``steps`` words of the one stream
     ``draw_words(seed, b, n)``; every sample runs on one trace engine, the
-    one ``trace_from_words`` runs.
+    one ``trace_from_words`` runs, ``STACK_BATCH`` samples at a time.
     """
-    words = draw_words(seed, b, n)
-    run = _composer(n, p, sign)
-    return Counter(tuple(run(islice(words, steps))[1]) for _ in range(samples))
+    counts: Counter = Counter()
+    for _, values in _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), steps,
+                                    samples):
+        counts.update(zip(*values))
+    return counts
 
 
 def _word_stack_law(run, b: int, n: int, p: int, steps: int) -> tuple[Counter, Counter]:
     """Counts of the final window (as pairs) and of the step values over every stack of
     ``steps`` words in {0..b-1}^n, each stack run through the trace engine ``run``."""
+    digits = chain.from_iterable(enumerate_words(
+        f"enumerating {steps}-word stacks at b={b} n={n}", b, n * steps, "word stacks"))
     windows: Counter = Counter()
     values: Counter = Counter()
-    for flat in enumerate_words(f"enumerating {steps}-word stacks at b={b} n={n}", b, n * steps,
-                                "word stacks"):
-        after, step_values = run([flat[r * n : (r + 1) * n] for r in range(steps)])
-        windows[after[-1]] += 1
-        values[tuple(step_values)] += 1
+    for last, columns in _stack_batches(run, zip(*[digits] * n), steps, b ** (n * steps)):
+        windows.update(last)
+        values.update(zip(*columns))
     return Counter({_window_pairs(w, p): count for w, count in windows.items()}), values
 
 
@@ -505,6 +522,14 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
     if mc_case is not None:
         check_count("samples", samples)
         check_limit("the sampled tier", samples, SAMPLE_LIMIT, "samples")
+        b, n, p, places = mc_case
+        check_count("sampled shuffles N", places)
+        exact = _exact_kappa_joint(make_process(sign, b, n, p), places)
+        floor = _sample_floor(len(exact))
+        if samples < floor:
+            raise ValueError(f"the sampled tier at b={b} n={n} p={p} N={places} needs samples "
+                             f">= {floor} to meet its total-variation bound {TV_BOUND} at "
+                             f"false-alarm rate 10^-6, got {samples}")
     name = "bijection-plus" if sign == "+" else "bijection-minus"
     report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
     for b, n, p, places in cases:
@@ -512,16 +537,26 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
         report.add(f"exhaustive b={b} n={n} p={p} N={places}", not why, why)
     if mc_case is not None:
         b, n, p, places = mc_case
-        check_steps(places)
-        exact = _exact_kappa_joint(make_process(sign, b, n, p), places)
         counts = _sample_descent_joint(b, n, p, places, samples, seed, sign)
         tv = _total_variation(exact, counts, samples)
         report.add(
             f"sampled b={b} n={n} p={p} N={places} samples={samples}",
-            tv < Fraction(1, 50),
+            tv < TV_BOUND,
             f"total variation {float(tv):.5f}",
         )
     return report
+
+
+def _sample_floor(support: int) -> int:
+    """The fewest samples at which a correct engine fails the sampled tier with probability
+    at most 10^-6.
+
+    An empirical law of m samples over ``support`` = K outcomes is at L1 distance >= e from
+    its law with probability <= 2^K exp(-m e^2 / 2) (Weissman et al., "Inequalities for the
+    L1 deviation of the empirical distribution", 2003).  The bound TV < 1/50 is L1 < 1/25,
+    so m >= 2 (K ln 2 + ln 10^6) / (1/25)^2.
+    """
+    return ceil(2 * (support * log(2) + log(10**6)) / float(2 * TV_BOUND) ** 2)
 
 
 def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
@@ -540,7 +575,7 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
         summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
         kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
         words = tuple(_bijection_stages(summands, p, sign)[3])
-        if tuple(run(words)[1]) != kappas:
+        if tuple(run.step_values(run(words))) != kappas:
             return f"mismatch at rows={summands.rows}"
         seen.add(words)
     return "" if len(seen) == b ** (n * places) else "word map not injective"

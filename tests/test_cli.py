@@ -241,6 +241,18 @@ def test_verify_refuses_sample_counts_below_one(capsys):
         assert code == 2 and out == "" and "samples >= 1" in err
 
 
+def test_verify_refuses_sample_counts_below_the_floor_of_the_bound(capsys, monkeypatch):
+    # Below m = 2 (K ln 2 + ln 10^6) (25)^2, K outcomes of the exact law, a correct engine may
+    # exceed total variation 1/50 more often than 10^-6; --samples 2 and 8 used to exit 1.
+    for suite, floor in (("bijection-plus", 108_245), ("bijection-minus", 27_667)):
+        assert run_suite(suite, cases=(), samples=floor).passed
+        with monkeypatch.context() as patch:
+            patch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail(f"ran {case[1]}"))
+            for samples in (2, 8, floor - 1):
+                code, out, err = run(capsys, "verify", suite, "--samples", str(samples))
+                assert (code, out) == (2, "") and f"needs samples >= {floor} " in err
+
+
 def test_verify_refuses_negative_bounds(capsys):
     # A negative bound would skip every r, s or identity check and still pass.
     for suite, flag in (("moments", "--r"), ("moments", "--s"), ("gessel", "--cutoff")):

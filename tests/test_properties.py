@@ -7,8 +7,9 @@ and of the star and bar maps, and the CLI's JSON renderer against ``json.dumps``
 
 import argparse
 import json
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,8 @@ from carrieslab import (
     unbar_map,
     unstar_map,
 )
-from carrieslab import cli, shuffle
+from carrieslab import cli, shuffle, verify
+from carrieslab.process import draw_words
 from carrieslab.ratmat import solve_linear
 
 BOUNDED = settings(derandomize=True, deadline=None)
@@ -127,10 +129,46 @@ def wide_word_stacks(draw):
 @given(wide_word_stacks())
 def test_trace_folds_the_group_law_in_both_window_forms(case):
     sign, b, n, p, words = case
-    windows = shuffle._composer(n, p, sign)([tuple(word) for word in words])[0]
-    assert isinstance(windows[0], bytes) == (n * p <= 256)
+    window = next(shuffle._composer(n, p, sign)([tuple(word) for word in words]))
+    assert isinstance(window, bytes) == (n * p <= 256)
     trace = trace_from_words(b, n, p, words, sign)
     assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
+
+
+@st.composite
+def stack_batches(draw):
+    """A chain and 1 to 5 stacks of equal length: one of ``word_stacks`` or ``wide_word_stacks``
+    and up to 4 more of its shape."""
+    sign, b, n, p, words = draw(st.one_of(word_stacks(), wide_word_stacks()))
+    more = draw(st.lists(digit_rows(b, len(words), n), max_size=4))
+    return sign, b, n, p, [words] + more
+
+
+@BOUNDED
+@given(stack_batches())
+def test_the_column_driver_folds_each_stack_of_a_batch(case):
+    # Run a batch to every step r: its last windows and its values, stack by stack, are those
+    # of the group law folded over each stack alone.
+    sign, b, n, p, stacks = case
+    run = shuffle._composer(n, p, sign)
+    columns = [[tuple(stack[r]) for stack in stacks] for r in range(len(stacks[0]))]
+    folded = [folded_trace(sign, n, p, stack) for stack in stacks]
+    for r in range(1, len(columns) + 1):
+        windows, values = run.columns(columns[:r])
+        assert isinstance(windows[0], bytes) == (n * p <= 256)
+        assert [shuffle._window_pairs(w, p) for w in windows] == [
+            elements[r - 1].pairs for elements, _ in folded]
+        assert list(zip(*values)) == [steps[:r] for _, steps in folded]
+
+
+@pytest.mark.parametrize("sign, b, n, p, steps", [("+", 7, 4, 3, 3), ("-", 8, 3, 3, 2)])
+def test_the_sampled_tier_counts_what_one_stack_at_a_time_counts(sign, b, n, p, steps):
+    # 1,000 samples is not a whole number of batches; keys must come in the same order too.
+    words = draw_words(20240601, b, n)
+    expected = Counter(trace_from_words(b, n, p, list(islice(words, steps)), sign).descents
+                       for _ in range(1000))
+    counts = verify._sample_descent_joint(b, n, p, steps, 1000, 20240601, sign)
+    assert counts == expected and list(counts) == list(expected)
 
 
 @pytest.mark.parametrize("sign, b, n, p", [("+", 7, 3, 3), ("-", 5, 3, 3), ("+", 17, 4, 16)])
