@@ -55,7 +55,7 @@ class ColoredPermutation:
         return cls(n, p, tuple((i, 0) for i in range(1, n + 1)))
 
     def to_text(self) -> str:
-        return "".join(map("(%d,%d)".__mod__, self.pairs))
+        return ("(%d,%d)" * self.n) % tuple(chain.from_iterable(self.pairs))
 
 
 def _compose_pairs(tau_pairs: Pairs, sigma_pairs: Pairs, p: int) -> Pairs:

@@ -28,11 +28,6 @@ from .ratmat import RationalMatrix, integer_row
 from .spectral import proved_stationary_law, transition_matrix
 
 
-def _center(params: ProcessParams, i: int) -> Fraction:
-    """i + 1/p - (n+1)/2, the start-state coordinate that decays geometrically."""
-    return i + Fraction(1) / params.p - Fraction(params.n + 1, 2)
-
-
 def has_quadratic_eigenfunction(params: ProcessParams) -> bool:
     """Whether center(i)^2 - (n+1)/12 is a right eigenfunction (eigenvalue b^-2).
 
@@ -53,15 +48,16 @@ def _require_quadratic(params: ProcessParams, what: str) -> None:
 
 
 def mean_conditional(params: ProcessParams, r: int, i: int) -> Fraction:
-    """E[state after r steps | start i] = center(i)/(+-b)^r + (n+1)/2 - 1/p."""
+    """E[state after r steps | start i] = center(i)/(+-b)^r + (n+1)/2 - 1/p, center(i) being the
+    decaying i + 1/p - (n+1)/2: (2a i - k + B^r k)/(2a B^r), p = a/c, B = +-b, k = a(n+1) - 2c."""
     check_steps(r)
     check_state(params, i)
-    shrink = Fraction(1, params.signed_base**r)
-    return _center(params, i) * shrink - Fraction(1) / params.p + Fraction(params.n + 1, 2)
+    a, c, shrink = params.p.numerator, params.p.denominator, params.signed_base**r
+    return Fraction(2 * a * i + (shrink - 1) * (a * (params.n + 1) - 2 * c), 2 * a * shrink)
 
 
 def variance_conditional(params: ProcessParams, r: int, i: int | None = None) -> Fraction:
-    """Var[state after r steps | start i] = (n+1)/12 (1 - b^(-2r)).
+    """Var[state after r steps | start i] = (n+1)/12 (1 - b^(-2r)) = (n+1)(b^2r - 1) / (12 b^2r).
 
     Independent of the start state, of p, and of the sign.  Needs n >= 2.
     """
@@ -69,7 +65,8 @@ def variance_conditional(params: ProcessParams, r: int, i: int | None = None) ->
     if i is not None:
         check_state(params, i)
     _require_quadratic(params, "variance")
-    return Fraction(params.n + 1, 12) * (1 - Fraction(1, params.b ** (2 * r)))
+    grow = params.b ** (2 * r)
+    return Fraction((params.n + 1) * (grow - 1), 12 * grow)
 
 
 def covariance_conditional(
@@ -83,7 +80,8 @@ def covariance_conditional(
     if i is not None:
         check_state(params, i)
     _require_quadratic(params, "covariance")
-    return variance_conditional(params, s) * Fraction(1, params.signed_base**r)
+    grow = params.b ** (2 * s)
+    return Fraction((params.n + 1) * (grow - 1), 12 * grow * params.signed_base**r)
 
 
 def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fraction]:
@@ -94,9 +92,9 @@ def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fra
     """
     check_steps(r)
     _require_quadratic(params, "stationary autocovariance")
-    mean = Fraction(params.n + 1, 2) - Fraction(1) / params.p
-    cov = Fraction(params.n + 1, 12) * Fraction(1, params.signed_base**r)
-    return mean, cov
+    a, c = params.p.numerator, params.p.denominator
+    return (Fraction(a * (params.n + 1) - 2 * c, 2 * a),
+            Fraction(params.n + 1, 12 * params.signed_base**r))
 
 
 @dataclass(frozen=True)
@@ -119,13 +117,13 @@ class MomentReport:
 class MomentOracle:
     """Moments of one chain from exact powers of its transition matrix.
 
-    No moment formula is involved.  P^k is one ``RationalMatrix`` product on
-    P^(k-1) when that is known.  A law row P^k[i] is that matrix's own integer
-    row; the stationary law is put in that form once (``ratmat.integer_row``);
-    and E[state after r | start j] is P^r's rows times the states.  All are cached,
-    so every moment is an integer dot product and one ``Fraction``, and many
-    (start, r, s) queries on one chain cost only their distinct powers.  A start
-    is a state or ``"stationary"``: row 0 of L once proved P's one fixed law.
+    No moment formula is involved.  P^k is one ``RationalMatrix`` product on P^(k-1) when that
+    is known.  A law row P^k[i] is that matrix's own integer row; the stationary law is put in
+    that form once (``ratmat.integer_row``); and E[state after r | start j] is P^r's rows times
+    the states.  All are cached, so every moment is integer sums over a positive denominator
+    (``law_sums``, ``covariance_sums``), or one ``Fraction`` of them, and many (start, r, s)
+    queries on one chain cost only their distinct powers.  A start is a state or
+    ``"stationary"``: row 0 of L once proved P's one fixed law.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -133,44 +131,50 @@ class MomentOracle:
         self.matrix = transition_matrix(params)
         self.dim = self.matrix.dim
         self._powers = {0: RationalMatrix.identity(self.dim), 1: self.matrix}
-        self._laws: dict[tuple[int | str, int], tuple[tuple[int, ...], int]] = {}
-        self._mean_after: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._laws: dict[tuple[int | str, int], tuple[tuple[int, ...], int, int]] = {}
+        self._mean_after: dict[int, tuple[list[int], list[int], int]] = {}
 
-    def _law(self, start: int | str, k: int) -> tuple[tuple[int, ...], int]:
-        """Law of the state after k steps from ``start``, as integers over one denominator."""
+    def _law(self, start: int | str, k: int) -> tuple[tuple[int, ...], int, int]:
+        """(law, d, m1): the state after k steps from ``start`` has law law/d and mean m1/d."""
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                self._laws[key] = integer_row(proved_stationary_law(self.matrix, self.params))
+                law, d = integer_row(proved_stationary_law(self.matrix, self.params))
             else:
                 check_state(self.params, start)
                 if k not in self._powers:
                     below = self._powers.get(k - 1)
                     self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
-                self._laws[key] = self._powers[k].integer_rows[start]
+                law, d = self._powers[k].integer_rows[start]
+            self._laws[key] = law, d, sum(map(mul, law, range(self.dim)))
         return self._laws[key]
+
+    def law_sums(self, start: int | str, k: int) -> tuple[int, int, int]:
+        """(m1, m2, d): the state after k steps from ``start`` has moments m1/d and m2/d, d > 0."""
+        law, d, m1 = self._law(start, k)
+        return m1, sum(x * j * j for j, x in enumerate(law)), d
+
+    def covariance_sums(self, start: int | str, s: int, r: int) -> tuple[int, int]:
+        """(cross d_s - m1 m_sr, d_s^2 d_r): ``covariance`` unreduced, its denominator positive.
+        With E_r[j] = P^r[j] . (0, 1, ..., dim-1), m_sr = law . E_r and cross = law . (j E_r[j])."""
+        law, d_s, m1 = self._law(start, s)
+        if r not in self._mean_after:
+            rows = [self._law(j, r) for j in range(self.dim)]
+            den = lcm(*(d for _, d, _ in rows))
+            after = [m1_j * (den // d) for _, d, m1_j in rows]
+            self._mean_after[r] = after, list(map(mul, after, range(self.dim))), den
+        after, state_after, d_r = self._mean_after[r]
+        cross, m_sr = sum(map(mul, law, state_after)), sum(map(mul, law, after))
+        return cross * d_s - m1 * m_sr, d_s * d_s * d_r
 
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
         """Mean and variance of the state after k steps from ``start``."""
-        law, d = self._law(start, k)
-        m1 = sum(map(mul, law, range(self.dim)))
-        m2 = sum(x * j * j for j, x in enumerate(law))
+        m1, m2, d = self.law_sums(start, k)
         return Fraction(m1, d), Fraction(m2 * d - m1 * m1, d * d)
 
     def covariance(self, start: int | str, s: int, r: int) -> Fraction:
         """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary."""
-        law, d_s = self._law(start, s)
-        if r not in self._mean_after:
-            # E[state after r steps | start j] = P^r[j] . (0, 1, ..., dim-1), for each state j.
-            rows = [self._law(j, r) for j in range(self.dim)]
-            den = lcm(*(d for _, d in rows))
-            self._mean_after[r] = (tuple(sum(map(mul, nums, range(self.dim))) * (den // d)
-                                         for nums, d in rows), den)
-        after, d_r = self._mean_after[r]
-        m1 = sum(map(mul, law, range(self.dim)))
-        m_sr = sum(map(mul, law, after))
-        cross = sum(x * j * y for j, (x, y) in enumerate(zip(law, after)))
-        return Fraction(cross * d_s - m1 * m_sr, d_s * d_s * d_r)
+        return Fraction(*self.covariance_sums(start, s, r))
 
 
 def moments_oracle(
@@ -185,6 +189,5 @@ def moments_oracle(
     check_steps(r, s)
     check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")
     oracle = MomentOracle(params)
-    mean, variance = oracle.law_moments(start, r)
-    covariance = oracle.covariance(start, s, r)
-    return MomentReport(params, start, r, s, mean, variance, covariance)
+    return MomentReport(params, start, r, s, *oracle.law_moments(start, r),
+                        oracle.covariance(start, s, r))

@@ -355,15 +355,18 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
     # Exercise the public oracle object on a few spot points.
     for params in starmap(make_process, (("+", 2, 2, 1), ("-", 8, 3, 3), ("+", 7, 4, 3))):
         rep = moments_oracle(params, r=1, s=1, start=0)
-        ok = (
-            rep.mean == mean_conditional(params, 1, 0)
-            and rep.variance == variance_conditional(params, 1, 0)
-            and rep.covariance == covariance_conditional(params, 1, 1, 0)
-        )
+        ok = (rep.mean == mean_conditional(params, 1, 0)
+              and rep.variance == variance_conditional(params, 1, 0)
+              and rep.covariance == covariance_conditional(params, 1, 1, 0))
         rep_pi, why = _refused(lambda: moments_oracle(params, r=1, start="stationary"))
         ok = ok and not why and (rep_pi.mean, rep_pi.covariance) == stationary_moments(params, 1)
         report.add(f"oracle-object {_param_key(params)}", ok, why)
     return report
+
+
+def _equals(num: int, den: int, q: Fraction) -> bool:
+    """Whether num / den == q, for den > 0: one cross-multiplication, no ``Fraction``."""
+    return num * q.denominator == q.numerator * den
 
 
 def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
@@ -378,15 +381,15 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
                        for r in range(r_max + 1)]
     for i in range(dim):
         for r in range(r_max + 1):
-            mean, variance = oracle.law_moments(i, r)
-            if mean != mean_conditional(params, r, i):
+            m1, m2, d = oracle.law_sums(i, r)
+            if not _equals(m1, d, mean_conditional(params, r, i)):
                 return f"mean i={i} r={r}"
             if not quad:
                 continue
-            if variance != variances[r]:
+            if not _equals(m2 * d - m1 * m1, d * d, variances[r]):
                 return f"variance i={i} r={r}"
             for s in range(s_max + 1):
-                if oracle.covariance(i, s, r) != covariances[r][s]:
+                if not _equals(*oracle.covariance_sums(i, s, r), covariances[r][s]):
                     return f"covariance i={i} s={s} r={r}"
     # Stationary law (a failed proof raises, and fails the case) and pair: the law and
     # mean hold for every chain, second moments only with the quadratic eigenfunction.
@@ -404,24 +407,18 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
     # Decaying eigenvector checks: the centred coordinate always, its
     # centred square exactly where the closed forms claim it.
     center = [j + Fraction(1) / params.p - Fraction(n + 1, 2) for j in range(dim)]
-    lam = Fraction(1, params.signed_base)
-    image = oracle.matrix.col_mul(center)
-    if any(image[j] != lam * center[j] for j in range(dim)):
+    if oracle.matrix.col_mul(center) != tuple(x / params.signed_base for x in center):
         return "first decaying eigenvector"
-    square = [center[j] ** 2 - Fraction(n + 1, 12) for j in range(dim)]
-    image = oracle.matrix.col_mul(square)
-    lam2 = Fraction(1, params.b**2)
-    if all(image[j] == lam2 * square[j] for j in range(dim)) != quad:
+    square = [x * x - Fraction(n + 1, 12) for x in center]
+    if (oracle.matrix.col_mul(square) == tuple(x / params.b**2 for x in square)) != quad:
         return "second decaying eigenvector"
     if quad:
         return ""
     # Where the closed forms are refused, show they deserve it: each must
     # refuse, and the exact one-step variance must leave the claimed value.
-    for attempt in (
-        lambda: variance_conditional(params, 1, 0),
-        lambda: covariance_conditional(params, 1, 1, 0),
-        lambda: stationary_moments(params, 1),
-    ):
+    for attempt in (lambda: variance_conditional(params, 1, 0),
+                    lambda: covariance_conditional(params, 1, 1, 0),
+                    lambda: stationary_moments(params, 1)):
         try:
             attempt()
         except ValueError:

@@ -413,6 +413,33 @@ def test_a_broken_stationary_law_fails_its_cases_and_exits_one(capsys, monkeypat
         assert len(failed) >= {"moments": 280, "examples-golden": 4}[suite]
 
 
+_SHIFT = Fraction(1, 10**6)
+_MEAN, _VARIANCE, _COVARIANCE = (verify.mean_conditional, verify.variance_conditional,
+                                 verify.covariance_conditional)
+
+
+@pytest.mark.parametrize("target,shifted,failed,detail", [
+    ("mean_conditional",
+     lambda params, r, i: _MEAN(params, r, i) + _SHIFT * ((r, i) == (2, 1)),
+     266, "mean i=1 r=2"),  # every chain with a state 1
+    ("variance_conditional",
+     lambda params, r, *i: _VARIANCE(params, r, *i) + _SHIFT * (r == 3),
+     210, "variance i=0 r=3"),  # every chain with n >= 2
+    ("covariance_conditional",
+     lambda params, s, r, *i: _COVARIANCE(params, s, r, *i) + _SHIFT * ((s, r) == (2, 4)),
+     210, "covariance i=0 s=2 r=4"),
+])
+def test_a_shifted_conditional_moment_fails_its_cases_and_exits_one(capsys, monkeypatch, target,
+                                                                    shifted, failed, detail):
+    # A closed form off by 10^-6 at one point of the grid fails every chain that reaches the
+    # point, each at the first (start, s, r) the suite compares there.
+    monkeypatch.setattr(verify, target, shifted)
+    code, out, err = run(capsys, "verify", "moments")
+    assert code == 1 and "reproduce: carries-lab verify moments" in err
+    details = [case["detail"] for case in json.loads(out)["cases"] if not case["ok"]]
+    assert (len(details), set(details)) == (failed, {detail})
+
+
 def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
     # A broken recursion is an internal failure, not bad input: each suite names the
     # cases that read the non-integer table and exits 1, never 2.

@@ -19,6 +19,7 @@ from carrieslab import (
 from carrieslab import spectral
 from carrieslab.moments import MomentOracle
 from carrieslab.process import STEP_LIMIT
+from carrieslab.verify import _chain_grid
 
 VALID = [("+", 3, 2, 2), ("-", 8, 3, 3), ("+", 2, 4, 1), ("-", 3, 2, Fraction(4, 3))]
 
@@ -142,3 +143,53 @@ def test_reports_reject_negative_variance():
     params = make_process("+", 3, 2, 2)
     with pytest.raises(ValueError):
         MomentReport(params, 0, 1, 0, Fraction(0), Fraction(-1), Fraction(0))
+
+
+def test_closed_forms_equal_their_docstring_expressions():
+    # Each closed form is built from integers; it must equal the Fraction expression its
+    # docstring states on every chain of the default moments grid: both signs, p = 3/2 among
+    # the non-integer p, and the mean at n = 1, where the second moments are refused.
+    chains = [make_process(*chain) for chain in _chain_grid(8, 4)]
+    keys = {(c.sign, c.b, c.n, c.p) for c in chains}
+    assert {("+", 4, 2, Fraction(3, 2)), ("-", 2, 1, 3)} <= keys
+    for params in chains:
+        half, twelfth = Fraction(params.n + 1, 2), Fraction(params.n + 1, 12)
+        inverse_p = 1 / params.p
+        decay = [Fraction(1, params.signed_base**r) for r in range(6)]
+        variances = [twelfth * (1 - Fraction(1, params.b ** (2 * r))) for r in range(6)]
+        for r in range(6):
+            for i in params.states:
+                center = i + inverse_p - half
+                assert mean_conditional(params, r, i) == center * decay[r] + half - inverse_p
+            if params.n == 1:
+                continue
+            assert variance_conditional(params, r) == variances[r]
+            assert stationary_moments(params, r) == (half - inverse_p, twelfth * decay[r])
+            for s in range(6):
+                assert covariance_conditional(params, s, r) == variances[s] * decay[r]
+
+
+def test_closed_forms_refuse_with_their_messages():
+    one, two = make_process("+", 3, 1, 2), make_process("-", 3, 2, 2)
+    steps, state = "step count must be nonnegative", "start state must lie in 0..2, got {}"
+    for call, message in (
+        (lambda: mean_conditional(two, -1, 0), steps),
+        (lambda: mean_conditional(two, 1, 3), state.format(3)),
+        (lambda: variance_conditional(one, -1), steps),  # the step count is checked first
+        (lambda: variance_conditional(two, 1, -1), state.format(-1)),
+        (lambda: covariance_conditional(two, -1, 1), steps),
+        (lambda: covariance_conditional(two, 1, -1), steps),
+        # Then the start state, and only then the n >= 2 domain.
+        (lambda: covariance_conditional(one, 1, 1, 5), "start state must lie in 0..1, got 5"),
+        (lambda: stationary_moments(two, -1), steps),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    for call, what in ((lambda: variance_conditional(one, 1, 0), "variance"),
+                       (lambda: covariance_conditional(one, 1, 1), "covariance"),
+                       (lambda: stationary_moments(one, 1), "stationary autocovariance")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == (f"the {what} closed form needs n >= 2; with n = 1 the chain "
+                                   "has no quadratic eigenfunction (use moments_oracle instead)")
