@@ -359,48 +359,68 @@ def cmd_verify(args):
     return obj, rows
 
 
-def _json_text(value, default, pad: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2, default=default)`` lays it out; ``pad`` is
-    the newline and indent that the closing bracket of ``value`` follows.
+def _json_pieces(out: list, value, default, pad: str = "\n") -> None:
+    """Append to ``out`` the pieces of ``value`` as ``json.dumps(value, indent=2,
+    default=default)`` lays it out; ``pad`` is the newline and indent that the closing
+    bracket of ``value`` follows.  One join of ``out`` copies the document once.
 
     Plain ints, or nonempty rows (of nonempty rows ...) of them, are laid out level by level
-    at C speed, each row by one ``%`` of a printf template for its length; ``json`` itself
-    drops to a Python frame per value whenever it indents.  Each container is one join.
+    at C speed: each int through a table of its text, each row by one join of the rows or
+    ints below it; ``json`` itself drops to a Python frame per value whenever it indents.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, (bool, float)):
-        return json.dumps(value)  # null, true, false and floats as json spells them
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return _json_text(default(value), default, pad)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = (encode_basestring_ascii(key) + ": " + _json_text(item, default, inner)
-                 for key, item in value.items())
-        return "".join(("{", inner, ("," + inner).join(items), pad, "}"))
-    levels, rows = [], value  # levels[d]: every row d + 1 brackets deep, in document order
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, (bool, float)):
+        out.append(json.dumps(value))  # null, true, false and floats as json spells them
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        _json_pieces(out, default(value), default, pad)
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        start, inner = len(out), pad + "  "
+        for key, item in value.items():
+            out += (",", inner, encode_basestring_ascii(key), ": ")
+            _json_pieces(out, item, default, inner)
+        out[start] = "{"  # the first item's separator opens the object
+        out += (pad, "}")
+    else:
+        _json_array(out, value, default, pad)
+
+
+def _json_array(out: list, value, default, pad: str) -> None:
+    """``_json_pieces`` of a nonempty list or tuple."""
+    levels, rows = [[value]], value  # levels[depth]: every row at that depth, in document order
     kinds = set(map(type, value))
     while kinds <= {list, tuple} and all(rows):
         levels.append(rows)
         kinds = set(map(type, chain.from_iterable(rows)))
         if kinds <= {list, tuple}:
             rows = list(chain.from_iterable(rows))
-    if kinds <= {int}:  # exact ints: "%d" would print True as 1 and 2.5 as 2
-        items = map(int.__repr__, value)  # streamed: a list of them would raise the peak RSS
-        for depth in reversed(range(len(levels))):  # each row of a level takes its items
-            rows, below, row_pad = levels[depth], inner + "  " * (depth + 1), inner + "  " * depth
-            field, args = (("%d", map(tuple, rows)) if depth == len(levels) - 1
-                           else ("%s", map(tuple, map(islice, repeat(items), map(len, rows)))))
-            templates = {k: "[" + below + ("," + below).join([field] * k) + row_pad + "]"
-                         for k in set(map(len, rows))}
-            items = map(str.__mod__, map(templates.__getitem__, map(len, rows)), args)
+    if kinds <= {int}:  # exact ints: the table is keyed by value, and True == 1 == 1.0
+        # A row's text leaves out its own brackets; they go into the separator its parent
+        # joins it with.  Every row is nonempty, so it opens and closes as its first and
+        # last child do, and each level's brackets are the same strings for every row.
+        below = pad + "  " * len(levels)  # the indent of the ints
+        opener, closer, sep = "[" + below, below[:-2] + "]", "," + below
+        ints = set(chain.from_iterable(levels[-1]))
+        children = map(map, repeat(dict(zip(ints, map(int.__repr__, ints))).__getitem__),
+                       levels[-1])  # streamed: lists of row texts would raise the peak RSS
+        for rows in reversed(levels[:-1]):  # each row of a level takes its children's texts
+            texts = map(sep.join, children)
+            below = below[:-2]
+            sep = closer + "," + below + opener
+            opener, closer = "[" + below + opener, closer + below[:-2] + "]"
+            children = map(islice, repeat(texts), map(len, rows))
+        out += (opener, sep.join(next(children)), closer)
     else:
-        items = (_json_text(item, default, inner) for item in value)
-    return "".join(("[", inner, ("," + inner).join(items), pad, "]"))
+        start, inner = len(out), pad + "  "
+        for item in value:
+            out += (",", inner)
+            _json_pieces(out, item, default, inner)
+        out[start] = "["
+        out += (pad, "]")
 
 
 def _render(result, args) -> str:
@@ -432,7 +452,10 @@ def _render(result, args) -> str:
 
     if args.format == "csv":
         return "".join(map("%s\n".__mod__, map(",".join, map(map, repeat(cell), rows))))
-    return _json_text(obj, rational) + "\n"
+    out = []
+    _json_pieces(out, obj, rational)
+    out.append("\n")
+    return "".join(out)
 
 
 def main(argv: list[str] | None = None) -> int:

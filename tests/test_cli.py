@@ -1258,6 +1258,10 @@ RENDER_SHAPES = {
     "a-300-int-row": [list(range(-150, 150))],
     "rows-of-lengths-one-to-six": [tuple(range(k, 2 * k)) for k in (3, 1, 6, 2, 5, 4)],
     "deep": {"a": {"b": [{"c": [[1, [2, [3]]]]}]}},
+    "ints-then-equal-non-ints": {"ints": [(1, 0), (2, 1)], "bools": [(1, True), (0, False)],
+                                 "floats": [(2, 2.0)], "enums": [(1, Colour.RED)]},
+    "one-value-at-every-length-and-depth": [[[10**20], [10**20, 10**20, 10**20]], [[10**20]],
+                                            [10**20, [10**20]], 10**20],
 }
 
 
@@ -1316,27 +1320,43 @@ def test_rendering_never_reaches_the_pure_python_encoder(capsys, monkeypatch):
         assert run(capsys, *argv) == (0, expected, "")
 
 
+def python_frames(result, args):
+    """Python frames entered while ``result`` renders: a fixed count at every size means
+    every row, however many, is laid out by C code alone.  The collector stays off, so no
+    finalizer of an earlier test's garbage runs in between."""
+    calls = []
+    previous = sys.getprofile()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(None))
+    try:
+        cli._render(result, args)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return len(calls)
+
+
 def test_rendering_makes_no_python_call_per_row():
-    # Python frames entered while a result renders: a fixed count at every size means
-    # every row, however many, is laid out by C code alone.  The collector stays off, so
-    # no finalizer of an earlier test's garbage runs in between.
     def python_calls(argv):
         args = cli.build_parser().parse_args(argv)
-        result = getattr(cli, f"cmd_{args.command}")(args)
-        calls = []
-        previous = sys.getprofile()
-        gc.collect()
-        gc.disable()
-        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(None))
-        try:
-            cli._render(result, args)
-        finally:
-            sys.setprofile(previous)
-            gc.enable()
-        return len(calls)
+        return python_frames(getattr(cli, f"cmd_{args.command}")(args), args)
 
     chain = ("--sign", "+", "--b", "7", "--n", "10", "--p", "3", "--seed", "5")
     cards = ("--sign", "+", "--b", "4", "--n", "4", "--p", "3", "--seed", "5")
     for command, flags in (("simulate", chain), ("shuffle", cards)):
         counts = [python_calls([command, *flags, "--N", size]) for size in ("10", "10000")]
         assert counts[0] == counts[1] > 0, (command, counts)
+
+
+def test_int_rows_render_with_a_fixed_number_of_python_frames():
+    # Every digit 0..6 turns up at both sizes, so a table of int texts that a Python
+    # frame filled once per distinct value would also keep the count fixed.
+    def int_rows(size):
+        return {"flat": [k % 7 for k in range(size)],
+                "rows": [[(k + j) % 7 for j in range(10)] for k in range(size)],
+                "deep": [[[k % 7, (k + 1) % 7], [(k + 2) % 7]] for k in range(size)]}
+
+    args = argparse.Namespace(format="json", as_float=False, digits=12, command="test")
+    counts = [python_frames((int_rows(size), ()), args) for size in (10**3, 10**4)]
+    assert counts[0] == counts[1] > 0, counts
