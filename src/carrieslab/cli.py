@@ -476,8 +476,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         return 0 if args.command != "verify" or result[0]["passed"] else 1
     except ValueError as exc:
         print(f"carries-lab: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from functools import cache, cached_property
 from itertools import accumulate, cycle, islice, repeat
 from math import comb
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .colored import (
     ColoredPermutation,
@@ -230,10 +230,13 @@ class _composer:
 
     Each phase holds a factor memo (per word) and a value memo (per window), filled on a
     miss while the engine lives, so a repeated word or window costs one ``dict`` lookup.
-    The engine steps that one rule by two drivers: calling it runs one stack as a lazy
-    ``accumulate`` and ``step_values`` maps its windows to values; ``columns`` runs a batch
-    of stacks one step column at a time.  Nothing sized by n or p is built before the
-    first word.
+    The engine steps that one rule by two drivers.  ``trace`` runs one stack as an
+    ``accumulate`` and returns every window and every value; ``columns`` runs a batch of
+    stacks one step column at a time and returns the last windows and every value.  Both
+    stay because the stack's shape picks the cheaper one: one long stack through
+    ``columns`` builds two one-item lists per step, several times ``trace``'s cost, and a
+    batch through ``trace`` pays Python calls per stack.  Nothing sized by n or p is built
+    before the first word.
     """
 
     def __init__(self, n: int, p: int, sign: str) -> None:
@@ -268,14 +271,11 @@ class _composer:
         n, p = self.n, self.p
         return bytes(range(0, n * p, p)) if self.coded else tuple((k, 0) for k in range(1, n + 1))
 
-    def __call__(self, words: Iterable[tuple[int, ...]]) -> Iterator[bytes | Pairs]:
-        """One stack: the window after each step of ``words``, in application order."""
+    def trace(self, words: Iterable[tuple[int, ...]]) -> tuple[list, tuple[int, ...]]:
+        """One stack, ``words`` in application order: the window and value after each step."""
         steps = map(getitem, cycle(self.factors), words)
-        return islice(accumulate(steps, self.step, initial=self.identity), 1, None)
-
-    def step_values(self, windows: Iterable[bytes | Pairs]) -> Iterator[int]:
-        """The step values of one stack's windows, in step order."""
-        return map(getitem, cycle(self.values), windows)
+        windows = list(islice(accumulate(steps, self.step, initial=self.identity), 1, None))
+        return windows, tuple(map(getitem, cycle(self.values), windows))
 
     def columns(self, columns: Sequence[Sequence[tuple[int, ...]]]) -> tuple[list, list[list[int]]]:
         """A batch of equal-length stacks of one or more words, ``columns[r]`` holding word
@@ -307,11 +307,9 @@ def trace_from_words(
     check_count("colors p", p)
     frozen = tuple(tuple(int(x) for x in w) for w in words)
     check_words(frozen, b, n)
-    run = _composer(n, p, sign)
-    windows = list(run(frozen))
+    windows, values = _composer(n, p, sign).trace(frozen)
     distinct = {w: ColoredPermutation(n, p, _window_pairs(w, p)) for w in dict.fromkeys(windows)}
-    return ShuffleTrace(b, n, p, sign, frozen, tuple(map(distinct.__getitem__, windows)),
-                        tuple(run.step_values(windows)))
+    return ShuffleTrace(b, n, p, sign, frozen, tuple(map(distinct.__getitem__, windows)), values)
 
 
 def sample_sequence(

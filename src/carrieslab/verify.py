@@ -451,42 +451,21 @@ def _total_variation(
 
 
 def _stack_batches(run, words: Iterator[tuple[int, ...]], steps: int,
-                   stacks: int) -> Iterator[tuple[list, list[list[int]]]]:
+                   stacks: int) -> Iterator[tuple[list, Iterator[tuple[int, ...]]]]:
     """``stacks`` stacks, each the next ``steps`` words of ``words``, run through the trace
-    engine ``run`` ``STACK_BATCH`` stacks at a time; yields each batch's last windows and
-    step-value columns, stack by stack."""
+    engine ``run`` ``STACK_BATCH`` stacks at a time; yields each batch's last windows and its
+    stacks' value tuples, stack by stack."""
     for start in range(0, stacks, STACK_BATCH):
         block = list(islice(words, steps * min(STACK_BATCH, stacks - start)))
-        yield run.columns([block[r::steps] for r in range(steps)])
+        windows, values = run.columns([block[r::steps] for r in range(steps)])
+        yield windows, zip(*values)
 
 
-def _sample_descent_joint(
-    b: int, n: int, p: int, steps: int, samples: int, seed: int, sign: str
-) -> Counter:
-    """Empirical joint law of per-step descent values under uniform words.
-
-    Each sample is the next ``steps`` words of the one stream
-    ``draw_words(seed, b, n)``; every sample runs on one trace engine, the
-    one ``trace_from_words`` runs, ``STACK_BATCH`` samples at a time.
-    """
-    counts: Counter = Counter()
-    for _, values in _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), steps,
-                                    samples):
-        counts.update(zip(*values))
-    return counts
-
-
-def _word_stack_law(run, b: int, n: int, p: int, steps: int) -> tuple[Counter, Counter]:
-    """Counts of the final window (as pairs) and of the step values over every stack of
-    ``steps`` words in {0..b-1}^n, each stack run through the trace engine ``run``."""
+def _word_stacks(b: int, n: int, steps: int) -> Iterator[tuple[int, ...]]:
+    """The words of every stack of ``steps`` words in {0..b-1}^n, stack after stack."""
     digits = chain.from_iterable(enumerate_words(
         f"enumerating {steps}-word stacks at b={b} n={n}", b, n * steps, "word stacks"))
-    windows: Counter = Counter()
-    values: Counter = Counter()
-    for last, columns in _stack_batches(run, zip(*[digits] * n), steps, b ** (n * steps)):
-        windows.update(last)
-        values.update(zip(*columns))
-    return Counter({_window_pairs(w, p): count for w, count in windows.items()}), values
+    return zip(*[digits] * n)
 
 
 def suite_bijection_plus(
@@ -534,7 +513,8 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
         report.add(f"exhaustive b={b} n={n} p={p} N={places}", not why, why)
     if mc_case is not None:
         b, n, p, places = mc_case
-        counts = _sample_descent_joint(b, n, p, places, samples, seed, sign)
+        batches = _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), places, samples)
+        counts = Counter(chain.from_iterable(values for _, values in batches))
         tv = _total_variation(exact, counts, samples)
         report.add(
             f"sampled b={b} n={n} p={p} N={places} samples={samples}",
@@ -565,14 +545,14 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     """
     check_steps(places)
     params = make_process(sign, b, n, p)
-    run = _composer(n, p, sign)
+    trace = _composer(n, p, sign).trace
     seen = set()
     for flat in enumerate_words(f"exhaustive b={b} n={n} p={p} N={places}", b, n * places,
                                 "summand arrays"):
         summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
         kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
         words = tuple(_bijection_stages(summands, p, sign)[3])
-        if tuple(run.step_values(run(words))) != kappas:
+        if trace(words)[1] != kappas:
             return f"mismatch at rows={summands.rows}"
         seen.add(words)
     return "" if len(seen) == b ** (n * places) else "word map not injective"
@@ -587,7 +567,8 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
     report = SuiteReport("shuffle-onestep", f"cases {list(cases)}")
     for b, n, p in cases:
         params = make_process("+", b, n, p)
-        counts = _word_stack_law(_composer(n, p, "+"), b, n, p, 1)[1]
+        batches = _stack_batches(_composer(n, p, "+"), _word_stacks(b, n, 1), 1, b**n)
+        counts = Counter(chain.from_iterable(values for _, values in batches))
         matrix = transition_matrix(params)
         enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix.dim))
         report.add(f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
@@ -615,7 +596,10 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
     for b, n, p in cases:
         elements = list(enumerate_group(n, p))
         run = _composer(n, p, "+")
-        laws = {r: _word_stack_law(run, b, n, p, r)[0] for r in (2, 1)}  # r = 2 is refused first
+        laws = {}
+        for r in (2, 1):  # r = 2 is refused first
+            batches = _stack_batches(run, _word_stacks(b, n, r), r, b ** (n * r))
+            laws[r] = Counter(_window_pairs(w, p) for windows, _ in batches for w in windows)
         total = sum(shuffle_probability(e, b) for e in elements)
         report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):

@@ -1,21 +1,26 @@
 """End-to-end tests of the carries-lab command line harness."""
 
 import argparse
+import errno
 import functools
 import gc
 import hashlib
 import inspect
 import json
+import os
 import signal
+import subprocess
 import sys
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from carrieslab import cli, spectral, verify
 from carrieslab.colored import ColoredPermutation
+from carrieslab.moments import MomentOracle
 from carrieslab.process import (
     ENUMERATION_LIMIT,
     GRID_N_LIMIT,
@@ -28,6 +33,7 @@ from carrieslab.process import (
     make_process,
     state_count,
 )
+from carrieslab.ratmat import RationalMatrix
 from carrieslab.shuffle import (
     MultiDigitWord,
     bijection_minus,
@@ -416,6 +422,23 @@ def test_a_broken_stationary_law_fails_its_cases_and_exits_one(capsys, monkeypat
 _SHIFT = Fraction(1, 10**6)
 _MEAN, _VARIANCE, _COVARIANCE = (verify.mean_conditional, verify.variance_conditional,
                                  verify.covariance_conditional)
+_STATIONARY = verify.stationary_moments
+
+
+class _StationaryMeanShifted(MomentOracle):
+    def law_moments(self, start, k):
+        mean, variance = super().law_moments(start, k)
+        return mean + _SHIFT * (start == "stationary"), variance
+
+
+class _OneStepVarianceClaimed(MomentOracle):
+    """At n = 1 the one-step variance reads what the n >= 2 closed form would claim."""
+
+    def law_moments(self, start, k):
+        mean, variance = super().law_moments(start, k)
+        if (self.params.n, k) == (1, 1):
+            variance = Fraction(2, 12) * (1 - Fraction(1, self.params.b**2))
+        return mean, variance
 
 
 @pytest.mark.parametrize("target,shifted,failed,detail", [
@@ -428,16 +451,55 @@ _MEAN, _VARIANCE, _COVARIANCE = (verify.mean_conditional, verify.variance_condit
     ("covariance_conditional",
      lambda params, s, r, *i: _COVARIANCE(params, s, r, *i) + _SHIFT * ((s, r) == (2, 4)),
      210, "covariance i=0 s=2 r=4"),
+    ("MomentOracle", _StationaryMeanShifted, 280, "stationary mean"),  # every chain
+    ("stationary_moments",
+     lambda params, r=0: tuple(x + _SHIFT * (r == 0) for x in _STATIONARY(params, r)),
+     210, "stationary variance"),
+    ("stationary_moments",
+     lambda params, r=0: tuple(x + _SHIFT * (r == 3) for x in _STATIONARY(params, r)),
+     210, "stationary covariance r=3"),
+    ("variance_conditional",  # answers at n = 1 instead of refusing
+     lambda params, r, *i: Fraction(params.n + 1, 12) * (1 - Fraction(1, params.b ** (2 * r))),
+     70, "closed form answered off its domain"),  # every chain with n = 1
+    ("MomentOracle", _OneStepVarianceClaimed, 70, "variance formula held beyond its domain"),
 ])
 def test_a_shifted_conditional_moment_fails_its_cases_and_exits_one(capsys, monkeypatch, target,
                                                                     shifted, failed, detail):
-    # A closed form off by 10^-6 at one point of the grid fails every chain that reaches the
-    # point, each at the first (start, s, r) the suite compares there.
+    # A closed form, or the suite's oracle, off by 10^-6 at one point of the grid fails every
+    # chain that reaches the point, each at the first (start, s, r) the suite compares there;
+    # so does a closed form that answers, or an oracle that agrees with it, at n = 1.  The
+    # oracle-object spot points read lag 1, n >= 2 and their own oracle, so they still hold.
+    # No one fault reaches the two decaying-eigenvector checks: any matrix that breaks them
+    # fails the r = 1 mean or variance check first.
     monkeypatch.setattr(verify, target, shifted)
     code, out, err = run(capsys, "verify", "moments")
     assert code == 1 and "reproduce: carries-lab verify moments" in err
     details = [case["detail"] for case in json.loads(out)["cases"] if not case["ok"]]
     assert (len(details), set(details)) == (failed, {detail})
+
+
+def test_a_shifted_right_eigen_matrix_is_an_internal_failure(capsys, monkeypatch):
+    # R L != I is a broken closed form, not bad input: `eigen --check` exits 1 and names it,
+    # and `verify eigen` fails every chain case with it and says how to reproduce the run.
+    closed_form = spectral.right_eigen_matrix
+
+    def shifted(n, p):
+        rows = [list(row) for row in closed_form(n, p).rows]
+        rows[0][0] += _SHIFT
+        return RationalMatrix(rows)
+
+    monkeypatch.setattr(spectral, "right_eigen_matrix", shifted)
+    code, out, err = run(capsys, "eigen", "--sign", "+", "--b", "3", "--n", "2", "--p", "2",
+                         "--check")
+    assert (code, out) == (1, "")
+    assert err.startswith("carries-lab: internal consistency failure: R L != I for ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, "verify", "eigen")
+    assert code == 1 and "reproduce: carries-lab verify eigen" in err
+    cases = json.loads(out)["cases"]
+    chains = [case for case in cases if not case["key"].startswith("poly-form ")]
+    assert [case for case in cases if not case["ok"]] == chains and len(chains) == 120
+    assert all(case["detail"].startswith("R L != I for ") for case in chains)
 
 
 def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
@@ -473,11 +535,39 @@ def test_argparse_rejections_exit_two(capsys):
                  ["matrix", "--sign", "*", "--b", "2", "--n", "2", "--p", "1"],
                  ["--seed", "-3", "verify", "eigen"],
                  ["--digits", "0", "matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"],
+                 ["matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "abc"],
                  []):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("in_missing_directory", [True, False])
+def test_an_unwritable_out_path_exits_two_and_leaves_no_file(capsys, tmp_path,
+                                                             in_missing_directory):
+    # The refusal comes after the work is done, from the write itself: one line, no traceback.
+    target, reason = ((tmp_path / "missing" / "x.json", errno.ENOENT) if in_missing_directory
+                      else (tmp_path, errno.EISDIR))
+    code, out, err = run(capsys, "--out", str(target),
+                         "digits", "--x", "5", "--sign", "+", "--b", "10")
+    assert (code, out) == (2, "")
+    assert err == f"carries-lab: cannot write {target}: {os.strerror(reason)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_module_entry_point_refuses_an_unwritable_out_path(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parent.parent),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    result = subprocess.run(
+        [sys.executable, "-m", "carrieslab.cli", "--out", str(target),
+         "digits", "--x", "5", "--sign", "+", "--b", "10"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"carries-lab: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_state_count_above_the_limit_is_refused(capsys):

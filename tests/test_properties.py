@@ -9,7 +9,7 @@ import argparse
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -129,7 +129,7 @@ def wide_word_stacks(draw):
 @given(wide_word_stacks())
 def test_trace_folds_the_group_law_in_both_window_forms(case):
     sign, b, n, p, words = case
-    window = next(shuffle._composer(n, p, sign)([tuple(word) for word in words]))
+    window = shuffle._composer(n, p, sign).trace([tuple(word) for word in words])[0][0]
     assert isinstance(window, bytes) == (n * p <= 256)
     trace = trace_from_words(b, n, p, words, sign)
     assert (trace.elements, trace.descents) == folded_trace(sign, n, p, words)
@@ -167,7 +167,9 @@ def test_the_sampled_tier_counts_what_one_stack_at_a_time_counts(sign, b, n, p, 
     words = draw_words(20240601, b, n)
     expected = Counter(trace_from_words(b, n, p, list(islice(words, steps)), sign).descents
                        for _ in range(1000))
-    counts = verify._sample_descent_joint(b, n, p, steps, 1000, 20240601, sign)
+    batches = verify._stack_batches(shuffle._composer(n, p, sign), draw_words(20240601, b, n),
+                                    steps, 1000)
+    counts = Counter(chain.from_iterable(values for _, values in batches))
     assert counts == expected and list(counts) == list(expected)
 
 
