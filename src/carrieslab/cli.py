@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -473,14 +475,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = handlers[args.command](args)
         text = _render(result, args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        target = "<stdout>" if args.out is None else args.out
+        try:  # one guarded write, flush included, for --out and stdout alike
+            with (nullcontext(sys.stdout) if args.out is None
+                  else open(args.out, "w", encoding="utf-8")) as handle:
+                print(text, end="", file=handle, flush=True)
+        except OSError as exc:
+            if args.out is None:  # the interpreter's flush at exit must find nothing to fail on
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
         return 0 if args.command != "verify" or result[0]["passed"] else 1
     except ValueError as exc:
         print(f"carries-lab: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ DEFAULT_SEED = 1729
 STATE_LIMIT = 128
 #: Steps of a moments query (its closed forms hold b^(2r)) or of the moments oracle.
 STEP_LIMIT = 1000
-#: Digit tuples, arrays, group elements or compositions one enumeration or ``verify`` grid visits.
+#: Digit tuples, arrays, group elements, compositions or identity terms that one call visits.
 ENUMERATION_LIMIT = 10**7
 #: states^2 x (r+1) x (s+1), summed over the chains of the whole ``verify moments`` grid: the
 #: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 4 s, b <= 177 at

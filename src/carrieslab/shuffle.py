@@ -24,15 +24,13 @@ from .colored import (
     Pairs,
     _compose_pairs,
     _descents,
-    compose,
     descent_count,
-    enumerate_group,
     inverse,
     negate_colors,
 )
 from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_base, check_count,
                       check_limit, check_sign, check_steps, check_words, digit_value, draw_words,
-                      parameter_ratio)
+                      parameter_ratio, state_count)
 
 
 @dataclass(frozen=True)
@@ -392,51 +390,22 @@ def shuffle_probability(sigma: ColoredPermutation, b: int, r: int = 1) -> Fracti
     return Fraction(comb(n + m - d_inv, n), b ** (r * n))
 
 
-def gessel_coefficients(n: int, p: int, d: int, cutoff: int = 3) -> list[list[int]]:
-    """Counts c[i][j] of factorizations tau mu = sigma by descents of the parts.
+def gessel_coefficients(n: int, p: int, d: int) -> list[list[int]]:
+    """Counts c[i][j] of factorizations tau mu = sigma by descents of the parts, d(sigma) = d.
 
-    sigma is any element with d(sigma) = d; the table is independent of the
-    choice, and that independence is verified over every representative
-    (mismatch raises RuntimeError), at one composition per representative
-    and element.  The table is also checked against its two-variable
-    generating identity through degree ``cutoff`` in each variable; the
-    compositions and identity terms are refused past ``ENUMERATION_LIMIT``.
-    """
-    check_steps(cutoff, what="cutoff")
-    elements = list(enumerate_group(n, p))
-    descents = {e: descent_count(e) for e in elements}
-    inverses = {e: inverse(e) for e in elements}
-    representatives = [e for e in elements if descents[e] == d]
-    if not representatives:
+    Their generating identity (Nakano-Sadahiro, arXiv 1403.5822), sum c[i][j] s^i t^j /
+    ((1-s)(1-t))^(n+1) = sum g[a][b] s^a t^b with g[a][b] = C(n + p a b + a + b - d, n),
+    times ((1-s)(1-t))^(n+1) gives c[i][j] = sum over k <= i, l <= j of (-1)^(k+l) C(n+1, k)
+    C(n+1, l) g[i-k][j-l]: C(n+2, 2)^2 terms, refused past ``ENUMERATION_LIMIT``.  The oracle,
+    a count over the group, is ``verify.suite_gessel``."""
+    check_count("cards n", n)
+    check_count("colors p", p)
+    check_limit(f"the Gessel table of Z_{p} wr S_{n}", comb(n + 2, 2) ** 2, ENUMERATION_LIMIT,
+                "identity terms")
+    if not isinstance(d, int) or not 0 <= d < state_count(n, p):
         raise ValueError(f"no element of Z_{p} wr S_{n} has descent count {d}")
-    check_limit(f"the factorizations of Z_{p} wr S_{n} at d={d}",
-                len(representatives) * len(elements) + (cutoff + 1) ** 2 * (n + 1) ** 2,
-                ENUMERATION_LIMIT, "compositions and identity terms")
-    table: list[list[int]] | None = None
-    for sigma in representatives:
-        current = [[0] * (n + 1) for _ in range(n + 1)]
-        for mu in elements:
-            tau = compose(sigma, inverses[mu])
-            current[descents[tau]][descents[mu]] += 1
-        if table is None:
-            table = current
-        elif current != table:
-            raise RuntimeError(
-                f"factorization counts depend on the representative at n={n} p={p} d={d}"
-            )
-    assert table is not None
-    # Generating identity: sum c[i][j] s^i t^j / ((1-s)(1-t))^(n+1) has
-    # coefficient C(n + p a b + a + b - d, n) at s^a t^b.
-    for a in range(cutoff + 1):
-        for c in range(cutoff + 1):
-            lhs = sum(
-                table[i][j] * comb(a - i + n, n) * comb(c - j + n, n)
-                for i in range(min(a, n) + 1)
-                for j in range(min(c, n) + 1)
-            )
-            rhs = comb(n + p * a * c + a + c - d, n)
-            if lhs != rhs:
-                raise RuntimeError(
-                    f"generating identity fails at (s^{a}, t^{c}) for n={n} p={p} d={d}"
-                )
-    return table
+    g = [[comb(n + p * a * b + a + b - d, n) for b in range(n + 1)] for a in range(n + 1)]
+    signed = [(-1) ** k * comb(n + 1, k) for k in range(n + 1)]
+    return [[sum(signed[k] * signed[l] * g[i - k][j - l]
+                 for k in range(i + 1) for l in range(j + 1)) for j in range(n + 1)]
+            for i in range(n + 1)]

@@ -19,6 +19,7 @@ from typing import Iterator
 from . import reference
 from .colored import (
     ColoredPermutation,
+    compose,
     dash_descent_count,
     descent_count,
     descent_histograms,
@@ -139,17 +140,12 @@ def valid_parameters(sign: str, b: int) -> list[Fraction]:
 
 
 def smallest_valid_bases(sign: str, p, count: int = 2) -> list[int]:
-    """The ``count`` smallest bases b >= 2 for which (sign, b, p) is valid."""
-    out = []
-    for b in range(2, 1001):
-        try:
-            parameter_ratio(sign, b, p)
-        except ValueError:
-            continue
-        out.append(b)
-        if len(out) == count:
-            return out
-    raise ValueError(f"no valid bases found for sign={sign} p={p}")
+    """The ``count`` smallest bases b >= 2 for which (sign, b, p) is valid: with p = a/c in
+    lowest terms, b = a k + 1 for k >= 1 (sign +) and b = a k - 1 for k >= ceil(3/a) (sign -)."""
+    a, shift = Fraction(p).numerator, 1 if sign == "+" else -1
+    first = (1 - shift) // a + 1  # the least k with a k + shift >= 2
+    parameter_ratio(sign, a * first + shift, p)  # refuses a bad sign, or p < 1, by the rule
+    return [a * k + shift for k in range(first, first + count)]
 
 
 def _param_key(params: ProcessParams | _Chain) -> str:
@@ -612,22 +608,51 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
 
 
 def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport:
-    """Factorization counts: representative independence and generating identity.
+    """Closed-form factorization counts against the oracle that counts them in the group.
 
     Per (n, p) the work is |G|^2 compositions, every representative meeting every
     element, and n + 1 tables at most of (cutoff + 1)^2 sums of (n + 1)^2 terms.
     """
+    check_steps(cutoff, what="cutoff")
     report = SuiteReport("gessel", f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})")
     cells = ((f"n={n} p={p}", group_order(n, p) ** 2 + (n + 1) ** 3 * (cutoff + 1) ** 2, (n, p))
              for p in range(1, p_max + 1) for n in range(1, n_max + 1))
     for n, p in check_grid("the gessel grid", cells, ENUMERATION_LIMIT,
                            "compositions and identity terms"):
-        for d in sorted(descent_histograms(n, p)[0]):
-            table, why = _refused(lambda: gessel_coefficients(n, p, d, cutoff))
-            total = sum(sum(row) for row in table or ())
+        descents = {e: descent_count(e) for e in enumerate_group(n, p)}  # once for every d
+        factors = [(inverse(mu), j) for mu, j in descents.items()]
+        for d in sorted(set(descents.values())):
+            why, total = _gessel_failure(n, p, d, cutoff, factors, descents)
             report.add(f"n={n} p={p} d={d}", not why and total == group_order(n, p),
                        why or f"total {total}")
     return report
+
+
+def _gessel_failure(n: int, p: int, d: int, cutoff: int, factors: list,
+                    descents: dict) -> tuple[str, int]:
+    """The oracle at descent count d: the first way its counts fail, or "", and their total.
+    Each representative sigma's c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j} takes one
+    composition per (mu^-1, d(mu)) of ``factors``: the first's must meet the generating
+    identity, and every one's must equal ``gessel_coefficients``."""
+    closed = gessel_coefficients(n, p, d)
+    for k, sigma in enumerate(e for e, descent in descents.items() if descent == d):
+        counts = [[0] * (n + 1) for _ in range(n + 1)]
+        for mu_inverse, j in factors:
+            counts[descents[compose(sigma, mu_inverse)]][j] += 1
+        # At the first representative, through degree ``cutoff`` in each variable: sum c[i][j]
+        # s^i t^j / ((1-s)(1-t))^(n+1) has coefficient C(n + p a b + a + b - d, n) at s^a t^b.
+        for a in range(cutoff + 1 if k == 0 else 0):
+            for c in range(cutoff + 1):
+                lhs = sum(
+                    counts[i][j] * comb(a - i + n, n) * comb(c - j + n, n)
+                    for i in range(min(a, n) + 1)
+                    for j in range(min(c, n) + 1)
+                )
+                if lhs != comb(n + p * a * c + a + c - d, n):
+                    return f"generating identity fails at (s^{a}, t^{c}) for n={n} p={p} d={d}", 0
+        if counts != closed:
+            return f"the counts at {sigma.to_text()} differ from the closed form", 0
+    return "", sum(map(sum, closed))
 
 
 # --- golden examples -----------------------------------------------------

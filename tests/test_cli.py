@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from carrieslab import cli, spectral, verify
-from carrieslab.colored import ColoredPermutation
+from carrieslab import cli, colored, spectral, verify
+from carrieslab.colored import ColoredPermutation, inverse
 from carrieslab.moments import MomentOracle
 from carrieslab.process import (
     ENUMERATION_LIMIT,
@@ -31,6 +31,7 @@ from carrieslab.process import (
     STATE_LIMIT,
     STEP_LIMIT,
     make_process,
+    parameter_ratio,
     state_count,
 )
 from carrieslab.ratmat import RationalMatrix
@@ -40,7 +41,8 @@ from carrieslab.shuffle import (
     bijection_plus,
     shuffle_probability,
 )
-from carrieslab.verify import SuiteCase, SuiteReport, _chain_grid, run_suite, valid_parameters
+from carrieslab.verify import (SuiteCase, SuiteReport, _chain_grid, run_suite,
+                               smallest_valid_bases, valid_parameters)
 
 
 def run(capsys, *argv):
@@ -530,6 +532,65 @@ def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
         assert [case["key"] for case in json.loads(out)["cases"] if not case["ok"]] == failed
 
 
+def _failed_cases(capsys, suite):
+    """The failed cases of ``verify suite``, which must exit 1 with a report and a reproduce
+    line, never as an internal consistency failure."""
+    code, out, err = run(capsys, "verify", suite)
+    assert code == 1 and f"reproduce: carries-lab verify {suite}" in err
+    assert "internal consistency failure" not in err
+    return [case for case in json.loads(out)["cases"] if not case["ok"]]
+
+
+def test_a_broken_group_law_fails_the_gessel_oracle(capsys, monkeypatch):
+    # The oracle counts sigma = tau mu with colored.compose.  A law that answers sigma for
+    # every product breaks the generating identity; a law that reads tau = sigma mu meets it
+    # at the first representative of d = 1 and differs from the closed form at a later one.
+    monkeypatch.setattr(verify, "compose", lambda sigma, mu_inverse: sigma)
+    failed = _failed_cases(capsys, "gessel")
+    assert len(failed) == 14
+    assert all(case["detail"].startswith("generating identity fails at ") for case in failed)
+    law = colored.compose
+    monkeypatch.setattr(verify, "compose", lambda sigma, mu_inverse: law(sigma, inverse(
+        mu_inverse)))
+    assert {case["key"]: case["detail"] for case in _failed_cases(capsys, "gessel")} == {
+        "n=3 p=2 d=0": "generating identity fails at (s^1, t^1) for n=3 p=2 d=0",
+        "n=3 p=2 d=1": "the counts at (1,0)(2,1)(3,1) differ from the closed form",
+        "n=3 p=2 d=2": "generating identity fails at (s^1, t^1) for n=3 p=2 d=2",
+        "n=3 p=2 d=3": "generating identity fails at (s^1, t^1) for n=3 p=2 d=3",
+    }
+
+
+def test_a_duality_check_that_accepts_p_one_fails_its_case(capsys, monkeypatch):
+    closed_form = verify.duality_check_left
+
+    def duality_check_left(n, p):  # the case key is the check's name
+        return True if p == 1 else closed_form(n, p)
+
+    monkeypatch.setattr(verify, "duality_check_left", duality_check_left)
+    failed = _failed_cases(capsys, "duality")
+    assert [case["key"] for case in failed] == ["duality_check_left rejects p=1"]
+
+
+def test_a_shifted_gessel_table_fails_both_suites_that_read_it(capsys, monkeypatch):
+    # Entry (0, 0) of the closed form up by one: every gessel case differs from the count at
+    # its first representative, and every factorization-route case of shuffle-onestep fails.
+    closed_form = verify.gessel_coefficients
+
+    def shifted(n, p, d):
+        table = closed_form(n, p, d)
+        table[0][0] += 1
+        return table
+
+    monkeypatch.setattr(verify, "gessel_coefficients", shifted)
+    failed = _failed_cases(capsys, "gessel")
+    assert len(failed) == 15
+    assert all(case["detail"].endswith(" differ from the closed form") for case in failed)
+    failed = _failed_cases(capsys, "shuffle-onestep")
+    assert [case["key"] for case in failed] == [
+        f"factorization-route b={b} n={n} p={p} r={r}"
+        for b, n, p in ((3, 2, 1), (3, 3, 1), (4, 2, 3), (4, 3, 3), (5, 2, 2)) for r in (1, 2)]
+
+
 def test_argparse_rejections_exit_two(capsys):
     for argv in (["verify", "not-a-suite"],
                  ["matrix", "--sign", "*", "--b", "2", "--n", "2", "--p", "1"],
@@ -568,6 +629,38 @@ def test_the_module_entry_point_refuses_an_unwritable_out_path(tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"carries-lab: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _stdout_closed_read_end():
+    """A pipe's write end whose read end is already closed: a write to it fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("sink, reason", [
+    pytest.param(lambda: os.open("/dev/full", os.O_WRONLY), errno.ENOSPC, id="dev-full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    pytest.param(_stdout_closed_read_end, errno.EPIPE, id="closed-pipe"),
+])
+@pytest.mark.parametrize("argv", [
+    ("digits", "--x", "5", "--sign", "+", "--b", "10"),  # one short line, written at the flush
+    ("simulate", "--sign", "+", "--b", "7", "--n", "10", "--p", "3", "--N", "2000"),  # 230 kB
+], ids=("short", "long"))
+def test_an_unwritable_stdout_exits_two_with_one_line(sink, reason, argv):
+    # The stdout write and its flush are guarded like --out: one line, no traceback, and
+    # nothing left over for the interpreter's flush at exit ("Exception ignored ...").
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parent.parent),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    fd = sink()
+    try:
+        result = subprocess.run([sys.executable, "-m", "carrieslab.cli", *argv], stdout=fd,
+                                stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(fd)
+    assert result.returncode == 2
+    assert result.stderr == f"carries-lab: cannot write <stdout>: {os.strerror(reason)}\n"
 
 
 def test_state_count_above_the_limit_is_refused(capsys):
@@ -751,6 +844,30 @@ def test_every_entry_point_uses_one_validity_rule(capsys):
                 code, out, err = run(capsys, "shuffle", "--sign", sign, "--b", str(b),
                                      "--n", "2", "--p", str(p), "--N", "1")
                 assert (code == 0) == (p in valid) and (code == 0 or "mod p" in err)
+
+
+def test_smallest_valid_bases_match_a_trial_search():
+    # The stated rule against trying every base through the validity rule itself.
+    def trial(sign, p):
+        found = []
+        for b in range(2, 10**4):
+            try:
+                parameter_ratio(sign, b, p)
+            except ValueError:
+                continue
+            found.append(b)
+            if len(found) == 3:
+                return found
+
+    for a in range(1, 41):
+        for c in range(1, a + 1):
+            for sign in ("+", "-"):
+                found = trial(sign, Fraction(a, c))
+                for count in (1, 2, 3):
+                    assert smallest_valid_bases(sign, Fraction(a, c), count) == found[:count]
+    for sign, p in (("*", 2), ("+", Fraction(1, 2)), ("-", Fraction(2, 3))):
+        with pytest.raises(ValueError):
+            smallest_valid_bases(sign, p)
 
 
 def test_invalid_parameters_exit_two(capsys):

@@ -187,6 +187,7 @@ def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "descent_histograms",
                         lambda n, p: calls.append((n, p)) or (Counter(), Counter()))
+    monkeypatch.setattr(verify, "enumerate_group", lambda n, p: calls.append((n, p)) or [])
     monkeypatch.setattr(verify, "gessel_coefficients", lambda *args: calls.append(args))
     monkeypatch.setattr(verify, "transition_oracle", lambda params: calls.append(params))
     for suite, options in ((verify.suite_gessel, {"n_max": 7}),

@@ -3,13 +3,19 @@ the closed-form transition matrix against enumeration and P = R D L,
 integer-row matrix products against schoolbook ``Fraction`` sums, exact
 solves and inverses against their residuals, primitivity on the zero pattern
 against a positive Wielandt power, the round trips of digit expansions
-and of the star and bar maps, and the CLI's JSON renderer against ``json.dumps``."""
+and of the star and bar maps, the CLI's JSON renderer against ``json.dumps``, and the
+CLI's input contract: every command line exits 0 or 2 without a traceback."""
 
 import argparse
+import io
 import json
+import os
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import chain, islice, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -401,3 +407,84 @@ def nested_rows(draw, depth):
 def test_the_renderer_writes_what_json_dumps_writes(obj):
     args = argparse.Namespace(format="json", as_float=False, digits=12, command="test")
     assert cli._render((obj, ()), args) == json.dumps(obj, indent=2) + "\n"
+
+
+# The input contract's values: small valid ones and signs, and the edge values 0, -1, a huge
+# value, a fraction, a zero denominator, the empty string and a non-number.  Small values
+# stay at 4 or below, far from the slowest inputs at the caps; an explicit
+# bijection case such as `verify bijection-plus --b 3 --n 3 --p 1 --N 4` (3^12 summand
+# arrays, about 40 s) is still accepted in this space, and the fixed draw does not reach it.
+SMALL_VALUES = ("1", "2", "3", "4", "+", "-")
+EDGE_VALUES = ("0", "-1", str(10**30), "3/2", "1/0", "", "abc")
+# A planted fault, and the suites whose cases it fails: the conditional mean 10^-6 off.
+PLANTED_SUITES = ("moments",)
+
+
+def _parses(convert, value):
+    try:
+        convert(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return True
+
+
+def _flags(draw, parser, out_dir):
+    """The argv of one parser, from its own actions: each positional, then each required
+    option and about one of the optional ones, in a drawn order (argparse stops at the first
+    bad value, so any flag may come first), each with a drawn value."""
+    positionals, options = [], []
+    actions = [action for action in parser._actions if not isinstance(
+        action, (argparse._HelpAction, argparse._SubParsersAction))]
+    optional = sum(not action.required for action in actions if action.option_strings)
+    for action in actions:
+        if action.option_strings and not action.required and draw(st.integers(0, optional)):
+            continue
+        bits = action.option_strings[:1]
+        if action.nargs != 0:
+            # Three draws in four take a small value that the flag's own type accepts, or a
+            # choice; the fourth takes any value.
+            valid = sorted(action.choices) if action.choices else [
+                value for value in SMALL_VALUES if _parses(action.type or str, value)]
+            value = draw(st.sampled_from(valid if draw(st.integers(0, 3)) else
+                                         EDGE_VALUES + SMALL_VALUES))
+            bits.append(os.path.join(out_dir, value) if action.dest == "out" else value)
+        (options if action.option_strings else positionals).append(bits)
+    return list(chain.from_iterable(positionals + draw(st.permutations(options))))
+
+
+@st.composite
+def command_lines(draw, out_dir):
+    """A global part, a subcommand and its part, each built from ``build_parser``'s actions."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    command = draw(st.sampled_from(sorted(commands)))
+    return [*_flags(draw, parser, out_dir), command, *_flags(draw, commands[command], out_dir)]
+
+
+@settings(BOUNDED, max_examples=300)
+@given(st.data())
+def test_every_command_line_exits_zero_or_two_without_a_traceback(data):
+    planted = data.draw(st.booleans(), label="planted")
+    closed_form = verify.mean_conditional
+
+    def shifted(*args):
+        return closed_form(*args) + Fraction(1, 10**6)
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = data.draw(command_lines(out_dir), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with (mock.patch.object(verify, "mean_conditional", shifted if planted else closed_form),
+              redirect_stdout(out), redirect_stderr(err)):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_:  # argparse refuses by exiting
+                code = exit_.code
+    err = err.getvalue()
+    assert "Traceback" not in err and "internal consistency failure" not in err
+    if code == 1:
+        suite = argv[argv.index("verify") + 1]
+        assert planted and suite in PLANTED_SUITES, argv
+        assert f"reproduce: carries-lab verify {suite}" in err
+    else:
+        assert code in (0, 2), argv

@@ -176,14 +176,32 @@ def test_iterated_shuffle_probability():
 
 
 def test_gessel_identity_holds():
-    tables = gessel_coefficients(2, 2, 1)
-    assert tables  # verified internally; a failure raises RuntimeError
+    # The closed form against a count: c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j} at
+    # one representative sigma of each descent count d, for n <= 4 and p <= 3.
+    for n, p in product(range(1, 5), range(1, 4)):
+        elements = list(enumerate_group(n, p))
+        descents = {e: descent_count(e) for e in elements}
+        representatives = {}
+        for e in elements:
+            representatives.setdefault(descents[e], e)
+        assert sorted(representatives) == list(range(n + (p > 1)))
+        for d, sigma in representatives.items():
+            counts = [[0] * (n + 1) for _ in range(n + 1)]
+            for mu in elements:
+                counts[descents[compose(sigma, colored.inverse(mu))]][descents[mu]] += 1
+            assert gessel_coefficients(n, p, d) == counts, (n, p, d)
 
 
 def test_gessel_factorizations_above_the_enumeration_limit_are_refused():
-    # 722 representatives times 46,080 elements is about 3.3 * 10^7 compositions.
-    with pytest.raises(ValueError, match="limited to 10000000 compositions"):
-        gessel_coefficients(6, 2, 1)
+    # The closed form sums C(n + 2, 2)^2 identity terms: 9,985,600 at n = 78, the largest
+    # n it accepts; n = 79 and a huge n are refused before any term, as is a d that is no
+    # descent count.
+    for n in (79, 10**30):
+        with pytest.raises(ValueError, match="limited to 10000000 identity terms"):
+            gessel_coefficients(n, 2, 1)
+    for d in (-1, 3, 1.0):
+        with pytest.raises(ValueError, match=f"no element of Z_1 wr S_3 has descent count {d}"):
+            gessel_coefficients(3, 1, d)
     assert len(verify.suite_gessel().cases) == 15
 
 
