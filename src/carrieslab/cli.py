@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 
 from .colored import ColoredPermutation
@@ -46,6 +46,9 @@ from .process import (
 from .shuffle import sample_sequence
 from .spectral import eigen_system, transition_matrix
 from .verify import SCHEMA_VERSION, SUITES, run_suite
+
+#: Rows of a JSON document's top-level int rows joined into one of the pieces ``main`` writes.
+JOIN_BLOCK = 4096
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -364,7 +367,7 @@ def cmd_verify(args):
 def _json_pieces(out: list, value, default, pad: str = "\n") -> None:
     """Append to ``out`` the pieces of ``value`` as ``json.dumps(value, indent=2,
     default=default)`` lays it out; ``pad`` is the newline and indent that the closing
-    bracket of ``value`` follows.  One join of ``out`` copies the document once.
+    bracket of ``value`` follows.  ``main`` writes the pieces, never their join.
 
     Plain ints, or nonempty rows (of nonempty rows ...) of them, are laid out level by level
     at C speed: each int through a table of its text, each row by one join of the rows or
@@ -415,7 +418,11 @@ def _json_array(out: list, value, default, pad: str) -> None:
             sep = closer + "," + below + opener
             opener, closer = "[" + below + opener, closer + below[:-2] + "]"
             children = map(islice, repeat(texts), map(len, rows))
-        out += (opener, sep.join(next(children)), closer)
+        out.append(opener)  # the top-level rows, ``JOIN_BLOCK`` at a time: no text is all of them
+        for block in takewhile(len, map(sep.join, map(islice, repeat(next(children)),
+                                                      repeat(JOIN_BLOCK)))):
+            out += (block, sep)
+        out[-1] = closer
     else:
         start, inner = len(out), pad + "  "
         for item in value:
@@ -425,14 +432,14 @@ def _json_array(out: list, value, default, pad: str) -> None:
         out += (pad, "]")
 
 
-def _render(result, args) -> str:
-    """The text of a command's result: its one line, its JSON document or its CSV rows.
+def _render(result, args) -> list[str]:
+    """The text of a command's result, as pieces: its one line, its JSON document or its CSV rows.
 
     Rationals print as ``num/den``, or as fixed-point decimals under ``--float``,
     in JSON values and CSV cells alike.
     """
     if isinstance(result, str):
-        return result + "\n"
+        return [result + "\n"]
     obj, rows = result
 
     def rational(value):
@@ -453,11 +460,11 @@ def _render(result, args) -> str:
         return rational(value) if type(value) is Fraction else str(value)
 
     if args.format == "csv":
-        return "".join(map("%s\n".__mod__, map(",".join, map(map, repeat(cell), rows))))
+        return ["".join(map("%s\n".__mod__, map(",".join, map(map, repeat(cell), rows))))]
     out = []
     _json_pieces(out, obj, rational)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -474,12 +481,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         result = handlers[args.command](args)
-        text = _render(result, args)
+        pieces = _render(result, args)
         target = "<stdout>" if args.out is None else args.out
         try:  # one guarded write, flush included, for --out and stdout alike
             with (nullcontext(sys.stdout) if args.out is None
                   else open(args.out, "w", encoding="utf-8")) as handle:
-                print(text, end="", file=handle, flush=True)
+                handle.writelines(pieces)
+                handle.flush()
         except OSError as exc:
             if args.out is None:  # the interpreter's flush at exit must find nothing to fail on
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

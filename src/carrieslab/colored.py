@@ -116,7 +116,12 @@ def dash_descent_count(sigma: ColoredPermutation) -> int:
 
 def negate_colors(sigma: ColoredPermutation) -> ColoredPermutation:
     """sigma', every color negated mod p: the form even factors take in a '-' trace."""
-    return ColoredPermutation(sigma.n, sigma.p, tuple((k, (-c) % sigma.p) for k, c in sigma.pairs))
+    return ColoredPermutation(sigma.n, sigma.p, _negate_pairs(sigma.pairs, sigma.p))
+
+
+def _negate_pairs(pairs: Pairs, p: int) -> Pairs:
+    """The window of ``negate_colors``, unchecked: every color c becomes -c mod p."""
+    return tuple([(k, -c % p) for k, c in pairs])
 
 
 def group_order(n: int, p: int) -> int:

@@ -24,8 +24,8 @@ from math import lcm
 from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
-from .ratmat import RationalMatrix, integer_row
-from .spectral import proved_stationary_law, transition_matrix
+from .ratmat import RationalMatrix
+from .spectral import proved_stationary_row, transition_matrix
 
 
 def has_quadratic_eigenfunction(params: ProcessParams) -> bool:
@@ -118,11 +118,11 @@ class MomentOracle:
     """Moments of one chain from exact powers of its transition matrix.
 
     No moment formula is involved.  P^k is one ``RationalMatrix`` product on P^(k-1) when that
-    is known.  A law row P^k[i] is that matrix's own integer row; the stationary law is put in
-    that form once (``ratmat.integer_row``); and E[state after r | start j] is P^r's rows times
-    the states.  All are cached, so every moment is integer sums over a positive denominator
-    (``law_sums``, ``covariance_sums``), or one ``Fraction`` of them, and many (start, r, s)
-    queries on one chain cost only their distinct powers.  A start is a state or
+    is known.  A law row P^k[i] is that matrix's own integer row; the stationary law is proved
+    in that form (``spectral.proved_stationary_row``); and E[state after r | start j] is P^r's
+    rows times the states.  All are cached, so every moment is integer sums over a positive
+    denominator (``law_sums``, ``covariance_sums``), or one ``Fraction`` of them, and many
+    (start, r, s) queries on one chain cost only their distinct powers.  A start is a state or
     ``"stationary"``: row 0 of L once proved P's one fixed law.
     """
 
@@ -139,7 +139,7 @@ class MomentOracle:
         key = (start, 0 if start == "stationary" else k)
         if key not in self._laws:
             if start == "stationary":
-                law, d = integer_row(proved_stationary_law(self.matrix, self.params))
+                law, d = proved_stationary_row(self.matrix, self.params)
             else:
                 check_state(self.params, start)
                 if k not in self._powers:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, cycle, islice, repeat
 from math import comb
-from operator import getitem
+from operator import getitem, mul
 from typing import Callable, Iterable, Sequence
 
 from .colored import (
@@ -24,12 +24,12 @@ from .colored import (
     Pairs,
     _compose_pairs,
     _descents,
+    _negate_pairs,
     descent_count,
     inverse,
-    negate_colors,
 )
 from .process import (DEFAULT_SEED, ENUMERATION_LIMIT, SHUFFLE_LIMIT, check_base, check_count,
-                      check_limit, check_sign, check_steps, check_words, digit_value, draw_words,
+                      check_limit, check_sign, check_steps, check_words, draw_words,
                       parameter_ratio, state_count)
 
 
@@ -61,21 +61,29 @@ class MultiDigitWord:
         return list(zip(*self.rows))
 
     def row_values(self) -> tuple[int, ...]:
-        return tuple(digit_value(row, "+", self.b) for row in self.rows)
+        return tuple(_row_values(self.rows, self.b))
 
     @classmethod
     def from_values(cls, b: int, places: int, values: Sequence[int]) -> "MultiDigitWord":
         limit = b**places
-        rows = []
         for value in values:
             if not 0 <= value < limit:
                 raise ValueError(f"value {value} outside 0..{limit - 1}")
-            row = []
-            for _ in range(places):
-                value, digit = divmod(value, b)
-                row.append(digit)
-            rows.append(tuple(row))
-        return cls(b, tuple(rows))
+        return cls(b, tuple(_digit_rows(values, b, places)))
+
+
+def _row_values(rows: Sequence[Sequence[int]], b: int, flip_odd: bool = False) -> list[int]:
+    """The value of each row of base-b digits, least significant first.  With ``flip_odd`` every
+    digit at an odd index k is first reversed, x -> b-1-x: its term becomes (b-1-x) b^k."""
+    weights = [-(b**k) if flip_odd and k % 2 else b**k for k in range(len(rows[0]))]
+    offset = (1 - b) * sum(weight for weight in weights if weight < 0)  # the (b-1) b^k terms
+    return [offset + sum(map(mul, weights, row)) for row in rows]
+
+
+def _digit_rows(values: Iterable[int], b: int, places: int) -> list[tuple[int, ...]]:
+    """The ``places`` base-b digits of each value in 0..b^places - 1, least significant first."""
+    powers = [b**k for k in range(places)]
+    return [tuple(map(b.__rmod__, map(value.__floordiv__, powers))) for value in values]
 
 
 def gsr_to_permutation(labels: Sequence[int], p: int) -> ColoredPermutation:
@@ -85,26 +93,16 @@ def gsr_to_permutation(labels: Sequence[int], p: int) -> ColoredPermutation:
     and receives color a_i mod p.
     """
     check_count("colors p", p)
-    rank = _stable_ranks(labels)
-    return ColoredPermutation(len(labels), p,
-                              tuple((r + 1, a % p) for r, a in zip(rank, labels)))
+    return ColoredPermutation(len(labels), p, _gsr_pairs(labels, p))
 
 
-def _stable_ranks(keys: Sequence) -> list[int]:
-    """0-based rank of each entry under a stable sort by key: ties keep index order."""
-    rank = [0] * len(keys)
-    for pos, t in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        rank[t] = pos
-    return rank
-
-
-def _accumulated_ranks(levels: Sequence[Sequence[int]]) -> list[int]:
-    """Stable ranks (0-based) of rows under the lex order on accumulated digits.
-
-    Row i's key lists its digits from the latest level down to the first;
-    ties break by row index.
-    """
-    return _stable_ranks(list(zip(*reversed(levels))))
+def _gsr_pairs(labels: Sequence[int], p: int) -> Pairs:
+    """The window of ``gsr_to_permutation(labels, p)``, unchecked: card i at 1 + its rank under
+    a stable sort by label (ties keep index order), with color a_i mod p."""
+    pairs: list = [None] * len(labels)
+    for position, card in enumerate(sorted(range(len(labels)), key=labels.__getitem__), 1):
+        pairs[card] = (position, labels[card] % p)
+    return tuple(pairs)
 
 
 def star_map(words: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -112,32 +110,26 @@ def star_map(words: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
     ``words`` is in application order (first shuffle first).  Level k+1 of
     the output at row i is word k+1 at the rank of row i among the already
-    starred levels 1..k.  Level 1 is unchanged.
+    starred levels 1..k.  Level 1 is unchanged.  Each level's row order is
+    the last one stably re-sorted by that level's digits.
     """
-    if not words:
-        return []
-    levels: list[tuple[int, ...]] = [tuple(words[0])]
-    for k in range(1, len(words)):
-        rank = _accumulated_ranks(levels)
-        word = tuple(words[k])
-        levels.append(tuple(word[rank[i]] for i in range(len(word))))
+    levels: list[tuple[int, ...]] = []
+    order: Sequence[int] = range(len(words[0])) if words else ()
+    for word in words:
+        rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of the order
+        levels.append(tuple(map(tuple(word).__getitem__, rank)))
+        order = sorted(order, key=levels[-1].__getitem__)
     return levels
 
 
 def unstar_map(levels: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Inverse of ``star_map``: recover the words from the starred levels."""
-    if not levels:
-        return []
-    words: list[tuple[int, ...]] = [tuple(levels[0])]
-    starred: list[tuple[int, ...]] = [tuple(levels[0])]
-    for k in range(1, len(levels)):
-        rank = _accumulated_ranks(starred)
-        n = len(levels[k])
-        out: list[int] = [0] * n
-        for i in range(n):
-            out[rank[i]] = levels[k][i]
-        words.append(tuple(out))
-        starred.append(tuple(levels[k]))
+    """Inverse of ``star_map``: recover the words from the starred levels, each level's digits
+    listed in the row order of the levels below it, ranked as in ``star_map``."""
+    words: list[tuple[int, ...]] = []
+    order: Sequence[int] = range(len(levels[0])) if levels else ()
+    for level in levels:
+        words.append(tuple(map(level.__getitem__, order)))
+        order = sorted(order, key=level.__getitem__)
     return words
 
 
@@ -159,23 +151,19 @@ def f_map(x: int, b: int, p: int) -> int:
 
 def bar_map(word: MultiDigitWord) -> MultiDigitWord:
     """Replace each summand value by the running total mod b^N."""
-    modulus = word.b ** word.places
-    values = []
-    acc = 0
-    for value in word.row_values():
-        acc = (acc + value) % modulus
-        values.append(acc)
-    return MultiDigitWord.from_values(word.b, word.places, values)
+    totals = _running_totals(word.row_values(), word.b**word.places)
+    return MultiDigitWord.from_values(word.b, word.places, totals)
+
+
+def _running_totals(values: Iterable[int], modulus: int) -> list[int]:
+    """The running totals of ``values`` mod ``modulus``: the bar map on plain integers."""
+    return list(map(modulus.__rmod__, accumulate(values)))
 
 
 def unbar_map(word: MultiDigitWord) -> MultiDigitWord:
     """Inverse of ``bar_map``: successive differences mod b^N."""
-    modulus = word.b ** word.places
-    values = []
-    prev = 0
-    for value in word.row_values():
-        values.append((value - prev) % modulus)
-        prev = value
+    modulus, totals = word.b**word.places, word.row_values()
+    values = [(total - prev) % modulus for prev, total in zip((0, *totals), totals)]
     return MultiDigitWord.from_values(word.b, word.places, values)
 
 
@@ -245,8 +233,7 @@ class _composer:
 
         def factor(negate: bool) -> Callable:
             def build(word: tuple[int, ...]) -> bytes | Pairs:
-                sigma = gsr_to_permutation(word, p)
-                pairs = (negate_colors(sigma) if negate else sigma).pairs
+                pairs = _negate_pairs(_gsr_pairs(word, p), p) if negate else _gsr_pairs(word, p)
                 return b"".join(map(block, pairs)).ljust(256, b"\0") if self.coded else pairs
             return build
 
@@ -323,32 +310,22 @@ def sample_sequence(
 
 
 def _bijection_stages(
-    summands: MultiDigitWord, p: int, sign: str
-) -> tuple[MultiDigitWord, MultiDigitWord, MultiDigitWord, list[tuple[int, ...]]]:
-    """The stages of the carries-to-shuffles construction for either sign.
+    b: int, rows: Sequence[Sequence[int]], p: int, sign: str
+) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
+    """The stages of the carries-to-shuffles construction for either sign, on plain integers.
 
-    For '-' every digit at an even place is first reversed (x -> b-1-x);
-    then summands become running totals (bar), each total is multiplied
-    by p mod b^N, and the digit columns, read as starred levels, are
-    unstarred.  Returns the (flipped) summands, the totals, the products
-    and the words in application order.
+    For '-' every digit at an even place is first reversed (x -> b-1-x); then
+    the n rows of N digits become running totals (bar), each multiplied by p
+    mod b^N, and the digit columns, read as starred levels, are unstarred.
+    Returns the values of the (flipped) summands, the totals, the products
+    and the words in application order.  The caller checks (sign, b, p).
     """
-    b, places = summands.b, summands.places
-    parameter_ratio(sign, b, p)
-    if sign == "-":
-        summands = MultiDigitWord(
-            b,
-            tuple(
-                tuple(b - 1 - x if idx % 2 == 1 else x for idx, x in enumerate(row))
-                for row in summands.rows
-            ),
-        )
-    totals = bar_map(summands)
+    places = len(rows[0])
     modulus = b**places
-    mixed = MultiDigitWord.from_values(
-        b, places, [f_map(v, modulus, p) for v in totals.row_values()]
-    )
-    return summands, totals, mixed, unstar_map(mixed.columns())
+    values = _row_values(rows, b, flip_odd=sign == "-")  # odd index k: an even place k + 1
+    totals = _running_totals(values, modulus)
+    products = [f_map(total, modulus, p) for total in totals]
+    return values, totals, products, unstar_map(list(zip(*_digit_rows(products, b, places))))
 
 
 def bijection_plus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
@@ -360,7 +337,8 @@ def bijection_plus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
     whose descent count after r shuffles equals the r-th carry of the
     positive-base chain fed the same digit columns.
     """
-    words = _bijection_stages(summands, p, "+")[3]
+    parameter_ratio("+", summands.b, p)
+    words = _bijection_stages(summands.b, summands.rows, p, "+")[3]
     return trace_from_words(summands.b, summands.count, p, words, sign="+")
 
 
@@ -372,7 +350,8 @@ def bijection_minus(summands: MultiDigitWord, p: int) -> ShuffleTrace:
     unstars; the resulting words drive a '-' trace whose recorded values
     equal the negative-base carries of the original summands, step by step.
     """
-    words = _bijection_stages(summands, p, "-")[3]
+    parameter_ratio("-", summands.b, p)
+    words = _bijection_stages(summands.b, summands.rows, p, "-")[3]
     return trace_from_words(summands.b, summands.count, p, words, sign="-")
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 from typing import Iterator
 
@@ -201,9 +201,15 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
 
 def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:
     """Stationary law of the chain: row 0 of L, normalized to sum 1."""
+    law, d = _stationary_row(params)
+    return tuple(Fraction(x, d) for x in law)
+
+
+def _stationary_row(params: ProcessParams) -> tuple[tuple[int, ...], int]:
+    """``stationary_distribution`` as one reduced integer row (law, d): row 0 of L over its sum."""
     row, _ = next(_left_integer_rows(params.n, params.p))
-    total = sum(row)
-    return tuple(Fraction(x, total) for x in row)
+    g = gcd(*row) if sum(row) > 0 else -gcd(*row)
+    return tuple(x // g for x in row), sum(row) // g
 
 
 def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
@@ -215,11 +221,21 @@ def proved_stationary_law(matrix: RationalMatrix, params: ProcessParams) -> tupl
     """``stationary_distribution(params)`` once proved P = ``matrix``'s one stationary law: sum 1,
     fixed by P, and P stochastic and primitive, so 1 is a simple eigenvalue (Kemeny-Snell, *Finite
     Markov Chains*, 1960).  A failed proof (a broken closed form) raises RuntimeError."""
-    law = stationary_distribution(params)
-    if not (len(law) == matrix.dim and sum(law) == 1 and matrix.is_stochastic()
-            and matrix.is_primitive() and matrix.row_mul(law) == law):
+    law, d = proved_stationary_row(matrix, params)
+    return tuple(Fraction(x, d) for x in law)
+
+
+def proved_stationary_row(matrix: RationalMatrix,
+                          params: ProcessParams) -> tuple[tuple[int, ...], int]:
+    """``proved_stationary_law`` as one integer row (law, d), d > 0, proved in integers: law / d
+    is fixed by P when law times each column (nums_j, e_j) of P gives law_j e_j."""
+    law, d = _stationary_row(params)
+    columns = matrix.transpose().integer_rows
+    if not (len(law) == matrix.dim and sum(law) == d > 0 and matrix.is_stochastic()
+            and matrix.is_primitive()
+            and all(sum(map(mul, law, nums)) == x * e for (nums, e), x in zip(columns, law))):
         raise RuntimeError("stationary law: row 0 of L is not proved P's one fixed law")
-    return law
+    return law, d
 
 
 def _conjugate_reflection(n: int, p, build, reflect) -> bool:

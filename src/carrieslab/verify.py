@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, starmap
 from math import ceil, comb, factorial, log
+from operator import mul
 from typing import Iterator
 
 from . import reference
@@ -400,14 +401,16 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
         for r in range(1, r_max + 1):
             if oracle.covariance("stationary", 0, r) != stationary_moments(params, r)[1]:
                 return f"stationary covariance r={r}"
-    # Decaying eigenvector checks: the centred coordinate always, its
-    # centred square exactly where the closed forms claim it.
-    center = [j + Fraction(1) / params.p - Fraction(n + 1, 2) for j in range(dim)]
-    if oracle.matrix.col_mul(center) != tuple(x / params.signed_base for x in center):
-        return "first decaying eigenvector"
-    square = [x * x - Fraction(n + 1, 12) for x in center]
-    if (oracle.matrix.col_mul(square) == tuple(x / params.b**2 for x in square)) != quad:
-        return "second decaying eigenvector"
+    # Decaying eigenvector checks: the centred coordinate j + 1/p - (n+1)/2 = u_j / 2a always,
+    # its centred square (3 u_j^2 - a^2 (n+1)) / 12 a^2 exactly where the closed forms claim it.
+    a, c = params.p.numerator, params.p.denominator
+    center = [2 * a * j + 2 * c - a * (n + 1) for j in range(dim)]
+    square = [3 * u * u - a * a * (n + 1) for u in center]
+    for name, vector, scale, claimed in (("first", center, params.signed_base, True),
+                                         ("second", square, params.b**2, quad)):
+        if claimed != all(scale * sum(map(mul, nums, vector)) == x * d  # P u == u / scale
+                          for (nums, d), x in zip(oracle.matrix.integer_rows, vector)):
+            return f"{name} decaying eigenvector"
     if quad:
         return ""
     # Where the closed forms are refused, show they deserve it: each must
@@ -539,17 +542,18 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     share words; as each word permutes a column of digits in {0..b-1}, the
     map is then a bijection onto ({0..b-1}^n)^N, so the joint laws agree.
     """
-    check_steps(places)
+    check_steps(places)  # a negative N is refused as a step count, N = 0 as no digit places
+    check_count("digit places", places)
     params = make_process(sign, b, n, p)
     trace = _composer(n, p, sign).trace
     seen = set()
     for flat in enumerate_words(f"exhaustive b={b} n={n} p={p} N={places}", b, n * places,
                                 "summand arrays"):
-        summands = MultiDigitWord(b, [flat[i * places : (i + 1) * places] for i in range(n)])
-        kappas = simulate_trace(params, places, columns=summands.columns()).kappas[1:]
-        words = tuple(_bijection_stages(summands, p, sign)[3])
+        rows = tuple(zip(*[iter(flat)] * places))
+        kappas = simulate_trace(params, places, columns=list(zip(*rows))).kappas[1:]
+        words = tuple(_bijection_stages(b, rows, p, sign)[3])
         if trace(words)[1] != kappas:
-            return f"mismatch at rows={summands.rows}"
+            return f"mismatch at rows={rows}"
         seen.add(words)
     return "" if len(seen) == b ** (n * places) else "word map not injective"
 
@@ -714,7 +718,8 @@ def _pipeline_mismatch(sign: str, ex: dict) -> str:
     b, p, n = ex["b"], ex["p"], ex["n"]
     summands = MultiDigitWord(b, ex["rows"])
     trace = simulate_trace(make_process(sign, b, n, p), summands.places, columns=summands.columns())
-    flipped, barred, mixed, _ = _bijection_stages(summands, p, sign)
+    flipped, barred, mixed = (MultiDigitWord.from_values(b, summands.places, values) for values
+                              in _bijection_stages(b, summands.rows, p, sign)[:3])
     shuffles = (bijection_plus if sign == "+" else bijection_minus)(summands, p)
     factors = [gsr_to_permutation(word, p) for word in shuffles.words]
     computed = {

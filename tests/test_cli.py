@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from carrieslab import cli, colored, spectral, verify
+from carrieslab import cli, colored, shuffle, spectral, verify
 from carrieslab.colored import ColoredPermutation, inverse
 from carrieslab.moments import MomentOracle
 from carrieslab.process import (
@@ -249,6 +249,15 @@ def test_verify_refuses_sample_counts_below_one(capsys):
         assert code == 2 and out == "" and "samples >= 1" in err
 
 
+def test_verify_refuses_a_single_bijection_case_without_digit_places(capsys):
+    for suite in ("bijection-plus", "bijection-minus"):
+        for places, refusal in (("0", "need an integer number of digit places >= 1, got 0"),
+                                ("-1", "step count must be nonnegative")):
+            code, out, err = run(capsys, "verify", suite, "--b", "2", "--n", "1", "--p", "1",
+                                 "--N", places)
+            assert (code, out, err) == (2, "", f"carries-lab: {refusal}\n")
+
+
 def test_verify_refuses_sample_counts_below_the_floor_of_the_bound(capsys, monkeypatch):
     # Below m = 2 (K ln 2 + ln 10^6) (25)^2, K outcomes of the exact law, a correct engine may
     # exceed total variation 1/50 more often than 10^-6; --samples 2 and 8 used to exit 1.
@@ -402,13 +411,14 @@ def test_a_broken_stationary_law_fails_its_cases_and_exits_one(capsys, monkeypat
                                                                 keeps_sum):
     # A shifted row 0 of L fails the proof that it is P's one fixed law: each suite that reads
     # it reports failed cases and exits 1, whether or not the shift keeps the sum at 1.
-    shift, closed_form = Fraction(1, 10**6), spectral.stationary_distribution
+    shift, closed_form = Fraction(1, 10**6), spectral._stationary_row
 
-    def shifted(params):
-        pi = closed_form(params)
-        return (pi[0] + shift, *pi[1:-1], pi[-1] - shift * keeps_sum)
+    def shifted(params):  # the law / d of ``stationary_distribution``, as an integer row
+        law, d = closed_form(params)
+        nums = [x * shift.denominator for x in law]
+        return (nums[0] + d, *nums[1:-1], nums[-1] - d * keeps_sum), d * shift.denominator
 
-    monkeypatch.setattr(spectral, "stationary_distribution", shifted)
+    monkeypatch.setattr(spectral, "_stationary_row", shifted)
     for suite, must_fail in (("moments", lambda key: True),
                              ("examples-golden", lambda key: key.startswith("stationary "))):
         report = tmp_path / f"{suite}.json"
@@ -539,6 +549,36 @@ def _failed_cases(capsys, suite):
     assert code == 1 and f"reproduce: carries-lab verify {suite}" in err
     assert "internal consistency failure" not in err
     return [case for case in json.loads(out)["cases"] if not case["ok"]]
+
+
+def test_a_fault_in_the_integer_construction_fails_its_bijection_suites(capsys, monkeypatch):
+    # The bar's running totals kept mod b^(N-1) fail both signs; the flip moved to the even
+    # places fails '-' only, as do '-' phase factors that keep their colors (p = 3, where
+    # negation moves colors).  The bar without any mod would be no fault: the products are
+    # taken mod b^N, which reduces the same residue.
+    real_values, real_totals = shuffle._row_values, shuffle._running_totals
+
+    def flip_even(rows, b, flip_odd=False):  # the digits at even indices flipped instead
+        if flip_odd:
+            rows = [tuple(b - 1 - x if k % 2 == 0 else x for k, x in enumerate(row))
+                    for row in rows]
+        return real_values(rows, b)
+
+    case = ("--b", "2", "--n", "3", "--N", "3")
+    for target, fault, failing in (
+            ("_running_totals", lambda values, modulus: real_totals(values, modulus // 2), "+-"),
+            ("_row_values", flip_even, "-"),
+            ("_negate_pairs", lambda pairs, p: pairs, "-")):
+        with monkeypatch.context() as patch:
+            patch.setattr(shuffle, target, fault)
+            for sign, suite, p in (("+", "bijection-plus", "1"), ("-", "bijection-minus", "3")):
+                code, out, err = run(capsys, "verify", suite, *case, "--p", p)
+                if sign not in failing:
+                    assert code == 0, (target, suite)
+                    continue
+                assert code == 1 and f"reproduce: carries-lab verify {suite} --b 2" in err
+                [detail] = [entry["detail"] for entry in json.loads(out)["cases"]]
+                assert detail.startswith(("mismatch at rows=((", "word map not injective"))
 
 
 def test_a_broken_group_law_fails_the_gessel_oracle(capsys, monkeypatch):
@@ -1432,7 +1472,7 @@ def rendered(argv):
     """The result object of a subcommand and the JSON text the CLI renders for it."""
     args = cli.build_parser().parse_args(argv)
     result = getattr(cli, f"cmd_{args.command}")(args)
-    return result[0], cli._render(result, args)
+    return result[0], "".join(cli._render(result, args))
 
 
 class Colour(IntEnum):
@@ -1476,7 +1516,7 @@ RENDER_SHAPES = {
 @pytest.mark.parametrize("obj", RENDER_SHAPES.values(), ids=RENDER_SHAPES.keys())
 def test_renderer_writes_what_json_dumps_writes(obj, as_float):
     args = argparse.Namespace(format="json", as_float=as_float, digits=12, command="test")
-    assert cli._render((obj, ()), args) == json_dumps_text(obj, as_float)
+    assert "".join(cli._render((obj, ()), args)) == json_dumps_text(obj, as_float)
 
 
 def _subcommand_argvs(sign):

@@ -181,11 +181,11 @@ def test_the_sampled_tier_counts_what_one_stack_at_a_time_counts(sign, b, n, p, 
 
 @pytest.mark.parametrize("sign, b, n, p", [("+", 7, 3, 3), ("-", 5, 3, 3), ("+", 17, 4, 16)])
 def test_a_factor_is_a_table_of_one_letter_blocks_from_its_first_use(monkeypatch, sign, b, n, p):
-    # Each word becomes a permutation once per phase, and its table joins the images of one
+    # Each word becomes a window once per phase, and its table joins the images of one
     # letter at a time, each composed once, so an engine makes at most n p compositions.
     # Words used any number of times fold like the group law.
     factors, blocks = [], []
-    real_factor, real_compose = shuffle.gsr_to_permutation, shuffle._compose_pairs
+    real_factor, real_compose = shuffle._gsr_pairs, shuffle._compose_pairs
 
     def counted_factor(word, p):
         factors.append(word)
@@ -195,7 +195,7 @@ def test_a_factor_is_a_table_of_one_letter_blocks_from_its_first_use(monkeypatch
         blocks.append((tuple(tau_pairs), tuple(sigma_pairs)))
         return real_compose(tau_pairs, sigma_pairs, p)
 
-    monkeypatch.setattr(shuffle, "gsr_to_permutation", counted_factor)
+    monkeypatch.setattr(shuffle, "_gsr_pairs", counted_factor)
     monkeypatch.setattr(shuffle, "_compose_pairs", counted_compose)
     phases = 1 if sign == "+" else 2
     one_position = tuple((1, c) for c in range(p))
@@ -217,6 +217,33 @@ def test_star_and_unstar_are_inverse(case):
     words = [tuple(word) for word in case[-1]]
     assert unstar_map(star_map(words)) == words
     assert star_map(unstar_map(words)) == words
+
+
+def accumulated_ranks(levels):
+    """The rank of each row under a stable sort by its digits from the last level down to the
+    first, ties by row index."""
+    keys = list(zip(*reversed(levels)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [order.index(i) for i in range(len(keys))]
+
+
+@BOUNDED
+@given(word_stacks())
+def test_star_and_unstar_rank_by_the_accumulated_keys(case):
+    # Level k + 1 at row i is word k + 1 at row i's rank among starred levels 1..k, each rank
+    # sorted afresh from every level's digits; unstarring puts each digit back at that rank.
+    words = [tuple(word) for word in case[-1]]
+    levels = [words[0]]
+    for word in words[1:]:
+        levels.append(tuple(word[r] for r in accumulated_ranks(levels)))
+    assert star_map(words) == levels
+    unstarred = [levels[0]]
+    for k in range(1, len(levels)):
+        out = [None] * len(levels[k])
+        for i, r in enumerate(accumulated_ranks(levels[:k])):
+            out[r] = levels[k][i]
+        unstarred.append(tuple(out))
+    assert unstar_map(levels) == unstarred == words
 
 
 @BOUNDED
@@ -406,7 +433,7 @@ def nested_rows(draw, depth):
 @given(st.integers(0, 4).flatmap(nested_rows))
 def test_the_renderer_writes_what_json_dumps_writes(obj):
     args = argparse.Namespace(format="json", as_float=False, digits=12, command="test")
-    assert cli._render((obj, ()), args) == json.dumps(obj, indent=2) + "\n"
+    assert "".join(cli._render((obj, ()), args)) == json.dumps(obj, indent=2) + "\n"
 
 
 # The input contract's values: small valid ones and signs, and the edge values 0, -1, a huge

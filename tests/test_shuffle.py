@@ -1,6 +1,8 @@
 """Digit words, shuffle composition, and the carry-descent constructions."""
 
+import gc
 import signal
+import sys
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -92,6 +94,27 @@ def test_bar_map_prefix_sums_and_inverse():
         partial = (partial + row_value) % modulus
         assert got == partial
     assert unbar_map(barred) == word
+
+
+def test_the_integer_stages_are_the_public_maps_composed():
+    # Every array at b <= 3, n <= 2, N <= 3, both signs and every valid p: the values, totals,
+    # products and words of ``_bijection_stages`` are those of the flip, ``bar_map``,
+    # ``f_map`` through ``from_values``, and ``unstar_map`` of the digit columns.
+    for sign, b, n, places in product("+-", (2, 3), (1, 2), (1, 2, 3)):
+        top = b - 1 if sign == "+" else b + 1
+        for p, flat in product([k for k in range(1, top + 1) if top % k == 0],
+                               product(range(b), repeat=n * places)):
+            rows = tuple(flat[i * places:(i + 1) * places] for i in range(n))
+            if sign == "-":
+                rows = tuple(tuple(b - 1 - x if k % 2 else x for k, x in enumerate(row))
+                             for row in rows)
+            flipped = MultiDigitWord(b, rows)
+            barred = bar_map(flipped)
+            mixed = MultiDigitWord.from_values(
+                b, places, [f_map(v, b**places, p) for v in barred.row_values()])
+            stages = shuffle._bijection_stages(b, tuple(zip(*[iter(flat)] * places)), p, sign)
+            assert stages == (list(flipped.row_values()), list(barred.row_values()),
+                              list(mixed.row_values()), unstar_map(mixed.columns()))
 
 
 def test_f_map_is_a_bijection():
@@ -243,20 +266,36 @@ def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
 
 
 def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
-    # One trace engine per case: a word becomes a permutation at most once
+    # One trace engine per case: a word becomes a window at most once
     # per color negation, however many digit arrays drive it.
     words = []
-    real = shuffle.gsr_to_permutation
+    real = shuffle._gsr_pairs
 
     def counted(word, p):
         words.append(word)
         return real(word, p)
 
-    monkeypatch.setattr(shuffle, "gsr_to_permutation", counted)
+    monkeypatch.setattr(shuffle, "_gsr_pairs", counted)
     for sign, negations in (("+", 1), ("-", 2)):  # b = 3, n = 2: nine words
         words.clear()
         assert verify._bijection_failure(sign, 3, 2, 2, 2) == ""
         assert len(words) <= negations * 9
+
+
+@pytest.mark.parametrize("sign, b, n, p, places", [("+", 3, 2, 1, 3), ("-", 3, 2, 2, 3)])
+def test_an_exhaustive_tier_enters_at_most_60_python_frames_per_array(sign, b, n, p, places):
+    # The construction runs on plain integers: no digit word is built or checked per array.
+    # Set-up and the memo misses are shared out over the 729 arrays.
+    calls, previous = [], sys.getprofile()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(None))
+    try:
+        assert verify._bijection_failure(sign, b, n, p, places) == ""
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    assert len(calls) <= 60 * b ** (n * places)
 
 
 def test_pair_window_traces_compose_by_the_engine_rule(monkeypatch):
