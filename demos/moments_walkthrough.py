@@ -1,10 +1,10 @@
-"""Exact moments of the carry: closed forms against matrix powers.
+"""Exact moments of the carry: closed forms against an exact oracle.
 
 The centred mean of the carry decays like (+-b)^-r, and its variance
 climbs to (n+1)/12 at a rate independent of the start state.  This
 walk-through evaluates the closed forms, recomputes each number from
-exact powers of the transition matrix, and visits the one family of
-parameters (a single summand) where only the matrix oracle answers.
+integer vectors walked through the transition matrix, and visits the one
+family of parameters (a single summand) where only the oracle answers.
 """
 
 from carrieslab import (

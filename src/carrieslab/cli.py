@@ -212,7 +212,7 @@ def cmd_moments(args):
     check_limit("moments", max(args.r, args.s), STEP_LIMIT, "steps (--r and --s)")
     start, lag = ("stationary", {}) if args.stationary else (args.i, {"s": args.s})
     if not has_quadratic_eigenfunction(params):
-        # n = 1: no closed second moments; fall back to matrix powers
+        # n = 1: no closed second moments; fall back to the integer-walk oracle
         oracle = moments_oracle(params, args.r, lag.get("s", 0), start)
         mean, var, cov = oracle.mean, oracle.variance, oracle.covariance
     elif args.stationary:

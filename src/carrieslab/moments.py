@@ -1,10 +1,10 @@
-"""Closed-form moments of carries chains, with a matrix-power oracle.
+"""Closed-form moments of carries chains, with an integer-walk oracle.
 
 All formulas are exact rationals.  The conditional variance and the
 covariance do not depend on the start state or on p; the mean does.  The
-oracle, ``MomentOracle``, recomputes every quantity from exact powers of
-the transition matrix so the closed forms can be checked without
-circularity.
+oracle, ``MomentOracle``, recomputes every quantity as an expectation
+(P^k f)(i) of integer vectors walked through P, so the closed forms can
+be checked without circularity.
 
 The mean formula holds for every valid parameter set.  The second-moment
 formulas rest on the centred square being a right eigenfunction with
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
 from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
-from .ratmat import RationalMatrix
 from .spectral import proved_stationary_row, transition_matrix
 
 
@@ -99,7 +99,7 @@ def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fra
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Moments computed from exact matrix powers and the proved stationary law."""
+    """Moments computed from exact integer walks and the proved stationary law."""
 
     params: ProcessParams
     start: int | str
@@ -115,57 +115,61 @@ class MomentReport:
 
 
 class MomentOracle:
-    """Moments of one chain from exact powers of its transition matrix.
+    """Moments of one chain from integer vectors walked through P = N / den.
 
-    No moment formula is involved.  P^k is one ``RationalMatrix`` product on P^(k-1) when that
-    is known.  A law row P^k[i] is that matrix's own integer row; the stationary law is proved
-    in that form (``spectral.proved_stationary_row``); and E[state after r | start j] is P^r's
-    rows times the states.  All are cached, so every moment is integer sums over a positive
-    denominator (``law_sums``, ``covariance_sums``), or one ``Fraction`` of them, and many
-    (start, r, s) queries on one chain cost only their distinct powers.  A start is a state or
-    ``"stationary"``: row 0 of L once proved P's one fixed law.
+    No moment formula is involved.  den is the lcm of P's row denominators, so N is an integer
+    matrix and E[f(state after k) | start i] = (N^k f)[i] / den^k (Kemeny-Snell, 1960, ch. 4):
+    ``walk`` forms N^k f one matrix-vector product a step; no matrix power is formed.  A start is
+    a state or ``"stationary"``, the law proved as one integer row by
+    ``spectral.proved_stationary_row`` and dotted with the same vectors.  Every moment is integer
+    sums over a positive denominator (``law_sums``, ``covariance_sums``) or one ``Fraction``.
     """
 
     def __init__(self, params: ProcessParams) -> None:
         self.params = params
         self.matrix = transition_matrix(params)
         self.dim = self.matrix.dim
-        self._powers = {0: RationalMatrix.identity(self.dim), 1: self.matrix}
-        self._laws: dict[tuple[int | str, int], tuple[tuple[int, ...], int, int]] = {}
-        self._mean_after: dict[int, tuple[list[int], list[int], int]] = {}
+        self.den = lcm(*(d for _, d in self.matrix.integer_rows))
+        self._rows = [[x * (self.den // d) for x in nums] for nums, d in self.matrix.integer_rows]
+        self._walks: dict[int | str, dict[int, list[int]]] = {"state": {0: list(range(self.dim))}}
 
-    def _law(self, start: int | str, k: int) -> tuple[tuple[int, ...], int, int]:
-        """(law, d, m1): the state after k steps from ``start`` has law law/d and mean m1/d."""
-        key = (start, 0 if start == "stationary" else k)
-        if key not in self._laws:
-            if start == "stationary":
-                law, d = proved_stationary_row(self.matrix, self.params)
-            else:
-                check_state(self.params, start)
-                if k not in self._powers:
-                    below = self._powers.get(k - 1)
-                    self._powers[k] = self.matrix.power(k) if below is None else below @ self.matrix
-                law, d = self._powers[k].integer_rows[start]
-            self._laws[key] = law, d, sum(map(mul, law, range(self.dim)))
-        return self._laws[key]
+    def walk(self, f: int | str, k: int) -> list[int]:
+        """N^k f for f = "state", the states j, or a lag f = r, j (N^r j) entrywise (r = 0 is
+        j^2).  Cached; a new level is walked from the deepest cached level below it."""
+        levels = self._walks.get(f)
+        if levels is None:
+            levels = self._walks[f] = {0: list(map(mul, range(self.dim), self.walk("state", f)))}
+        vector = levels.get(k)
+        if vector is None:
+            top = k - 1 if k - 1 in levels else max(filter(k.__gt__, levels))
+            vector = levels[top]
+            for _ in range(k - top):
+                vector = [sum(map(mul, row, vector)) for row in self._rows]
+            levels[k] = vector
+        return vector
+
+    @cached_property
+    def _stationary(self) -> tuple[tuple[int, ...], int]:
+        return proved_stationary_row(self.matrix, self.params)
+
+    def _start(self, start: int | str, k: int):
+        """(read, d): E[(N^m f)(state after k steps from ``start``)] = read(f, m) / (d den^m)."""
+        if start == "stationary":
+            law, d = self._stationary
+            return (lambda f, m: sum(map(mul, law, self.walk(f, m)))), d
+        check_state(self.params, start)
+        return (lambda f, m: self.walk(f, k + m)[start]), self.den**k
 
     def law_sums(self, start: int | str, k: int) -> tuple[int, int, int]:
         """(m1, m2, d): the state after k steps from ``start`` has moments m1/d and m2/d, d > 0."""
-        law, d, m1 = self._law(start, k)
-        return m1, sum(x * j * j for j, x in enumerate(law)), d
+        read, d = self._start(start, k)
+        return read("state", 0), read(0, 0), d
 
     def covariance_sums(self, start: int | str, s: int, r: int) -> tuple[int, int]:
-        """(cross d_s - m1 m_sr, d_s^2 d_r): ``covariance`` unreduced, its denominator positive.
-        With E_r[j] = P^r[j] . (0, 1, ..., dim-1), m_sr = law . E_r and cross = law . (j E_r[j])."""
-        law, d_s, m1 = self._law(start, s)
-        if r not in self._mean_after:
-            rows = [self._law(j, r) for j in range(self.dim)]
-            den = lcm(*(d for _, d, _ in rows))
-            after = [m1_j * (den // d) for _, d, m1_j in rows]
-            self._mean_after[r] = after, list(map(mul, after, range(self.dim))), den
-        after, state_after, d_r = self._mean_after[r]
-        cross, m_sr = sum(map(mul, law, state_after)), sum(map(mul, law, after))
-        return cross * d_s - m1 * m_sr, d_s * d_s * d_r
+        """(cross d - m1 m_sr, d^2 den^r), ``covariance`` unreduced: at the law after s steps, m1/d
+        is the mean of j, m_sr/(d den^r) that of N^r j and cross/(d den^r) that of j (N^r j)."""
+        read, d = self._start(start, s)
+        return read(r, 0) * d - read("state", 0) * read("state", r), d * d * self.den**r
 
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
         """Mean and variance of the state after k steps from ``start``."""
@@ -184,7 +188,7 @@ def moments_oracle(
 
     ``start`` is a state or ``"stationary"``.  In the stationary case the
     mean and variance are those of the stationary law and the covariance
-    is the lag-r autocovariance.  Everything comes from exact powers of P.
+    is the lag-r autocovariance.  Everything comes from exact integer walks.
     """
     check_steps(r, s)
     check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")

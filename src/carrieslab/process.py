@@ -48,8 +48,8 @@ STEP_LIMIT = 1000
 #: Digit tuples, arrays, group elements, compositions or identity terms that one call visits.
 ENUMERATION_LIMIT = 10**7
 #: states^2 x (r+1) x (s+1), summed over the chains of the whole ``verify moments`` grid: the
-#: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 4 s, b <= 177 at
-#: n = 1 about 6 s, n <= 44 at b = 2 about 0.8 s.
+#: default grid has 123,984; at the cap r = 3471 at b, n <= 2 takes about 3 s, b <= 177 at n = 1
+#: about 3.5 s, n <= 44 at b = 2 about 0.5 s and r = s = 16 at b <= 4, n <= 3 about 0.1 s.
 MOMENT_GRID_LIMIT = 125 * 10**3
 #: Summands n_max of the ``verify eigen``, ``duality`` and ``sf-numbers`` grids: at the cap
 #: ``eigen`` takes about 5 s, ``duality`` and ``sf-numbers`` under 1 s.

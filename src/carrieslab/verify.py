@@ -193,7 +193,8 @@ def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
 # --- eigen ---------------------------------------------------------------
 
 def suite_eigen(n_max: int = 6) -> SuiteReport:
-    """Factorization P = R D L with R L = I, plus R against its double-sum oracle."""
+    """Factorization P = R D L with R L = I, plus R against its double-sum oracle.  R L = I and
+    L P = D L pin L once R and P are right (L = R^-1), so L needs no case against its oracle."""
     check_limit("the eigen grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     ps = [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(3, 2)]
     report = SuiteReport(
@@ -336,7 +337,7 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
 # --- moments -------------------------------------------------------------
 
 def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
-    """Closed-form moments against exact matrix powers on the full valid grid."""
+    """Closed-form moments against exact integer walks through P on the full valid grid."""
     check_steps(r_max, s_max)
     cells = ((_param_key(c), state_count(c.n, c.p) ** 2 * (r_max + 1) * (s_max + 1), c)
              for c in _chain_grid(b_max, n_max))
@@ -361,32 +362,32 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
     return report
 
 
-def _equals(num: int, den: int, q: Fraction) -> bool:
-    """Whether num / den == q, for den > 0: one cross-multiplication, no ``Fraction``."""
-    return num * q.denominator == q.numerator * den
-
-
 def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
     """The first closed form one chain's oracle refutes, or "" if none."""
     oracle = MomentOracle(params)
     dim, n = oracle.dim, params.n
     quad = has_quadratic_eigenfunction(params)
     if quad:
-        # Neither second-moment form depends on the start state: one value per r and (s, r).
-        variances = [variance_conditional(params, r) for r in range(r_max + 1)]
-        covariances = [[covariance_conditional(params, s, r) for s in range(s_max + 1)]
-                       for r in range(r_max + 1)]
+        # No second-moment form depends on the start: one value per r and (s, r), with its vector.
+        variances = [(oracle.walk(0, r), variance_conditional(params, r)) for r in range(r_max + 1)]
+        covariances = [[(oracle.walk(r, s), covariance_conditional(params, s, r))
+                        for s in range(s_max + 1)] for r in range(r_max + 1)]
+    # The state after k steps from i has mean means[k][i] / den^k: each check cross-multiplies.
+    means = [oracle.walk("state", k) for k in range(r_max + s_max + 1)]
+    dens = [oracle.den**k for k in range(r_max + 2 * s_max + 1)]
     for i in range(dim):
         for r in range(r_max + 1):
-            m1, m2, d = oracle.law_sums(i, r)
-            if not _equals(m1, d, mean_conditional(params, r, i)):
+            m1, d, q = means[r][i], dens[r], mean_conditional(params, r, i)
+            if m1 * q.denominator != q.numerator * d:
                 return f"mean i={i} r={r}"
             if not quad:
                 continue
-            if not _equals(m2 * d - m1 * m1, d * d, variances[r]):
+            square, q = variances[r]
+            if (square[i] * d - m1 * m1) * q.denominator != q.numerator * d * d:
                 return f"variance i={i} r={r}"
-            for s in range(s_max + 1):
-                if not _equals(*oracle.covariance_sums(i, s, r), covariances[r][s]):
+            for s, (cross, q) in enumerate(covariances[r]):
+                cov = cross[i] * dens[s] - means[s][i] * means[s + r][i]
+                if cov * q.denominator != q.numerator * dens[2 * s + r]:
                     return f"covariance i={i} s={s} r={r}"
     # Stationary law (a failed proof raises, and fails the case) and pair: the law and
     # mean hold for every chain, second moments only with the quadratic eigenfunction.

@@ -490,6 +490,19 @@ def test_a_shifted_conditional_moment_fails_its_cases_and_exits_one(capsys, monk
     assert (len(details), set(details)) == (failed, {detail})
 
 
+def test_verify_moments_forms_no_matrix_product_or_power(capsys, monkeypatch):
+    # The moments oracle walks integer vectors through P, so its default grid runs and passes
+    # with every RationalMatrix product and power refused.
+    def refused(*args):
+        raise AssertionError("verify moments formed a matrix product or power")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refused)
+    monkeypatch.setattr(RationalMatrix, "power", refused)
+    code, out, _ = run(capsys, "verify", "moments")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True and len(report["cases"]) == 283
+
+
 def test_a_shifted_right_eigen_matrix_is_an_internal_failure(capsys, monkeypatch):
     # R L != I is a broken closed form, not bad input: `eigen --check` exits 1 and names it,
     # and `verify eigen` fails every chain case with it and says how to reproduce the run.
