@@ -27,7 +27,7 @@ from carrieslab import (
 def main() -> None:
     print("Eulerian numbers (plain permutations) from the recursion:")
     for n in range(1, 5):
-        print(f"    n = {n}:", descent_statistics(n, 1).ints())
+        print(f"    n = {n}:", descent_statistics(n, 1))
 
     n, p = 3, 2
     print(f"\nSigned permutations, n = {n}: recursion vs brute force over all")
@@ -36,24 +36,24 @@ def main() -> None:
     histogram = [0] * (n + 1)
     for sigma in enumerate_group(n, p):
         histogram[descent_count(sigma)] += 1
-    print("    recursion  :", table.ints())
+    print("    recursion  :", table)
     print("    enumeration:", tuple(histogram))
-    assert table.ints() == tuple(histogram)
+    assert table == tuple(histogram)
 
     dash = descent_statistics(n, p, variant="dash")
-    print("The companion statistic reverses the table:", dash.ints())
-    assert dash.ints() == table.ints()[::-1]
+    print("The companion statistic reverses the table:", dash)
+    assert dash == table[::-1]
 
     print("\nRows of the deformed first-kind triangle, and the identity")
     print("tying them to the top row of the right eigenvector matrix:")
     for p in (2, 3):
         for n in range(1, 4):
-            row = stirling_frobenius(n, p).values
+            row = stirling_frobenius(n, p)
             scaled = right_eigen_matrix(n, p).scale(p**n * factorial(n))
             top = tuple(scaled[0][j] for j in range(scaled.dim))
             assert row == top[::-1]
-        print(f"    p = {p}, n = 3:", stirling_frobenius(3, p).ints())
-    print("    p = 1, n = 3:", stirling_frobenius(3, 1).ints(),
+        print(f"    p = {p}, n = 3:", stirling_frobenius(3, p))
+    print("    p = 1, n = 3:", stirling_frobenius(3, 1),
           " (leading 0; the rest are unsigned first-kind Stirling numbers)")
 
     print("\nThe left matrix is base-free, so one duality swaps it across")

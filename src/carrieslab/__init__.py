@@ -28,7 +28,6 @@ from .moments import (
 )
 from .process import (
     CarriesTrace,
-    CarrySet,
     DEFAULT_SEED,
     ProcessParams,
     carry_slope,
@@ -63,7 +62,6 @@ from .shuffle import (
 )
 from .spectral import (
     EigenSystem,
-    StatTable,
     descent_statistics,
     duality_check_left,
     duality_check_right,

@@ -24,7 +24,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .process import STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
+from .process import STATE_LIMIT, STEP_LIMIT, ProcessParams, check_limit, check_state, check_steps
 from .spectral import proved_stationary_row, transition_matrix
 
 
@@ -121,8 +121,8 @@ class MomentOracle:
     matrix and E[f(state after k) | start i] = (N^k f)[i] / den^k (Kemeny-Snell, 1960, ch. 4):
     ``walk`` forms N^k f one matrix-vector product a step; no matrix power is formed.  A start is
     a state or ``"stationary"``, the law proved as one integer row by
-    ``spectral.proved_stationary_row`` and dotted with the same vectors.  Every moment is integer
-    sums over a positive denominator (``law_sums``, ``covariance_sums``) or one ``Fraction``.
+    ``spectral.proved_stationary_row`` and dotted with the same vectors.  Every moment is one
+    ``Fraction`` of integer sums over a positive denominator.
     """
 
     def __init__(self, params: ProcessParams) -> None:
@@ -160,25 +160,18 @@ class MomentOracle:
         check_state(self.params, start)
         return (lambda f, m: self.walk(f, k + m)[start]), self.den**k
 
-    def law_sums(self, start: int | str, k: int) -> tuple[int, int, int]:
-        """(m1, m2, d): the state after k steps from ``start`` has moments m1/d and m2/d, d > 0."""
-        read, d = self._start(start, k)
-        return read("state", 0), read(0, 0), d
-
-    def covariance_sums(self, start: int | str, s: int, r: int) -> tuple[int, int]:
-        """(cross d - m1 m_sr, d^2 den^r), ``covariance`` unreduced: at the law after s steps, m1/d
-        is the mean of j, m_sr/(d den^r) that of N^r j and cross/(d den^r) that of j (N^r j)."""
-        read, d = self._start(start, s)
-        return read(r, 0) * d - read("state", 0) * read("state", r), d * d * self.den**r
-
     def law_moments(self, start: int | str, k: int) -> tuple[Fraction, Fraction]:
-        """Mean and variance of the state after k steps from ``start``."""
-        m1, m2, d = self.law_sums(start, k)
+        """Mean m1/d and variance m2/d - (m1/d)^2 of the state after k steps from ``start``."""
+        read, d = self._start(start, k)
+        m1, m2 = read("state", 0), read(0, 0)
         return Fraction(m1, d), Fraction(m2 * d - m1 * m1, d * d)
 
     def covariance(self, start: int | str, s: int, r: int) -> Fraction:
-        """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary."""
-        return Fraction(*self.covariance_sums(start, s, r))
+        """Cov(state at s, state at s+r | start); the lag-r autocovariance if stationary.  It is
+        (cross d - m1 m_sr) / (d^2 den^r): at the law after s steps, m1/d is the mean of j,
+        m_sr/(d den^r) that of N^r j and cross/(d den^r) that of j (N^r j)."""
+        read, d = self._start(start, s)
+        return Fraction(read(r, 0) * d - read("state", 0) * read("state", r), d * d * self.den**r)
 
 
 def moments_oracle(
@@ -189,9 +182,11 @@ def moments_oracle(
     ``start`` is a state or ``"stationary"``.  In the stationary case the
     mean and variance are those of the stationary law and the covariance
     is the lag-r autocovariance.  Everything comes from exact integer walks.
+    A chain past ``STATE_LIMIT`` states is refused before P is built.
     """
     check_steps(r, s)
     check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")
+    check_limit("the moments oracle", params.state_count, STATE_LIMIT, "states")
     oracle = MomentOracle(params)
     return MomentReport(params, start, r, s, *oracle.law_moments(start, r),
                         oracle.covariance(start, s, r))

@@ -40,7 +40,7 @@ SIGNS = ("+", "-")
 #: Seed used by sampling helpers when the caller does not pass one.
 DEFAULT_SEED = 1729
 
-#: Chain states the ``matrix``, ``eigen`` and ``moments`` commands accept:
+#: Chain states the ``matrix``, ``eigen`` and ``moments`` commands and ``moments_oracle`` accept:
 #: ``eigen --check`` at 128 states takes about 3 s at b = 4, 9 s at b = 1000.
 STATE_LIMIT = 128
 #: Steps of a moments query (its closed forms hold b^(2r)) or of the moments oracle.
@@ -205,23 +205,8 @@ def carry_slope(sign: str, b: int, d: int) -> Fraction:
     return Fraction(-(b + d), b + 1)
 
 
-@dataclass(frozen=True)
-class CarrySet:
-    """Integer interval of carries produced by an n-fold column addition."""
-
-    min_carry: int
-    max_carry: int
-
-    @property
-    def size(self) -> int:
-        return self.max_carry - self.min_carry + 1
-
-    def values(self) -> range:
-        return range(self.min_carry, self.max_carry + 1)
-
-
-def derive_carry_set(sign: str, b: int, d: int, n: int) -> CarrySet:
-    """Carry interval for n-fold addition over the digit set {d..d+b-1}.
+def derive_carry_set(sign: str, b: int, d: int, n: int) -> range:
+    """Carry interval for n-fold addition over the digit set {d..d+b-1}, as a ``range``.
 
     The interval is [floor((n-1)l), ceil((n-1)(l+1))] where l is
     ``carry_slope``; its size is n when (n-1)l is an integer and n+1
@@ -231,7 +216,7 @@ def derive_carry_set(sign: str, b: int, d: int, n: int) -> CarrySet:
     slope = carry_slope(sign, b, d)
     lo = math.floor((n - 1) * slope)
     hi = math.ceil((n - 1) * (slope + 1))
-    return CarrySet(lo, hi)
+    return range(lo, hi + 1)
 
 
 def derive_p(sign: str, b: int, d: int, n: int) -> Fraction:

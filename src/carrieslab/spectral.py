@@ -213,22 +213,18 @@ def _stationary_row(params: ProcessParams) -> tuple[tuple[int, ...], int]:
 
 
 def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
-    """``stationary_distribution``, proved P's one fixed law by ``proved_stationary_law``."""
-    return proved_stationary_law(transition_matrix(params), params)
-
-
-def proved_stationary_law(matrix: RationalMatrix, params: ProcessParams) -> tuple[Fraction, ...]:
-    """``stationary_distribution(params)`` once proved P = ``matrix``'s one stationary law: sum 1,
-    fixed by P, and P stochastic and primitive, so 1 is a simple eigenvalue (Kemeny-Snell, *Finite
-    Markov Chains*, 1960).  A failed proof (a broken closed form) raises RuntimeError."""
-    law, d = proved_stationary_row(matrix, params)
+    """``stationary_distribution``, proved P's one fixed law by ``proved_stationary_row``."""
+    law, d = proved_stationary_row(transition_matrix(params), params)
     return tuple(Fraction(x, d) for x in law)
 
 
 def proved_stationary_row(matrix: RationalMatrix,
                           params: ProcessParams) -> tuple[tuple[int, ...], int]:
-    """``proved_stationary_law`` as one integer row (law, d), d > 0, proved in integers: law / d
-    is fixed by P when law times each column (nums_j, e_j) of P gives law_j e_j."""
+    """``stationary_distribution(params)`` as one integer row (law, d), d > 0, once proved P =
+    ``matrix``'s one stationary law: law / d sums to 1, is fixed by P (law times each column
+    (nums_j, e_j) of P gives law_j e_j, in integers), and P is stochastic and primitive, so 1 is a
+    simple eigenvalue (Kemeny-Snell, *Finite Markov Chains*, 1960).  A failed proof (a broken
+    closed form) raises RuntimeError."""
     law, d = _stationary_row(params)
     columns = matrix.transpose().integer_rows
     if not (len(law) == matrix.dim and sum(law) == d > 0 and matrix.is_stochastic()
@@ -312,55 +308,45 @@ def _mirrored(matrix: RationalMatrix) -> tuple:
     return tuple((nums[::-1], d) for nums, d in matrix.integer_rows)
 
 
-@dataclass(frozen=True)
-class StatTable:
-    """A labelled row of combinatorial statistics for fixed (n, p)."""
-
-    n: int
-    p: Fraction
-    kind: str
-    values: tuple[Fraction, ...]
-
-    def ints(self) -> tuple[int, ...]:
-        if any(v.denominator != 1 for v in self.values):
-            raise ValueError(f"non-integer values in {self.kind} table")
-        return tuple(int(v) for v in self.values)
+def _table(row) -> tuple:
+    """A statistics row as ints where integral and ``Fraction``s elsewhere: a broken recursion
+    keeps its ``Fraction``s, so it fails its case rather than the run."""
+    return tuple(int(v) if v.denominator == 1 else v for v in row)
 
 
-def _triangle_row(n: int, stay, step) -> tuple[Fraction, ...]:
+def _triangle_row(n: int, stay, step) -> list[Fraction]:
     """Row n of w_k(m) = stay(m, k) w_k(m-1) + step(m, k) w_{k-1}(m-1), w_0(0) = 1."""
     row = [Fraction(1)]
     for m in range(1, n + 1):
         row = [(stay(m, k) * row[k] if k < m else 0) + (step(m, k) * row[k - 1] if k else 0)
                for k in range(m + 1)]
-    return tuple(row)
+    return row
 
 
-def stirling_frobenius(n: int, p) -> StatTable:
-    """Row (w_0, ..., w_n) of the p-deformed first-kind triangle.
+def stirling_frobenius(n: int, p) -> tuple:
+    """Row (w_0, ..., w_n) of the p-deformed first-kind triangle, as ``_table`` gives it.
 
     Recursion w_j(n) = (p n - 1) w_j(n-1) + w_{j-1}(n-1) with w_0(0) = 1.
     For p in N and p > 1 these equal n! p^n times the reversed top row of R.
     """
     p = Fraction(p)
-    row = _triangle_row(n, lambda m, j: p * m - 1, lambda m, j: 1)
-    return StatTable(n, p, "stirling-frobenius", row)
+    return _table(_triangle_row(n, lambda m, j: p * m - 1, lambda m, j: 1))
 
 
-def descent_statistics(n: int, p, variant: str = "standard") -> StatTable:
+def descent_statistics(n: int, p, variant: str = "standard") -> tuple:
     """Counts of group elements by descent statistic, from the recursions.
 
     ``standard``: row 0 of L; entry k counts elements with k descents.
     ``dash``: the companion recursion
     F(n, k) = (p k + p - 1) F(n-1, k) + (p(n-k) + 1) F(n-1, k-1),
-    whose row reverses the standard one for p > 1.  Requires integer p.
+    whose row reverses the standard one for p > 1.  Requires integer p.  Rows are as
+    ``_table`` gives them.
     """
     p = Fraction(p)
     check_count("colors p", p.numerator if p.denominator == 1 else p)
     if variant == "standard":
         row, den = next(_left_integer_rows(n, p))
-        return StatTable(n, p, "descents", tuple(Fraction(x, den) for x in row))
+        return _table(Fraction(x, den) for x in row)
     if variant != "dash":
         raise ValueError(f"unknown variant {variant!r}")
-    row = _triangle_row(n, lambda m, k: p * k + p - 1, lambda m, k: p * (m - k) + 1)
-    return StatTable(n, p, "dash-descents", row)
+    return _table(_triangle_row(n, lambda m, k: p * k + p - 1, lambda m, k: p * (m - k) + 1))

@@ -18,9 +18,9 @@ from carrieslab import (
     transition_matrix,
     variance_conditional,
 )
-from carrieslab import spectral
+from carrieslab import moments, spectral
 from carrieslab.moments import MomentOracle
-from carrieslab.process import STEP_LIMIT
+from carrieslab.process import STATE_LIMIT, STEP_LIMIT
 from carrieslab.verify import _chain_grid
 
 VALID = [("+", 3, 2, 2), ("-", 8, 3, 3), ("+", 2, 4, 1), ("-", 3, 2, Fraction(4, 3))]
@@ -151,6 +151,22 @@ def test_oracle_guards():
     with pytest.raises(ValueError):
         mean_conditional(params, -1, 0)
 
+
+
+def test_the_oracle_refuses_a_chain_past_the_state_limit_before_forming_p(monkeypatch):
+    class Formed(Exception):
+        pass
+
+    def form(params):
+        raise Formed
+
+    monkeypatch.setattr(moments, "transition_matrix", form)
+    over = make_process("+", 3, STATE_LIMIT, 2)  # n + 1 states
+    with pytest.raises(ValueError, match=f"^the moments oracle is limited to {STATE_LIMIT} "
+                                         f"states, got {STATE_LIMIT + 1}$"):
+        moments_oracle(over, 1)
+    with pytest.raises(Formed):  # at the limit the oracle goes on to form P
+        moments_oracle(make_process("+", 3, STATE_LIMIT - 1, 2), 1)
 
 def test_reports_reject_negative_variance():
     params = make_process("+", 3, 2, 2)

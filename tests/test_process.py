@@ -11,7 +11,6 @@ import pytest
 
 import carrieslab
 from carrieslab import (
-    CarrySet,
     MultiDigitWord,
     ProcessParams,
     derive_carry_set,
@@ -38,9 +37,8 @@ from carrieslab.process import draw_words, enumerate_words
 
 def test_carry_set_normalization_round_trip():
     cs = derive_carry_set("-", 3, -1, 4)
-    assert cs.size in (4, 5)
-    assert len(cs.values()) == cs.size
-    assert cs.min_carry - 1 not in cs.values() and cs.max_carry + 1 not in cs.values()
+    assert len(cs) in (4, 5) and cs.step == 1
+    assert cs[0] - 1 not in cs and cs[-1] + 1 not in cs
 
 
 def test_carry_set_size_tracks_p():
@@ -50,13 +48,13 @@ def test_carry_set_size_tracks_p():
                 for n in (1, 2, 3, 4):
                     cs = derive_carry_set(sign, b, d, n)
                     p = derive_p(sign, b, d, n)
-                    assert cs.size == (n if p == 1 else n + 1)
+                    assert len(cs) == (n if p == 1 else n + 1)
 
 
 def test_classical_digit_set_gives_p_one():
     assert derive_p("+", 10, 0, 5) == 1
     cs = derive_carry_set("+", 10, 0, 5)
-    assert (cs.min_carry, cs.max_carry) == (0, 4)
+    assert (cs[0], cs[-1]) == (0, 4)
 
 
 def test_params_validation():
@@ -99,12 +97,12 @@ def test_step_carry_agrees_with_original_coordinates():
             for n in (1, 2, 3):
                 params = process_from_digit_set(sign, b, d, n)
                 cs = derive_carry_set(sign, b, d, n)
-                for carry in cs.values():
+                for carry in cs:
                     for digits in [(0,) * n, (b - 1,) * n, tuple(range(n))]:
                         offset = tuple(x + d for x in digits)
                         nxt_orig, rem_orig = original_step(sign, b, d, carry, offset)
-                        nxt, rem = step_carry(params, carry - cs.min_carry, digits)
-                        assert nxt_orig in cs.values() and nxt == nxt_orig - cs.min_carry
+                        nxt, rem = step_carry(params, carry - cs[0], digits)
+                        assert nxt_orig in cs and nxt == nxt_orig - cs[0]
                         assert rem == rem_orig - d
 
 
@@ -114,7 +112,7 @@ def test_realized_carries_fill_the_interval():
             for d in range(1 - b, 1):
                 for n in (1, 2, 3):
                     cs = derive_carry_set(sign, b, d, n)
-                    assert realized_carry_set(sign, b, d, n) == frozenset(cs.values())
+                    assert realized_carry_set(sign, b, d, n) == frozenset(cs)
 
 
 def test_simulate_trace_reproducible_and_valid():

@@ -198,11 +198,11 @@ def test_the_stationary_proof_refuses_a_fixed_law_that_is_not_the_only_one():
     # 2-cycle (periodic) fix it too, but neither is primitive, so neither pins it.
     params = make_process("+", 3, 1, 2)
     half = (Fraction(1, 2),) * 2
-    assert spectral.proved_stationary_law(transition_matrix(params), params) == half
+    assert spectral.proved_stationary_row(transition_matrix(params), params) == ((1, 1), 2)
     for matrix in (RationalMatrix.identity(2), RationalMatrix([[0, 1], [1, 0]])):
         assert matrix.is_stochastic() and matrix.row_mul(half) == half
         with pytest.raises(RuntimeError, match="stationary law"):
-            spectral.proved_stationary_law(matrix, params)
+            spectral.proved_stationary_row(matrix, params)
 
 
 def test_no_stationary_law_needs_a_linear_solve(monkeypatch):
@@ -239,17 +239,40 @@ def test_symmetry_clauses():
 
 
 def test_stirling_frobenius_reference_rows():
-    assert stirling_frobenius(3, 2).ints() == (15, 23, 9, 1)
-    assert stirling_frobenius(3, 3).ints() == (80, 66, 15, 1)
-    assert stirling_frobenius(3, 1).ints() == (0, 2, 3, 1)
-    assert stirling_frobenius(0, 2).ints() == (1,)
+    assert stirling_frobenius(3, 2) == (15, 23, 9, 1)
+    assert stirling_frobenius(3, 3) == (80, 66, 15, 1)
+    assert stirling_frobenius(3, 1) == (0, 2, 3, 1)
+    assert stirling_frobenius(0, 2) == (1,)
 
+
+
+def test_integral_table_entries_are_plain_ints():
+    # Rows at integer p hold ints, so a verify detail prints (1, 4, 1), not Fraction(1, 1).
+    rows = [stirling_frobenius(n, p) for n in range(5) for p in (1, 2, 3)]
+    rows += [descent_statistics(n, p, variant)
+             for n in range(1, 5) for p in (1, 2, 3) for variant in ("standard", "dash")]
+    assert all(type(x) is int for row in rows for x in row)
+    assert str(descent_statistics(3, 1)) == "(1, 4, 1)"
+
+
+def test_fractional_p_rows_keep_their_fractions():
+    # At p = 3/2 the rows 1/2 1; 1 5/2 1; 7/2 39/4 6 1 follow w_j(m) = (p m - 1) w_j(m-1)
+    # + w_{j-1}(m-1); the integral entries are ints and the rest stay Fractions.
+    p = Fraction(3, 2)
+    rows = [stirling_frobenius(m, p) for m in range(4)]
+    assert rows[3] == (Fraction(7, 2), Fraction(39, 4), 6, 1)
+    for m in range(1, 4):
+        above = (*rows[m - 1], 0)
+        assert rows[m] == tuple((p * m - 1) * above[j] + (above[j - 1] if j else 0)
+                                for j in range(m + 1))
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in rows[m])
+    assert [type(x) for x in rows[3]] == [Fraction, Fraction, int, int]
 
 def test_stirling_frobenius_reverses_scaled_right_row():
     import math
 
     for n, p in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        row = stirling_frobenius(n, p).values
+        row = stirling_frobenius(n, p)
         scale = math.factorial(n) * Fraction(p) ** n
         top = right_eigen_matrix(n, p)[0]
         assert tuple(scale * top[n - j] for j in range(n + 1)) == row
@@ -257,12 +280,12 @@ def test_stirling_frobenius_reverses_scaled_right_row():
 
 def test_descent_statistics_match_enumeration():
     for n, p in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 1)):
-        standard = descent_statistics(n, p, "standard").ints()
+        standard = descent_statistics(n, p, "standard")
         counts = [0] * len(standard)
         for sigma in enumerate_group(n, p):
             counts[descent_count(sigma)] += 1
         assert tuple(counts) == standard
-        dash = descent_statistics(n, p, "dash").ints()
+        dash = descent_statistics(n, p, "dash")
         dash_counts = [0] * len(dash)
         for sigma in enumerate_group(n, p):
             dash_counts[dash_descent_count(sigma)] += 1
@@ -277,4 +300,4 @@ def test_descent_statistics_reject_fractional_p():
 
 
 def test_eulerian_row_for_plain_permutations():
-    assert descent_statistics(4, 1).ints() == (1, 11, 11, 1)
+    assert descent_statistics(4, 1) == (1, 11, 11, 1)
