@@ -19,7 +19,7 @@ from carrieslab import (
 
 def main() -> None:
     params = make_process("+", 10, 3, 1)
-    print("Base 10, three summands, cold start.  Closed form vs matrix oracle:")
+    print("Base 10, three summands, cold start.  Closed form vs integer-walk oracle:")
     print("    r        mean (both)          variance (both)")
     for r in range(5):
         oracle = moments_oracle(params, r, start=0)

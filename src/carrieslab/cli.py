@@ -5,8 +5,8 @@ simulate, shuffle, digits) and the verification suites (verify).  Each
 returns its data, and one renderer writes it as JSON by default or CSV
 with ``--format csv``; rationals are rendered as ``num/den`` strings, or
 as fixed-point decimals under ``--float --digits k``.  Global flags
-(``--format``, ``--out``, ``--seed``, ``--float``, ``--digits``) go
-before the subcommand.  Exit codes: 0 success, 1 internal or
+(``--format``, ``--out``, ``--float``, ``--digits``) go before the
+subcommand, ``--seed`` after it.  Exit codes: 0 success, 1 internal or
 verification failure, 2 invalid parameters.
 """
 
@@ -88,14 +88,6 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{part:0{digits}d}"
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    if args.global_seed is not None:
-        return args.global_seed
-    return DEFAULT_SEED
-
-
 def _add_chain_flags(parser: argparse.ArgumentParser, with_d: bool = False) -> None:
     parser.add_argument("--sign", type=_sign_flag, required=True, help="+ or - (or plus/minus)")
     parser.add_argument("--b", type=int, required=True, help="base magnitude, >= 2")
@@ -112,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=_seed_flag, default=None, dest="global_seed",
-                        help="default seed for the seeded subcommands")
     parser.add_argument("--float", action="store_true", dest="as_float",
                         help="render rationals as fixed-point decimals")
     parser.add_argument("--digits", type=_digits_flag, default=12,
@@ -130,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     moments = sub.add_parser("moments", help="moments of the chain (closed form or oracle)")
     _add_chain_flags(moments)
     moments.add_argument("--r", type=int, default=1, help="step count (lag in stationary mode)")
-    moments.add_argument("--s", type=int, default=0, help="first time for the covariance")
+    moments.add_argument("--s", type=int, default=None, help="first time for the covariance")
     group = moments.add_mutually_exclusive_group()
     group.add_argument("--i", type=int, default=0, help="start state")
     group.add_argument("--stationary", action="store_true", help="stationary moments instead")
@@ -138,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the chain on random digit columns")
     _add_chain_flags(simulate)
     simulate.add_argument("--N", type=int, required=True, help="number of steps")
-    simulate.add_argument("--seed", type=_seed_flag, default=None)
+    simulate.add_argument("--seed", type=_seed_flag, default=DEFAULT_SEED)
 
     shuffle = sub.add_parser("shuffle", help="compose random shuffles and record descents")
     shuffle.add_argument("--sign", type=_sign_flag, default="+",
@@ -147,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     shuffle.add_argument("--n", type=int, required=True)
     shuffle.add_argument("--p", type=int, required=True, help="number of colors (integer)")
     shuffle.add_argument("--N", type=int, required=True, help="number of shuffles")
-    shuffle.add_argument("--seed", type=_seed_flag, default=None)
+    shuffle.add_argument("--seed", type=_seed_flag, default=DEFAULT_SEED)
 
     digits = sub.add_parser("digits", help="digit expansion over {d..d+b-1}")
     digits.add_argument("--x", type=int, required=True, help="nonnegative integer to expand")
@@ -207,13 +197,16 @@ def cmd_eigen(args):
 
 
 def cmd_moments(args):
+    if args.stationary and args.s is not None:
+        raise ValueError("moments --stationary does not use --s")
     params = _bounded_process(args)
-    check_steps(args.r, args.s)
-    check_limit("moments", max(args.r, args.s), STEP_LIMIT, "steps (--r and --s)")
-    start, lag = ("stationary", {}) if args.stationary else (args.i, {"s": args.s})
+    s = args.s or 0
+    check_steps(args.r, s)
+    check_limit("moments", max(args.r, s), STEP_LIMIT, "steps (--r and --s)")
+    start, lag = ("stationary", {}) if args.stationary else (args.i, {"s": s})
     if not has_quadratic_eigenfunction(params):
         # n = 1: no closed second moments; fall back to the integer-walk oracle
-        oracle = moments_oracle(params, args.r, lag.get("s", 0), start)
+        oracle = moments_oracle(params, args.r, s, start)
         mean, var, cov = oracle.mean, oracle.variance, oracle.covariance
     elif args.stationary:
         mean, cov = stationary_moments(params, args.r)
@@ -221,7 +214,7 @@ def cmd_moments(args):
     else:
         mean = mean_conditional(params, args.r, args.i)
         var = variance_conditional(params, args.r, args.i)
-        cov = covariance_conditional(params, args.s, args.r, args.i)
+        cov = covariance_conditional(params, s, args.r, args.i)
     obj = {
         "schema": SCHEMA_VERSION,
         "params": _params_obj(params),
@@ -237,12 +230,11 @@ def cmd_moments(args):
 
 def cmd_simulate(args):
     params = make_process(args.sign, args.b, args.n, args.p)
-    seed = _resolve_seed(args)
-    trace = simulate_trace(params, args.N, seed=seed)
+    trace = simulate_trace(params, args.N, seed=args.seed)
     obj = {
         "schema": SCHEMA_VERSION,
         "params": _params_obj(params),
-        "seed": seed,
+        "seed": args.seed,
         "kappas": trace.kappas,
         "remainders": trace.remainders,
         "summand_digits": trace.summand_digits,
@@ -254,15 +246,14 @@ def cmd_simulate(args):
 
 def cmd_shuffle(args):
     parameter_ratio(args.sign, args.b, args.p)
-    seed = _resolve_seed(args)
-    trace = sample_sequence(args.b, args.n, args.p, args.N, seed=seed, sign=args.sign)
+    trace = sample_sequence(args.b, args.n, args.p, args.N, seed=args.seed, sign=args.sign)
     obj = {
         "schema": SCHEMA_VERSION,
         "b": args.b,
         "n": args.n,
         "p": args.p,
         "sign": args.sign,
-        "seed": seed,
+        "seed": args.seed,
         "words": trace.words,
         "elements": [e.pairs for e in trace.elements],
         "descents": trace.descents,
@@ -300,8 +291,10 @@ _BOUND_FLAGS = ("r", "s", "cutoff")
 
 
 def _verify_options(args) -> dict:
-    """Map verify flags onto the chosen suite's keyword arguments."""
-    allowed = set(inspect.signature(SUITES[args.suite]).parameters)
+    """Map verify flags onto the chosen suite's keyword arguments.  A sampled tier that runs
+    gets its samples and seed, the flags' or else the suite's defaults, among them."""
+    signature = inspect.signature(SUITES[args.suite]).parameters
+    allowed = set(signature)
     provided = {flag: getattr(args, flag) for flag in ("N", *_VERIFY_KEYWORDS)}
     for flag in _BOUND_FLAGS:
         if provided[flag] is not None:
@@ -319,8 +312,9 @@ def _verify_options(args) -> dict:
                 # A single explicit case has no sampled tier to take --samples or --seed.
                 options["mc_case"] = None
                 allowed -= {"samples", "seed"}
-    if "seed" in allowed and provided["seed"] is None:
-        provided["seed"] = args.global_seed
+    for key in allowed & {"samples", "seed"}:
+        if provided[key] is None:
+            provided[key] = signature[key].default
     unused = []
     for flag, value in provided.items():
         if value is None:
@@ -337,17 +331,11 @@ def _verify_options(args) -> dict:
 
 
 def _reproduce_command(suite: str, options: dict) -> str:
-    """The exact invocation that reruns a failing suite."""
-    signature = inspect.signature(SUITES[suite]).parameters
+    """The exact invocation that reruns a failing suite: ``options`` printed back as flags."""
     bits = [f"carries-lab verify {suite}"]
     if "cases" in options:
         bits += [f"--{flag} {value}" for flag, value in zip(_CASE_FLAGS, options["cases"][0])]
-    for flag, key in _VERIFY_KEYWORDS.items():
-        # The sampled tier's samples and seed are always pinned; a single case has none.
-        if key in ("samples", "seed") and key in signature and "cases" not in options:
-            bits.append(f"--{flag} {options.get(key, signature[key].default)}")
-        elif key in options:
-            bits.append(f"--{flag} {options[key]}")
+    bits += [f"--{flag} {options[key]}" for flag, key in _VERIFY_KEYWORDS.items() if key in options]
     return " ".join(bits)
 
 

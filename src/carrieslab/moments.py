@@ -101,7 +101,6 @@ def stationary_moments(params: ProcessParams, r: int = 0) -> tuple[Fraction, Fra
 class MomentReport:
     """Moments computed from exact integer walks and the proved stationary law."""
 
-    params: ProcessParams
     start: int | str
     r: int
     s: int
@@ -188,5 +187,5 @@ def moments_oracle(
     check_limit("the moments oracle", max(r, s), STEP_LIMIT, "steps")
     check_limit("the moments oracle", params.state_count, STATE_LIMIT, "states")
     oracle = MomentOracle(params)
-    return MomentReport(params, start, r, s, *oracle.law_moments(start, r),
+    return MomentReport(start, r, s, *oracle.law_moments(start, r),
                         oracle.covariance(start, s, r))

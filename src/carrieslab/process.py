@@ -348,14 +348,9 @@ class CarriesTrace:
     ``summand_digits[r]`` is the n-tuple of digits consumed at step r+1.
     """
 
-    params: ProcessParams
     kappas: tuple[int, ...]
     remainders: tuple[int, ...]
     summand_digits: tuple[tuple[int, ...], ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.remainders)
 
 
 def simulate_trace(
@@ -385,7 +380,7 @@ def simulate_trace(
         nxt, rem = step_carry(params, kappas[-1], col)
         kappas.append(nxt)
         remainders.append(rem)
-    return CarriesTrace(params, tuple(kappas), tuple(remainders), drawn)
+    return CarriesTrace(tuple(kappas), tuple(remainders), drawn)
 
 
 def digit_expansion(x: int, sign: str, b: int, d: int = 0) -> tuple[int, ...]:

@@ -4,8 +4,7 @@ Multiplication, integer powers, inversion and exact linear solves.  The one
 stored form, ``integer_rows``, holds row i as (numerators, d) with entries
 numerators[j] / d, d > 0 and gcd(d, *numerators) = 1, so equal matrices have
 equal rows.  A product scales the right factor's rows to one common
-denominator; each result row costs one ``gcd``.  Solves, which no chain
-computation needs, run fraction-free Bareiss.  ``Fraction``s are built only
+denominator; each result row costs one ``gcd``.  ``Fraction``s are built only
 where a value leaves the type: ``rows``, ``m[i]``, vectors and solutions.
 """
 
@@ -145,40 +144,26 @@ class RationalMatrix:
         return all(r == (1 << self.dim) - 1 for r in reach)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse, one ``solve_linear`` per unit column; raises ValueError if singular."""
-        return RationalMatrix(zip(*(solve_linear(self, e) for e in self.identity(self.dim).rows)))
+        """Exact inverse by Gauss-Jordan elimination of [self | I] over ``Fraction``s; raises
+        ValueError if singular."""
+        dim = self.dim
+        work = [[*row, *(Fraction(i == j) for j in range(dim))] for i, row in enumerate(self.rows)]
+        for col in range(dim):
+            pivot = next((r for r in range(col, dim) if work[r][col]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            work[col], work[pivot] = work[pivot], work[col]
+            lead = work[col][col]
+            top = work[col] = [x / lead for x in work[col]]
+            for row in work:
+                factor = row[col]
+                if factor and row is not top:
+                    row[:] = [x - factor * y for x, y in zip(row, top)]
+        return RationalMatrix(row[dim:] for row in work)
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Solve matrix @ x = rhs exactly; raises ValueError if singular.
-
-    With e the lcm of rhs's denominators, row i (numerators / d_i) @ x = rhs_i
-    is numerators @ (e x) = e rhs_i d_i, all integers.  Fraction-free Bareiss
-    elimination (Math. Comp. 22, 1968) on those rows divides exactly; its
-    last pivot d is +-det of the numerators.  d e x is an integer vector
-    (Cramer), so back-substitution divides exactly too; x_i = Fraction(d e x_i, d e).
-    """
-    dim = matrix.dim
-    if len(rhs) != dim:
+    """Solve matrix @ x = rhs exactly, as matrix^-1 @ rhs; raises ValueError if singular."""
+    if len(rhs) != matrix.dim:
         raise ValueError("right-hand side length mismatch")
-    e = lcm(*(x.denominator for x in rhs))
-    work = [[*nums, x.numerator * (e // x.denominator) * d]
-            for (nums, d), x in zip(matrix.integer_rows, rhs)]
-    det = 1  # leading minor of the columns eliminated so far: the exact divisor
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        top = work[col]
-        lead = top[col]
-        for row in work[col + 1:]:
-            factor = row[col]
-            row[col + 1:] = [(lead * x - factor * y) // det
-                             for x, y in zip(row[col + 1:], top[col + 1:])]
-        det = lead
-    scaled = [0] * dim  # det * e * x, an integer vector
-    for i in reversed(range(dim)):
-        row = work[i]
-        scaled[i] = (det * row[dim] - sum(map(mul, row[i + 1:dim], scaled[i + 1:]))) // row[i]
-    return tuple(Fraction(v, det * e) for v in scaled)
+    return matrix.inverse().col_mul(rhs)

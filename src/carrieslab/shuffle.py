@@ -180,10 +180,6 @@ class ShuffleTrace:
     chain.
     """
 
-    b: int
-    n: int
-    p: int
-    sign: str
     words: tuple[tuple[int, ...], ...]
     elements: tuple[ColoredPermutation, ...]
     descents: tuple[int, ...]
@@ -294,7 +290,7 @@ def trace_from_words(
     check_words(frozen, b, n)
     windows, values = _composer(n, p, sign).trace(frozen)
     distinct = {w: ColoredPermutation(n, p, _window_pairs(w, p)) for w in dict.fromkeys(windows)}
-    return ShuffleTrace(b, n, p, sign, frozen, tuple(map(distinct.__getitem__, windows)), values)
+    return ShuffleTrace(frozen, tuple(map(distinct.__getitem__, windows)), values)
 
 
 def sample_sequence(

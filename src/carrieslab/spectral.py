@@ -173,7 +173,6 @@ def eigen_values(params: ProcessParams) -> tuple[Fraction, ...]:
 class EigenSystem:
     """Verified factorization P = R D L with L R = R L = I."""
 
-    params: ProcessParams
     left: RationalMatrix
     right: RationalMatrix
     eigenvalues: tuple[Fraction, ...]
@@ -196,7 +195,7 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
         for v, (nums, d) in zip(values, left.integer_rows))
     if left @ transition_matrix(params) != left_d:
         raise RuntimeError(f"R D L != P for {params}")
-    return EigenSystem(params, left, right, values)
+    return EigenSystem(left, right, values)
 
 
 def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from enum import IntEnum
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,19 @@ def test_moments_stationary_closed_forms(capsys):
     assert (obj["mean"], obj["variance"], obj["cov"]) == ("5/3", "1/3", "-1/24")
 
 
+def test_moments_refuses_s_with_stationary(capsys):
+    # --s is the first time of a conditional covariance; a stationary query would drop it.
+    chain = ("moments", "--sign", "-", "--b", "8", "--n", "3", "--p", "3")
+    for s in ("99", "0", "-1"):
+        code, out, err = run(capsys, *chain, "--stationary", "--s", s)
+        assert (code, out, err) == (2, "", "carries-lab: moments --stationary does not use --s\n")
+    code, out, _ = run(capsys, *chain, "--i", "1", "--r", "2", "--s", "3")
+    obj = json.loads(out)
+    assert code == 0 and (obj["start"], obj["r"], obj["s"]) == (1, 2, 3)
+    expected = verify.covariance_conditional(make_process("-", 8, 3, 3), 3, 2, 1)
+    assert obj["cov"] == str(expected) != "0"
+
+
 def test_moments_conditional_closed_forms(capsys):
     code, out, _ = run(capsys, "moments", "--sign", "+", "--b", "2", "--n", "2", "--p", "1")
     obj = json.loads(out)
@@ -138,17 +152,22 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert json.loads(target.read_text()) == [["3/4", "1/4"], ["1/4", "3/4"]]
 
 
-def test_simulate_seed_precedence_and_stability(capsys):
+def test_simulate_seed_default_and_stability(capsys):
     argv = ("simulate", "--sign", "+", "--b", "3", "--n", "2", "--p", "1", "--N", "4")
-    _, global_seed, _ = run(capsys, "--seed", "5", *argv)
     _, sub_seed, _ = run(capsys, *argv, "--seed", "5")
     _, again, _ = run(capsys, *argv, "--seed", "5")
     _, other, _ = run(capsys, *argv, "--seed", "6")
-    assert global_seed == sub_seed == again != other
+    assert sub_seed == again != other
     obj = json.loads(sub_seed)
     assert obj["seed"] == 5 and len(obj["kappas"]) == 5 and len(obj["remainders"]) == 4
     _, default, _ = run(capsys, *argv)
     assert json.loads(default)["seed"] == 1729
+    _, shuffled, _ = run(capsys, "shuffle", "--b", "3", "--n", "2", "--p", "1", "--N", "2")
+    assert json.loads(shuffled)["seed"] == 1729
+    # A seed is set by the flag of the subcommand that uses it; the top level has none.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--seed", "5", *argv])
+    assert info.value.code == 2
 
 
 def test_simulate_csv_layout(capsys):
@@ -236,7 +255,8 @@ def test_verify_refuses_options_that_leave_no_case(capsys, monkeypatch):
     monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail(f"ran {case[1]}"))
     for argv in (["transition", "--b", "1"], ["eigen", "--n", "0"],
                  ["descent-stats", "--n", "0"], ["gessel", "--n", "0"],
-                 ["moments", "--b", "1"], ["moments", "--n", "0"], ["duality", "--n", "0"]):
+                 ["moments", "--b", "1"], ["moments", "--n", "0"], ["duality", "--n", "0"],
+                 ["sf-numbers", "--n", "-1"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and "has no cases to check" in err
 
@@ -361,7 +381,7 @@ def test_verify_refuses_sampling_flags_with_a_single_case(capsys):
     for flag in ("--samples", "--seed"):
         code, out, err = run(capsys, "verify", "bijection-plus", *case, flag, "5")
         assert (code, out) == (2, "") and f"does not use {flag}" in err
-    code, out, _ = run(capsys, "--seed", "5", "verify", "bijection-plus", *case)
+    code, out, _ = run(capsys, "verify", "bijection-plus", *case)
     assert code == 0 and json.loads(out)["passed"]
 
 
@@ -552,11 +572,11 @@ def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
         assert [case["key"] for case in json.loads(out)["cases"] if not case["ok"]] == failed
 
 
-def _failed_cases(capsys, suite):
-    """The failed cases of ``verify suite``, which must exit 1 with a report and a reproduce
-    line, never as an internal consistency failure."""
-    code, out, err = run(capsys, "verify", suite)
-    assert code == 1 and f"reproduce: carries-lab verify {suite}" in err
+def _failed_cases(capsys, suite, *flags):
+    """The failed cases of ``verify suite *flags``, which must exit 1 with a report and a
+    reproduce line, never as an internal consistency failure."""
+    code, out, err = run(capsys, "verify", suite, *flags)
+    assert code == 1 and " ".join(("reproduce: carries-lab verify", suite, *flags)) in err
     assert "internal consistency failure" not in err
     return [case for case in json.loads(out)["cases"] if not case["ok"]]
 
@@ -621,6 +641,66 @@ def test_a_duality_check_that_accepts_p_one_fails_its_case(capsys, monkeypatch):
     assert [case["key"] for case in failed] == ["duality_check_left rejects p=1"]
 
 
+def test_an_off_by_one_iterated_shuffle_law_fails_its_cases(capsys, monkeypatch):
+    # m = (b^r - 1)/p + 1 at r = 2: only the r = 2 enumeration sees it, not the r = 1 law.
+    closed_form = verify.shuffle_probability
+
+    def shuffle_probability(sigma, b, r=1):
+        if r != 2:
+            return closed_form(sigma, b, r)
+        n, m = sigma.n, (b**r - 1) // sigma.p + 1
+        return Fraction(comb(n + m - colored.descent_count(inverse(sigma)), n), b ** (r * n))
+
+    monkeypatch.setattr(verify, "shuffle_probability", shuffle_probability)
+    assert [case["key"] for case in _failed_cases(capsys, "shuffle-prob")] == [
+        "iterated r=2 b=3 n=2 p=1", "iterated r=2 b=3 n=3 p=2", "iterated r=2 b=4 n=2 p=3"]
+
+
+def test_a_mirror_that_keeps_each_row_fails_the_symmetry_cases(capsys, monkeypatch):
+    # 68 of the 76 cases fail; only the one-state chains (n = 1 at p = 1) are their own mirror.
+    monkeypatch.setattr(spectral, "_mirrored", lambda matrix: matrix.integer_rows)
+    failed = {case["key"] for case in _failed_cases(capsys, "symmetry")}
+    one_state = {f"{clause} b={b} n=1" for clause in ("centro", "sign-flip-p1") for b in range(2, 6)}
+    assert len(failed) == 68 and not failed & one_state
+
+
+def test_a_raised_dash_entry_fails_its_one_case(capsys, monkeypatch):
+    closed_form = verify.descent_statistics
+
+    def descent_statistics(n, p, variant="standard"):
+        row = closed_form(n, p, variant)
+        return (row[0] + 1, *row[1:]) if (n, p, variant) == (3, 2, "dash") else row
+
+    monkeypatch.setattr(verify, "descent_statistics", descent_statistics)
+    assert [case["key"] for case in _failed_cases(capsys, "descent-stats")] == ["dash n=3 p=2"]
+
+
+def test_an_identity_unstar_map_fails_both_bijection_suites(capsys, monkeypatch):
+    # Explicit cases, so that no sampled tier runs.
+    monkeypatch.setattr(shuffle, "unstar_map", lambda levels: levels)
+    for suite, case in (("bijection-plus", ("3", "2", "1", "2")),
+                        ("bijection-minus", ("3", "2", "2", "3"))):
+        flags = [x for pair in zip(("--b", "--n", "--p", "--N"), case) for x in pair]
+        failed = _failed_cases(capsys, suite, *flags)
+        assert [case["key"] for case in failed] == ["exhaustive b={} n={} p={} N={}".format(*case)]
+
+
+def test_unsigned_stirling_numbers_fail_eigen_and_sf_numbers(capsys, monkeypatch):
+    # |s(k, l)| by its own recursion: abs() of the real one would fill its cache from this one.
+    @functools.lru_cache(maxsize=None)
+    def unsigned(k, l):
+        if k < 0 or l < 0 or l > k:
+            return 0
+        if k == 0:
+            return int(l == 0)
+        return unsigned(k - 1, l - 1) + (k - 1) * unsigned(k - 1, l)
+
+    monkeypatch.setattr(spectral, "stirling_first", unsigned)
+    assert len(_failed_cases(capsys, "eigen")) == 124
+    assert [case["key"] for case in _failed_cases(capsys, "sf-numbers")] == [
+        f"row n={n} p={p}" for n in range(2, 7) for p in (1, 2, 3)]
+
+
 def test_a_shifted_gessel_table_fails_both_suites_that_read_it(capsys, monkeypatch):
     # Entry (0, 0) of the closed form up by one: every gessel case differs from the count at
     # its first representative, and every factorization-route case of shuffle-onestep fails.
@@ -644,7 +724,9 @@ def test_a_shifted_gessel_table_fails_both_suites_that_read_it(capsys, monkeypat
 def test_argparse_rejections_exit_two(capsys):
     for argv in (["verify", "not-a-suite"],
                  ["matrix", "--sign", "*", "--b", "2", "--n", "2", "--p", "1"],
-                 ["--seed", "-3", "verify", "eigen"],
+                 ["verify", "bijection-plus", "--seed", "-3"],
+                 ["simulate", "--sign", "+", "--b", "2", "--n", "2", "--p", "1", "--N", "2",
+                  "--seed", str(2**64)],
                  ["--digits", "0", "matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "1"],
                  ["matrix", "--sign", "+", "--b", "2", "--n", "2", "--p", "abc"],
                  []):

@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "amazing_matrix_tour.py": "63f0928af459441522aee3bfe3721b8d514f6a9a3975a21fc252f24664961f05",
     "descent_tables_tour.py": "d7f63b3d17964210f085605f03fdffc42a1d63cc38176c77019a958647ba7efd",
-    "moments_walkthrough.py": "89ff0c1cbebe5e10b857758dc31f24edd5df861b1c9b100717870c62bb27b7db",
+    "moments_walkthrough.py": "cf5f3f3298716ec9022126dc0ffce652098b624318abb30d821c4cd36cdc1a75",
     "shuffles_make_carries.py": "22428d240dd2f7a2cf0c4fe3331775f68632a664462a90fd1be43f0f0fe73e17",
 }
 

@@ -169,9 +169,8 @@ def test_the_oracle_refuses_a_chain_past_the_state_limit_before_forming_p(monkey
         moments_oracle(make_process("+", 3, STATE_LIMIT - 1, 2), 1)
 
 def test_reports_reject_negative_variance():
-    params = make_process("+", 3, 2, 2)
     with pytest.raises(ValueError):
-        MomentReport(params, 0, 1, 0, Fraction(0), Fraction(-1), Fraction(0))
+        MomentReport(0, 1, 0, Fraction(0), Fraction(-1), Fraction(0))
 
 
 def test_closed_forms_equal_their_docstring_expressions():

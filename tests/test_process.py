@@ -121,7 +121,7 @@ def test_simulate_trace_reproducible_and_valid():
     b = simulate_trace(params, 20, seed=11)
     c = simulate_trace(params, 20, seed=12)
     assert a == b and a != c
-    assert a.kappas[0] == 0 and len(a.kappas) == 21 and a.steps == 20
+    assert a.kappas[0] == 0 and len(a.kappas) == 21 and len(a.remainders) == 20
     for step in range(20):
         nxt, rem = step_carry(params, a.kappas[step], a.summand_digits[step])
         assert (nxt, rem) == (a.kappas[step + 1], a.remainders[step])
