@@ -1,9 +1,12 @@
 """Self-contained verification suites over small parameter grids.
 
 Each suite checks one family of identities by brute force (enumeration,
-exact linear algebra, or seeded sampling) against the closed forms, and
-returns a report listing every case.  The command line exposes these under
-``carries-lab verify``; the test suite drives the same functions.
+exact linear algebra, or seeded sampling) against the closed forms.  A suite
+is a generator: it checks and prices its options, yields its grid text, then
+yields one ``(key, ok[, detail])`` per case as it computes it.  ``run_suite``
+alone builds the report listing every case: it names, times and collects
+them.  The command line exposes these under ``carries-lab verify``; the test
+suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -114,9 +117,6 @@ class SuiteReport:
         """True when at least one case ran and every case held."""
         return bool(self.cases) and all(case.ok for case in self.cases)
 
-    def add(self, key: str, ok: bool, detail: str = "") -> None:
-        self.cases.append(SuiteCase(key, ok, detail))
-
     def to_json_obj(self) -> dict:
         # Cases are emitted sorted by key so the report does not depend on
         # the order the suite happened to visit the grid.
@@ -153,11 +153,12 @@ def _param_key(params: ProcessParams | _Chain) -> str:
 
 
 def _refused(compute) -> tuple:
-    """(compute(), "") or (None, its RuntimeError's text): a refused check is a failed case."""
+    """(compute(), "") or (None, the text of the error it raised): a refused check, or a closed
+    form that raises, is a failed case, not bad input."""
     try:
         return compute(), ""
-    except RuntimeError as error:
-        return None, str(error)
+    except (RuntimeError, ValueError, ArithmeticError) as error:
+        return None, str(error) or repr(error)
 
 
 def _chain_grid(b_max: int, n_max: int) -> Iterator[_Chain]:
@@ -169,108 +170,103 @@ def _chain_grid(b_max: int, n_max: int) -> Iterator[_Chain]:
 
 # --- transition ----------------------------------------------------------
 
-def suite_transition(b_max: int = 8, n_max: int = 4) -> SuiteReport:
+def suite_transition(b_max: int = 8, n_max: int = 4) -> Iterator:
     """Closed-form transition matrices against exhaustive enumeration."""
     cells = ((_param_key(c), c.b**c.n * state_count(c.n, c.p), c)
              for c in _chain_grid(b_max, n_max))
     chains = check_grid("the transition grid", cells, ENUMERATION_LIMIT, "digit tuples x states")
-    report = SuiteReport("transition", f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p")
+    yield f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p"
     for params in starmap(make_process, chains):
-        formula = transition_matrix(params)
-        oracle = transition_oracle(params)
-        ok = formula == oracle and formula.is_stochastic()
-        primitive = formula.is_primitive()
-        report.add(
-            _param_key(params),
-            ok and primitive,
-            "" if ok and primitive else
-            f"formula==oracle: {formula == oracle}, primitive: {primitive}",
-        )
-    return report
+        failure, refusal = _refused(lambda: _transition_failure(params))
+        yield _param_key(params), not (failure or refusal), failure or refusal
+
+
+def _transition_failure(params: ProcessParams) -> str:
+    """How one chain's closed-form matrix fails its enumeration, or "" if it holds."""
+    formula, oracle = transition_matrix(params), transition_oracle(params)
+    primitive = formula.is_primitive()
+    if formula == oracle and formula.is_stochastic() and primitive:
+        return ""
+    return f"formula==oracle: {formula == oracle}, primitive: {primitive}"
 
 
 # --- eigen ---------------------------------------------------------------
 
-def suite_eigen(n_max: int = 6) -> SuiteReport:
+def suite_eigen(n_max: int = 6) -> Iterator:
     """Factorization P = R D L with R L = I, plus R against its double-sum oracle.  R L = I and
     L P = D L pin L once R and P are right (L = R^-1), so L needs no case against its oracle."""
     check_limit("the eigen grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     ps = [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(3, 2)]
-    report = SuiteReport(
-        "eigen", f"p in {{1,2,3,4,3/2}}, two smallest valid b per sign, n<={n_max}"
-    )
+    yield f"p in {{1,2,3,4,3/2}}, two smallest valid b per sign, n<={n_max}"
     for p in ps:
         for sign in ("+", "-"):
             for b in smallest_valid_bases(sign, p):
                 for n in range(1, n_max + 1):
                     params = make_process(sign, b, n, p)
                     _, why = _refused(lambda: eigen_system(params))  # R L = I and R D L = P
-                    report.add(_param_key(params), not why, why)
+                    yield _param_key(params), not why, why
         for n in range(1, n_max + 1):
-            ok = right_eigen_matrix(n, p) == right_eigen_oracle(n, p)
-            report.add(f"poly-form n={n} p={p}", ok)
-    return report
+            same, why = _refused(lambda: right_eigen_matrix(n, p) == right_eigen_oracle(n, p))
+            yield f"poly-form n={n} p={p}", not why and same, why
 
 
 # --- duality -------------------------------------------------------------
 
-def suite_duality(n_max: int = 5) -> SuiteReport:
+def suite_duality(n_max: int = 5) -> Iterator:
     """Conjugate-parameter reflections of L and R, and rejection of p = 1."""
     check_limit("the duality grid", n_max, GRID_N_LIMIT, "summands (n_max)")
     ps = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(4), Fraction(4, 3)]
-    report = SuiteReport("duality", f"p in {{2,3,3/2,4,4/3}}, n<={n_max}")
+    yield f"p in {{2,3,3/2,4,4/3}}, n<={n_max}"
     for p in ps:
         for n in range(1, n_max + 1):
-            report.add(f"left n={n} p={p}", duality_check_left(n, p))
-            report.add(f"right n={n} p={p}", duality_check_right(n, p))
-    if not report.cases:  # an empty grid: the rejects-p=1 cases below must not pass alone
-        return report
+            yield f"left n={n} p={p}", duality_check_left(n, p)
+            yield f"right n={n} p={p}", duality_check_right(n, p)
+    if n_max < 1:  # an empty grid: the rejects-p=1 cases below must not pass alone
+        return
     for check in (duality_check_left, duality_check_right):
         try:
             check(2, 1)
-            report.add(f"{check.__name__} rejects p=1", False)
+            yield f"{check.__name__} rejects p=1", False
         except ValueError:
-            report.add(f"{check.__name__} rejects p=1", True)
-    return report
+            yield f"{check.__name__} rejects p=1", True
 
 
 # --- symmetry ------------------------------------------------------------
 
-def suite_symmetry() -> SuiteReport:
+def suite_symmetry() -> Iterator:
     """Reflection identities between the two signs and conjugate parameters."""
-    report = SuiteReport("symmetry", "p=1: b<=5; p=2: odd b<=7; p>1: smallest valid b")
+    yield "p=1: b<=5; p=2: odd b<=7; p>1: smallest valid b"
     for b in range(2, 6):
         for n in range(1, 5):
             results = symmetry_check(make_process("+", b, n, 1))
             for clause in ("centro", "sign-flip-p1"):
-                report.add(f"{clause} b={b} n={n}", results.get(clause, False))
+                yield f"{clause} b={b} n={n}", results.get(clause, False)
     for b in (3, 5, 7):
         for n in range(1, 5):
             results = symmetry_check(make_process("+", b, n, 2))
-            report.add(f"sign-flip-p2 b={b} n={n}", results.get("sign-flip-p2", False))
+            yield f"sign-flip-p2 b={b} n={n}", results.get("sign-flip-p2", False)
     for p in (Fraction(2), Fraction(3), Fraction(3, 2), Fraction(4)):
         for sign in ("+", "-"):
             b = smallest_valid_bases(sign, p, count=1)[0]
             for n in range(1, 5):
                 results = symmetry_check(make_process(sign, b, n, p))
-                report.add(
+                yield (
                     f"conjugate sign={sign} b={b} n={n} p={p}",
                     results.get("conjugate", False),
                 )
-    return report
 
 
 # --- stirling-frobenius --------------------------------------------------
 
-def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
+def suite_sf_numbers(n_max: int = 6) -> Iterator:
     """Deformed first-kind rows against the scaled top row of R and references."""
     check_limit("the sf-numbers grid", n_max, GRID_N_LIMIT, "summands (n_max)")
-    report = SuiteReport("sf-numbers", f"p in {{1,2,3}}, n<={n_max}")
+    yield f"p in {{1,2,3}}, n<={n_max}"
     for p in (Fraction(1), Fraction(2), Fraction(3)):
         for n in range(0, n_max + 1):
             row = stirling_frobenius(n, p)
             if n == 0:
-                report.add(f"w(0) p={p}", row == (1,))
+                yield f"w(0) p={p}", row == (1,)
                 continue
             scale = factorial(n) * p**n
             top = right_eigen_matrix(n, p)[0]
@@ -284,30 +280,30 @@ def suite_sf_numbers(n_max: int = 6) -> SuiteReport:
                 )
             else:
                 ok = all(row[j] == scale * top[n - j] for j in range(n + 1))
-            report.add(f"row n={n} p={p}", ok)
-    if not report.cases:  # an empty grid: the reference rows below must not pass alone
-        return report
+            yield f"row n={n} p={p}", ok
+    if n_max < 0:  # an empty grid: the reference rows below must not pass alone
+        return
     for (n, p), expected in reference.STIRLING_FROBENIUS_ROWS.items():
         got = stirling_frobenius(n, p)
-        report.add(f"reference row n={n} p={p}", got == tuple(expected), f"got {got}")
-    return report
+        yield f"reference row n={n} p={p}", got == tuple(expected), f"got {got}"
 
 
 # --- descent statistics --------------------------------------------------
 
-def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
+def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> Iterator:
     """Recursion tables against exhaustive descent counting in the group."""
-    report = SuiteReport("descent-stats", f"p<={p_max}, n<={n_max}")
     # A letter of the kernel's rank tables takes about two elements' time (2 us vs 1.5 us).
     cells = ((f"n={n} p={p}", group_order(n, p) + 2 * n * p, (n, p))
              for p in range(1, p_max + 1) for n in range(1, n_max + 1))
-    for n, p in check_grid("the descent-stats grid", cells, ENUMERATION_LIMIT,
-                           "group elements + 2 x letters"):
+    grid = check_grid("the descent-stats grid", cells, ENUMERATION_LIMIT,
+                      "group elements + 2 x letters")
+    yield f"p<={p_max}, n<={n_max}"
+    for n, p in grid:
         standard = descent_statistics(n, p, "standard")
         dash = descent_statistics(n, p, "dash")
         counts, dash_counts = descent_histograms(n, p)
         observed = tuple(counts.get(k, 0) for k in range(len(standard)))
-        report.add(
+        yield (
             f"standard n={n} p={p}",
             standard == observed and sum(standard) == counts.total() == group_order(n, p),
             f"table {standard} vs counts {observed}",
@@ -318,44 +314,43 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> SuiteReport:
                 dash[k] == standard[n - k] if n - k < len(standard) else dash[k] == 0
                 for k in range(n + 1)
             )
-            report.add(
+            yield (
                 f"dash n={n} p={p}",
                 dash == observed_dash and reversal,
                 f"table {dash} vs counts {observed_dash}",
             )
         else:
             # At p = 1 the dash end always counts: the dash table is the standard one shifted.
-            report.add(f"dash==standard counting n={n} p=1",
-                       dash == observed_dash and dash == (0, *standard))
-    return report
+            yield (f"dash==standard counting n={n} p=1",
+                   dash == observed_dash and dash == (0, *standard))
 
 
 # --- moments -------------------------------------------------------------
 
-def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> SuiteReport:
+def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5) -> Iterator:
     """Closed-form moments against exact integer walks through P on the full valid grid."""
     check_steps(r_max, s_max)
     cells = ((_param_key(c), state_count(c.n, c.p) ** 2 * (r_max + 1) * (s_max + 1), c)
              for c in _chain_grid(b_max, n_max))
-    report = SuiteReport(
-        "moments", f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
-    )
-    for params in starmap(make_process, check_grid("the moments grid", cells, MOMENT_GRID_LIMIT,
-                                                   "units of states^2 x (r+1) x (s+1)")):
+    chains = check_grid("the moments grid", cells, MOMENT_GRID_LIMIT,
+                        "units of states^2 x (r+1) x (s+1)")
+    yield f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
+    for params in starmap(make_process, chains):
         failure, refusal = _refused(lambda: _moments_failure(params, r_max, s_max))
-        report.add(_param_key(params), not (failure or refusal), failure or refusal)
-    if not report.cases:  # an empty grid: the oracle-object spot points must not pass alone
-        return report
+        yield _param_key(params), not (failure or refusal), failure or refusal
+    if not chains:  # an empty grid: the oracle-object spot points must not pass alone
+        return
     # Exercise the public oracle object on a few spot points.
     for params in starmap(make_process, (("+", 2, 2, 1), ("-", 8, 3, 3), ("+", 7, 4, 3))):
-        rep = moments_oracle(params, r=1, s=1, start=0)
-        ok = (rep.mean == mean_conditional(params, 1, 0)
-              and rep.variance == variance_conditional(params, 1, 0)
-              and rep.covariance == covariance_conditional(params, 1, 1, 0))
-        rep_pi, why = _refused(lambda: moments_oracle(params, r=1, start="stationary"))
-        ok = ok and not why and (rep_pi.mean, rep_pi.covariance) == stationary_moments(params, 1)
-        report.add(f"oracle-object {_param_key(params)}", ok, why)
-    return report
+        def oracle_object_holds():
+            rep = moments_oracle(params, r=1, s=1, start=0)
+            rep_pi = moments_oracle(params, r=1, start="stationary")
+            return (rep.mean == mean_conditional(params, 1, 0)
+                    and rep.variance == variance_conditional(params, 1, 0)
+                    and rep.covariance == covariance_conditional(params, 1, 1, 0)
+                    and (rep_pi.mean, rep_pi.covariance) == stationary_moments(params, 1))
+        ok, why = _refused(oracle_object_holds)
+        yield f"oracle-object {_param_key(params)}", not why and ok, why
 
 
 def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
@@ -469,14 +464,14 @@ def suite_bijection_plus(
     mc_case: tuple[int, int, int, int] | None = (7, 4, 3, 3),
     samples: int = 10**6,
     seed: int = 20240601,
-) -> SuiteReport:
+) -> Iterator:
     """Positive-base construction: carries equal descents, word by word.
 
     Exhaustive tiers check the per-instance equality, injectivity, and the
     equality of the joint laws; the sampled tier bounds the total-variation
     distance between the exact carries law and the empirical descent law.
     """
-    return _suite_bijection("+", cases, mc_case, samples, seed)
+    yield from _suite_bijection("+", cases, mc_case, samples, seed)
 
 
 def suite_bijection_minus(
@@ -484,12 +479,12 @@ def suite_bijection_minus(
     mc_case: tuple[int, int, int, int] | None = (8, 3, 3, 2),
     samples: int = 10**6,
     seed: int = 20240602,
-) -> SuiteReport:
+) -> Iterator:
     """Negative-base construction with color-negated even factors."""
-    return _suite_bijection("-", cases, mc_case, samples, seed)
+    yield from _suite_bijection("-", cases, mc_case, samples, seed)
 
 
-def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> SuiteReport:
+def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Iterator:
     """Both bijection suites; ``sign`` picks the construction and the chain."""
     if mc_case is not None:
         check_count("samples", samples)
@@ -502,22 +497,20 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Suit
             raise ValueError(f"the sampled tier at b={b} n={n} p={p} N={places} needs samples "
                              f">= {floor} to meet its total-variation bound {TV_BOUND} at "
                              f"false-alarm rate 10^-6, got {samples}")
-    name = "bijection-plus" if sign == "+" else "bijection-minus"
-    report = SuiteReport(name, f"exhaustive {list(cases)}, sampled {mc_case}")
+    yield f"exhaustive {list(cases)}, sampled {mc_case}"
     for b, n, p, places in cases:
         why = _bijection_failure(sign, b, n, p, places)
-        report.add(f"exhaustive b={b} n={n} p={p} N={places}", not why, why)
+        yield f"exhaustive b={b} n={n} p={p} N={places}", not why, why
     if mc_case is not None:
         b, n, p, places = mc_case
         batches = _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), places, samples)
         counts = Counter(chain.from_iterable(values for _, values in batches))
         tv = _total_variation(exact, counts, samples)
-        report.add(
+        yield (
             f"sampled b={b} n={n} p={p} N={places} samples={samples}",
             tv < TV_BOUND,
             f"total variation {float(tv):.5f}",
         )
-    return report
 
 
 def _sample_floor(support: int) -> int:
@@ -555,21 +548,21 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     return "" if len(seen) == b ** (n * places) else "word map not injective"
 
 
-def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4, 3, 3))) -> SuiteReport:
+def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4, 3, 3))) -> Iterator:
     """Descent law of r uniform shuffles against row 0 of the matrix power.
 
     Checked both by running every word through the trace engine (r = 1) and
     through the factorization-count route (r = 1 and 2).
     """
-    report = SuiteReport("shuffle-onestep", f"cases {list(cases)}")
+    yield f"cases {list(cases)}"
     for b, n, p in cases:
         params = make_process("+", b, n, p)
         batches = _stack_batches(_composer(n, p, "+"), _word_stacks(b, n, 1), 1, b**n)
         counts = Counter(chain.from_iterable(values for _, values in batches))
         matrix = transition_matrix(params)
         enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix.dim))
-        report.add(f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
-                   f"{enumerated} vs {matrix[0]}")
+        yield (f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
+               f"{enumerated} vs {matrix[0]}")
         table = gessel_coefficients(n, p, 0)
         for r in (1, 2):
             m = (b**r - 1) // p
@@ -580,16 +573,15 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
                 )
                 for j in range(matrix.dim)
             )
-            report.add(
+            yield (
                 f"factorization-route b={b} n={n} p={p} r={r}",
                 law == matrix.power(r)[0],
             )
-    return report
 
 
-def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
+def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> Iterator:
     """Single-element law: sums to one and matches every word stack run through the engine."""
-    report = SuiteReport("shuffle-prob", f"cases {list(cases)}")
+    yield f"cases {list(cases)}"
     for b, n, p in cases:
         elements = list(enumerate_group(n, p))
         run = _composer(n, p, "+")
@@ -598,35 +590,34 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> SuiteReport:
             batches = _stack_batches(run, _word_stacks(b, n, r), r, b ** (n * r))
             laws[r] = Counter(_window_pairs(w, p) for windows, _ in batches for w in windows)
         total = sum(shuffle_probability(e, b) for e in elements)
-        report.add(f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}")
+        yield f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}"
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
             ok = all(
                 shuffle_probability(e, b, r) == Fraction(laws[r].get(e.pairs, 0), b ** (r * n))
                 for e in elements
             )
-            report.add(f"{key} b={b} n={n} p={p}", ok)
-    return report
+            yield f"{key} b={b} n={n} p={p}", ok
 
 
-def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> SuiteReport:
+def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> Iterator:
     """Closed-form factorization counts against the oracle that counts them in the group.
 
     Per (n, p) the work is |G|^2 compositions, every representative meeting every
     element, and n + 1 tables at most of (cutoff + 1)^2 sums of (n + 1)^2 terms.
     """
     check_steps(cutoff, what="cutoff")
-    report = SuiteReport("gessel", f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})")
     cells = ((f"n={n} p={p}", group_order(n, p) ** 2 + (n + 1) ** 3 * (cutoff + 1) ** 2, (n, p))
              for p in range(1, p_max + 1) for n in range(1, n_max + 1))
-    for n, p in check_grid("the gessel grid", cells, ENUMERATION_LIMIT,
-                           "compositions and identity terms"):
+    grid = check_grid("the gessel grid", cells, ENUMERATION_LIMIT,
+                      "compositions and identity terms")
+    yield f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})"
+    for n, p in grid:
         descents = {e: descent_count(e) for e in enumerate_group(n, p)}  # once for every d
         factors = [(inverse(mu), j) for mu, j in descents.items()]
         for d in sorted(set(descents.values())):
             why, total = _gessel_failure(n, p, d, cutoff, factors, descents)
-            report.add(f"n={n} p={p} d={d}", not why and total == group_order(n, p),
-                       why or f"total {total}")
-    return report
+            yield (f"n={n} p={p} d={d}", not why and total == group_order(n, p),
+                   why or f"total {total}")
 
 
 def _gessel_failure(n: int, p: int, d: int, cutoff: int, factors: list,
@@ -658,50 +649,51 @@ def _gessel_failure(n: int, p: int, d: int, cutoff: int, factors: list,
 
 # --- golden examples -----------------------------------------------------
 
-def suite_examples_golden() -> SuiteReport:
+def suite_examples_golden() -> Iterator:
     """Every frozen reference value, recomputed end to end.
 
     Each value is one (case, computed, expected) row and one comparison; a
     worked pipeline is one case whose stages are compared in turn.
     """
-    report = SuiteReport("examples-golden", "reference tables")
+    yield "reference tables"
     quarter, third, pi_48 = Fraction(1, 4), Fraction(1, 3), Fraction(1, 48)
     chains = [make_process(sign, b, 3, 2)
               for sign in ("+", "-") for b in smallest_valid_bases(sign, 2)]
     ex = reference.INVERSE_EXAMPLE
     sigma = ColoredPermutation(ex["n"], ex["p"], ex["pairs"])
-    rows = [
-        *((f"scaled-right n=3 p={p}", right_eigen_matrix(3, p).scale(6 * p**3),
+    rows = [  # (case, (computed, what computing it raised), expected)
+        *((f"scaled-right n=3 p={p}", _refused(lambda: right_eigen_matrix(3, p).scale(6 * p**3)),
            RationalMatrix(scaled)) for p, scaled in reference.SCALED_RIGHT_N3.items()),
-        ("matrix + b=2 n=2 p=1", transition_matrix(make_process("+", 2, 2, 1)),
+        ("matrix + b=2 n=2 p=1", _refused(lambda: transition_matrix(make_process("+", 2, 2, 1))),
          RationalMatrix([[3 * quarter, quarter], [quarter, 3 * quarter]])),
-        ("matrix + b=3 n=1 p=2", transition_matrix(make_process("+", 3, 1, 2)),
+        ("matrix + b=3 n=1 p=2", _refused(lambda: transition_matrix(make_process("+", 3, 1, 2))),
          RationalMatrix([[2 * third, third], [third, 2 * third]])),
-        ("eigenvalues - b=8 n=3 p=3", eigen_values(make_process("-", 8, 3, 3)),
+        ("eigenvalues - b=8 n=3 p=3", _refused(lambda: eigen_values(make_process("-", 8, 3, 3))),
          (1, Fraction(-1, 8), Fraction(1, 64), Fraction(-1, 512))),
         # The closed-form stationary law, proved P's one fixed law, agrees with the reference.
-        *((f"stationary sign={c.sign} b={c.b} n=3 p=2",
-           _refused(lambda: stationary_fixed_point(c)),
-           ((pi_48, 23 * pi_48, 23 * pi_48, pi_48), "")) for c in chains),
-        ("left row0 n=3 p=1", left_eigen_matrix(3, 1)[0], (1, 4, 1)),
-        ("left row0 n=3 p=2", left_eigen_matrix(3, 2)[0], (1, 23, 23, 1)),
+        *((f"stationary sign={c.sign} b={c.b} n=3 p=2", _refused(lambda: stationary_fixed_point(c)),
+           (pi_48, 23 * pi_48, 23 * pi_48, pi_48)) for c in chains),
+        ("left row0 n=3 p=1", _refused(lambda: left_eigen_matrix(3, 1)[0]), (1, 4, 1)),
+        ("left row0 n=3 p=2", _refused(lambda: left_eigen_matrix(3, 2)[0]), (1, 23, 23, 1)),
         ("window inversion example",
-         (inverse(sigma).pairs, descent_count(inverse(sigma)),
-          gsr_to_permutation(ex["unique_word"], ex["p"]).pairs, shuffle_probability(sigma, 7)),
+         _refused(lambda: (inverse(sigma).pairs, descent_count(inverse(sigma)),
+                           gsr_to_permutation(ex["unique_word"], ex["p"]).pairs,
+                           shuffle_probability(sigma, 7))),
          (ex["inverse_pairs"], ex["inverse_descents"], ex["pairs"], Fraction(1, 7**7))),
     ]
-    for key, got, expected in rows:
-        report.add(key, got == expected, "" if got == expected else f"got {got}")
+    for key, (got, why), expected in rows:
+        ok = not why and got == expected
+        yield key, ok, why or ("" if ok else f"got {got}")
     for b, n, p, labels, pairs in reference.GSR_EXAMPLES:
-        got = gsr_to_permutation(labels, p)
-        report.add(f"gsr b={b} n={n} p={p}", got.pairs == pairs, got.to_text())
-    star = star_map([reference.STAR_EXAMPLE["word1"], reference.STAR_EXAMPLE["word2"]])
-    report.add("star example", star[1] == reference.STAR_EXAMPLE["starred2"], str(star[1]))
+        got, why = _refused(lambda: gsr_to_permutation(labels, p))
+        yield f"gsr b={b} n={n} p={p}", not why and got.pairs == pairs, why or got.to_text()
+    star = reference.STAR_EXAMPLE
+    got, why = _refused(lambda: star_map([star["word1"], star["word2"]])[1])
+    yield "star example", not why and got == star["starred2"], why or str(got)
     for key, sign, ex in (("positive-base pipeline", "+", reference.PLUS_PIPELINE),
                           ("negative-base pipeline", "-", reference.MINUS_PIPELINE)):
-        why = _pipeline_mismatch(sign, ex)
-        report.add(key, not why, why)
-    return report
+        failure, refusal = _refused(lambda: _pipeline_mismatch(sign, ex))
+        yield key, not (failure or refusal), failure or refusal
 
 
 def _pipeline_mismatch(sign: str, ex: dict) -> str:
@@ -768,15 +760,16 @@ SUITES = {
 
 
 def run_suite(name: str, **options) -> SuiteReport:
-    """Run a named suite and time it.
+    """Run a named suite: the one place a report is built, named, timed and collected.
 
-    Unknown names, and options that leave the suite no case to check,
-    raise ValueError.
+    The suite's first item is its grid text, each later one a case.  Unknown
+    names, and options that leave the suite no case to check, raise ValueError.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     start = time.monotonic()
-    report = SUITES[name](**options)
+    items = SUITES[name](**options)
+    report = SuiteReport(name, next(items), [SuiteCase(*case) for case in items])
     report.wall_time_s = time.monotonic() - start
     if not report.cases:
         raise ValueError(f"suite {name} has no cases to check with these options: {report.grid}")

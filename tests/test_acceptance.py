@@ -6,13 +6,16 @@ hand-checked values directly.  Each test records a ``criterion NN`` line
 that the terminal-summary hook echoes at the end of the run.
 """
 
+import ast
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import carrieslab
 from carrieslab import (
     MultiDigitWord,
     bijection_minus,
@@ -29,7 +32,7 @@ from carrieslab import (
     stirling_frobenius,
     transition_matrix,
 )
-from carrieslab.verify import run_suite
+from carrieslab.verify import SUITES, run_suite
 
 RESULTS: list[tuple[int, str, bool, str]] = []
 
@@ -76,6 +79,28 @@ def test_exact_suite_reports_match_the_benchmark_pins(suites):
     pinned = json.loads(PINS.read_text())["workloads"]["verify-exact"]
     for name in EXACT_SUITES:
         assert _report_digest(suites(name)) == pinned[f"cli verify {name}"], name
+
+
+def test_every_suite_yields_the_grid_of_its_report_first(suites):
+    # A suite is a generator: it checks and prices its options, then yields its grid text
+    # before any case, and run_suite puts that text in the report.
+    for name, suite in SUITES.items():
+        assert inspect.isgeneratorfunction(suite), name
+        assert next(suite()) == suites(name).grid, name
+
+
+def _report_builds(tree) -> int:
+    return sum(isinstance(node, ast.Call) and "SuiteReport" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)) for node in ast.walk(tree))
+
+
+def test_only_run_suite_builds_a_report():
+    # One runner names, times and collects every report: no suite or other module builds one.
+    package = Path(carrieslab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    [runner] = [node for node in trees["verify.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "run_suite"]
+    assert sum(map(_report_builds, trees.values())) == _report_builds(runner) == 1
 
 
 def test_seeded_streams_match_the_benchmark_pins(tmp_path):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from enum import IntEnum
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from carrieslab.shuffle import (
     bijection_plus,
     shuffle_probability,
 )
-from carrieslab.verify import (SuiteCase, SuiteReport, _chain_grid, run_suite,
+from carrieslab.verify import (SuiteReport, _chain_grid, run_suite,
                                smallest_valid_bases, valid_parameters)
 
 
@@ -252,7 +253,7 @@ def test_verify_refuses_options_that_leave_no_case(capsys, monkeypatch):
     with pytest.raises(ValueError):
         run_suite("eigen", n_max=0)
     # An empty grid is refused before any case, so spot cases outside it cannot pass alone.
-    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail(f"ran {case[1]}"))
+    monkeypatch.setattr(verify, "SuiteCase", lambda *case: pytest.fail(f"ran {case[0]}"))
     for argv in (["transition", "--b", "1"], ["eigen", "--n", "0"],
                  ["descent-stats", "--n", "0"], ["gessel", "--n", "0"],
                  ["moments", "--b", "1"], ["moments", "--n", "0"], ["duality", "--n", "0"],
@@ -283,7 +284,7 @@ def test_verify_refuses_sample_counts_below_the_floor_of_the_bound(capsys, monke
     for suite, floor in (("bijection-plus", 108_245), ("bijection-minus", 27_667)):
         assert run_suite(suite, cases=(), samples=floor).passed
         with monkeypatch.context() as patch:
-            patch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail(f"ran {case[1]}"))
+            patch.setattr(verify, "SuiteCase", lambda *case: pytest.fail(f"ran {case[0]}"))
             for samples in (2, 8, floor - 1):
                 code, out, err = run(capsys, "verify", suite, "--samples", str(samples))
                 assert (code, out) == (2, "") and f"needs samples >= {floor} " in err
@@ -315,7 +316,7 @@ def test_every_priced_grid_is_priced_before_its_first_case(monkeypatch):
         raise Priced
 
     monkeypatch.setattr(verify, "check_grid", record)
-    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail("a case ran"))
+    monkeypatch.setattr(verify, "SuiteCase", lambda *case: pytest.fail("a case ran"))
     for suite in ("transition", "moments", "gessel", "descent-stats"):
         with pytest.raises(Priced):
             run_suite(suite)
@@ -415,7 +416,8 @@ def test_verify_failure_exits_one_with_reproduce_line(capsys, monkeypatch):
                          "carries-lab verify bijection-plus --samples 1000000 --seed 20240601")):
         @functools.wraps(cli.SUITES[suite])  # the stub keeps the suite's signature
         def stub(**options):
-            return SuiteReport(suite, "stub grid", [SuiteCase("forced", False, "boom")])
+            yield "stub grid"
+            yield "forced", False, "boom"
 
         monkeypatch.setitem(cli.SUITES, suite, stub)
         code, out, err = run(capsys, "verify", suite)
@@ -609,6 +611,55 @@ def test_a_fault_in_the_integer_construction_fails_its_bijection_suites(capsys, 
                 assert code == 1 and f"reproduce: carries-lab verify {suite} --b 2" in err
                 [detail] = [entry["detail"] for entry in json.loads(out)["cases"]]
                 assert detail.startswith(("mismatch at rows=((", "word map not injective"))
+
+
+_GSR_PAIRS, _UNSTAR, _DIGIT_ROWS = shuffle._gsr_pairs, shuffle.unstar_map, shuffle._digit_rows
+_TRANSITION, _RIGHT = verify.transition_matrix, verify.right_eigen_matrix
+_PIPELINES = ["negative-base pipeline", "positive-base pipeline"]
+
+
+def _compose_pairs_without_mod(tau_pairs, sigma_pairs, p):
+    return tuple((tau_pairs[k - 1][0], tau_pairs[k - 1][1] + c) for k, c in sigma_pairs)
+
+
+def _one_entry_short(matrix):
+    """``matrix`` with each row one entry short: no longer square, so RationalMatrix refuses it."""
+    return RationalMatrix.from_integer_rows((nums[:-1], d) for nums, d in matrix.integer_rows)
+
+
+def _refuses_variance(params, r, i=None):
+    raise ValueError("the variance closed form needs n >= 2")
+
+
+@pytest.mark.parametrize("suite, patches, failed", [
+    ("examples-golden", [(shuffle, "_running_totals", lambda values, modulus: list(
+        accumulate(values)))], _PIPELINES),
+    ("examples-golden", [(shuffle, "_gsr_pairs", lambda labels, p: tuple(
+        (position, labels[card]) for card, (position, _) in enumerate(_GSR_PAIRS(labels, p))))],
+     ["gsr b=3 n=6 p=2", "gsr b=7 n=8 p=3", *_PIPELINES, "window inversion example"]),
+    ("examples-golden", [(colored, "_compose_pairs", _compose_pairs_without_mod),
+                         (shuffle, "_compose_pairs", _compose_pairs_without_mod)], _PIPELINES),
+    ("examples-golden", [(shuffle, "unstar_map", lambda levels: [
+        tuple(x + 1 for x in word) for word in _UNSTAR(levels)])], _PIPELINES),
+    ("examples-golden", [(shuffle, "_digit_rows", lambda values, b, places: _DIGIT_ROWS(
+        values, b + 1, places))], _PIPELINES),
+    ("moments", [(verify, "variance_conditional", _refuses_variance)], 210 + 3),  # n >= 2, spots
+    ("moments", [(verify, "has_quadratic_eigenfunction", lambda params: True)], 70),  # n = 1
+    ("transition", [(verify, "transition_matrix",
+                     lambda params: _one_entry_short(_TRANSITION(params)))], 280),
+    ("eigen", [(verify, "right_eigen_matrix", lambda n, p: _one_entry_short(_RIGHT(n, p)))],
+     [f"poly-form n={n} p={p}" for p in ("1", "2", "3", "3/2", "4") for n in range(1, 7)]),
+], ids=["golden-totals-without-mod", "golden-gsr-without-mod", "golden-compose-without-mod",
+        "golden-unstar-off-by-one", "golden-digits-in-base-b+1", "moments-variance-refuses",
+        "moments-quadratic-at-n1", "transition-short-rows", "eigen-short-rows"])
+def test_a_closed_form_that_raises_fails_its_cases_and_exits_one(capsys, monkeypatch, suite,
+                                                                  patches, failed):
+    # A fault that makes a computation inside a case raise ValueError or ArithmeticError is a
+    # broken closed form, not bad input: it fails the cases that reach it, never exits 2.
+    for module, name, fault in patches:
+        monkeypatch.setattr(module, name, fault)
+    keys = [case["key"] for case in _failed_cases(capsys, suite)]
+    assert keys == sorted(failed) if isinstance(failed, list) else len(keys) == failed
 
 
 def test_a_broken_group_law_fails_the_gessel_oracle(capsys, monkeypatch):
@@ -935,7 +986,7 @@ def test_every_grid_bound_and_case_flag_has_a_cap(capsys, monkeypatch, suite, ar
     def hung(signum, frame):
         raise TimeoutError(f"verify {suite} {' '.join(argv)} was not refused within 5 s")
 
-    monkeypatch.setattr(verify.SuiteReport, "add", lambda *case: pytest.fail("a case ran"))
+    monkeypatch.setattr(verify, "SuiteCase", lambda *case: pytest.fail("a case ran"))
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(5)
     try:

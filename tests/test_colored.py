@@ -137,7 +137,7 @@ def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
         return descent_histograms(n, p)
 
     monkeypatch.setattr(verify, "descent_histograms", counted)
-    report = verify.suite_descent_stats(n_max=3, p_max=2)
+    report = verify.run_suite("descent-stats", n_max=3, p_max=2)
     assert report.passed
     assert calls == [(n, p) for p in (1, 2) for n in (1, 2, 3)]
 
@@ -150,7 +150,7 @@ def test_descent_stats_fails_when_the_counts_miss_the_group_order(monkeypatch):
         return standard + Counter({n + 2: 1}), dash
 
     monkeypatch.setattr(verify, "descent_histograms", padded)
-    report = verify.suite_descent_stats(n_max=2, p_max=2)
+    report = verify.run_suite("descent-stats", n_max=2, p_max=2)
     assert [case.key for case in report.cases if not case.ok] == [
         f"standard n={n} p={p}" for p in (1, 2) for n in (1, 2)]
 
@@ -163,7 +163,7 @@ def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
         return not dash and keep(color, p, dash)
 
     monkeypatch.setattr(colored, "_end_descent", no_dash_end)
-    report = verify.suite_descent_stats(n_max=3, p_max=1)
+    report = verify.run_suite("descent-stats", n_max=3, p_max=1)
     assert [(case.key, case.ok) for case in report.cases if case.key.startswith("dash")] == [
         (f"dash==standard counting n={n} p=1", False) for n in (1, 2, 3)]
 
@@ -176,7 +176,7 @@ def test_descent_stats_fails_when_the_dash_count_forks_at_one_color(monkeypatch)
         return standard, standard if p == 1 else dash
 
     monkeypatch.setattr(verify, "descent_histograms", forked)
-    report = verify.suite_descent_stats()
+    report = verify.run_suite("descent-stats")
     failed = [case.key for case in report.cases if not case.ok]
     assert failed == [f"dash==standard counting n={n} p=1" for n in range(1, 6)]
 
@@ -190,12 +190,12 @@ def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_group", lambda n, p: calls.append((n, p)) or [])
     monkeypatch.setattr(verify, "gessel_coefficients", lambda *args: calls.append(args))
     monkeypatch.setattr(verify, "transition_oracle", lambda params: calls.append(params))
-    for suite, options in ((verify.suite_gessel, {"n_max": 7}),
-                           (verify.suite_gessel, {"n_max": 5}),
-                           (verify.suite_gessel, {"cutoff": 100000}),
-                           (verify.suite_descent_stats, {"n_max": 7, "p_max": 3}),
-                           (verify.suite_transition, {"b_max": 100000, "n_max": 1}),
-                           (verify.suite_transition, {"b_max": 2, "n_max": 40})):
+    for suite, options in (("gessel", {"n_max": 7}),
+                           ("gessel", {"n_max": 5}),
+                           ("gessel", {"cutoff": 100000}),
+                           ("descent-stats", {"n_max": 7, "p_max": 3}),
+                           ("transition", {"b_max": 100000, "n_max": 1}),
+                           ("transition", {"b_max": 2, "n_max": 40})):
         with pytest.raises(ValueError, match=f"limited to {ENUMERATION_LIMIT} "):
-            suite(**options)
+            verify.run_suite(suite, **options)
     assert calls == []

@@ -225,7 +225,7 @@ def test_gessel_factorizations_above_the_enumeration_limit_are_refused():
     for d in (-1, 3, 1.0):
         with pytest.raises(ValueError, match=f"no element of Z_1 wr S_3 has descent count {d}"):
             gessel_coefficients(3, 1, d)
-    assert len(verify.suite_gessel().cases) == 15
+    assert len(verify.run_suite("gessel").cases) == 15
 
 
 def _failed(report, prefix):
@@ -244,16 +244,16 @@ def _without_end_rule(order_is_dash):
 def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
     # The enumerated word tiers read their law from the trace engine, so a
     # fault planted in the engine's descent or composition rule must show.
-    assert verify.suite_shuffle_onestep().passed and verify.suite_shuffle_prob().passed
+    assert verify.run_suite("shuffle-onestep").passed and verify.run_suite("shuffle-prob").passed
 
     with monkeypatch.context() as patch:
         patch.setattr(shuffle, "_descents", _without_end_rule(False))
-        assert _failed(verify.suite_shuffle_onestep(), "enumerated")
+        assert _failed(verify.run_suite("shuffle-onestep"), "enumerated")
 
     # The dash end (color p-1) drives the odd steps of every negative-base trace.
     with monkeypatch.context() as patch:
         patch.setattr(shuffle, "_descents", _without_end_rule(True))
-        report = verify.suite_bijection_minus(mc_case=None)
+        report = verify.run_suite("bijection-minus", mc_case=None)
         failed = [case for case in report.cases if not case.ok]
         assert failed and all(case.detail.startswith("mismatch at rows=") for case in failed)
 
@@ -262,7 +262,7 @@ def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(shuffle, "_compose_pairs", no_colour_sum)
-        assert _failed(verify.suite_shuffle_prob(), "iterated r=2")
+        assert _failed(verify.run_suite("shuffle-prob"), "iterated r=2")
 
 
 def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
@@ -327,17 +327,17 @@ def test_trace_engine_builds_nothing_before_the_first_word():
 
 
 def test_golden_pipelines_name_the_first_wrong_stage(monkeypatch):
-    assert verify.suite_examples_golden().passed
+    assert verify.run_suite("examples-golden").passed
     ex = reference.MINUS_PIPELINE
     wrong = ex["elements"][:-1] + (ex["elements"][0],)
     with monkeypatch.context() as patch:
         patch.setitem(ex, "elements", wrong)
-        failed = [case for case in verify.suite_examples_golden().cases if not case.ok]
+        failed = [case for case in verify.run_suite("examples-golden").cases if not case.ok]
         assert [case.key for case in failed] == ["negative-base pipeline"]
         assert failed[0].detail.startswith("elements: got ")
     # A reference stage the table does not compute is refused, not skipped.
     with monkeypatch.context() as patch:
         patch.setitem(ex, "sorted_rows", ex["rows"])
-        failed = [case for case in verify.suite_examples_golden().cases if not case.ok]
+        failed = [case for case in verify.run_suite("examples-golden").cases if not case.ok]
         assert [(case.key, case.detail) for case in failed] == [
             ("negative-base pipeline", "sorted_rows: no computed stage")]
