@@ -15,6 +15,7 @@ import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice, starmap
 from math import ceil, comb, factorial, log
 from operator import mul
@@ -152,13 +153,26 @@ def _param_key(params: ProcessParams | _Chain) -> str:
     return f"sign={params.sign} b={params.b} n={params.n} p={params.p}"
 
 
-def _refused(compute) -> tuple:
-    """(compute(), "") or (None, the text of the error it raised): a refused check, or a closed
-    form that raises, is a failed case, not bad input."""
+def _case(key: str, check) -> tuple:
+    """The case ``(key, ok[, detail])`` of ``check()``, which returns ok, an (ok, detail) pair
+    or a failure text ("" when the case held).  A refused check, or a closed form that raises,
+    is a failed case carrying the error's text, not bad input."""
     try:
-        return compute(), ""
+        result = check()
     except (RuntimeError, ValueError, ArithmeticError) as error:
-        return None, str(error) or repr(error)
+        return key, False, str(error) or repr(error)
+    if isinstance(result, str):
+        return key, not result, result
+    return (key, *result) if isinstance(result, tuple) else (key, result)
+
+
+def _refuses(closed_form, *args) -> bool:
+    """True when ``closed_form(*args)`` refuses its arguments with ValueError."""
+    try:
+        closed_form(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def _chain_grid(b_max: int, n_max: int) -> Iterator[_Chain]:
@@ -177,8 +191,7 @@ def suite_transition(b_max: int = 8, n_max: int = 4) -> Iterator:
     chains = check_grid("the transition grid", cells, ENUMERATION_LIMIT, "digit tuples x states")
     yield f"both signs, 2<=b<={b_max}, 1<=n<={n_max}, all valid p"
     for params in starmap(make_process, chains):
-        failure, refusal = _refused(lambda: _transition_failure(params))
-        yield _param_key(params), not (failure or refusal), failure or refusal
+        yield _case(_param_key(params), lambda: _transition_failure(params))
 
 
 def _transition_failure(params: ProcessParams) -> str:
@@ -203,11 +216,11 @@ def suite_eigen(n_max: int = 6) -> Iterator:
             for b in smallest_valid_bases(sign, p):
                 for n in range(1, n_max + 1):
                     params = make_process(sign, b, n, p)
-                    _, why = _refused(lambda: eigen_system(params))  # R L = I and R D L = P
-                    yield _param_key(params), not why, why
+                    # eigen_system raises unless R L = I and R D L = P.
+                    yield _case(_param_key(params), lambda: eigen_system(params) and "")
         for n in range(1, n_max + 1):
-            same, why = _refused(lambda: right_eigen_matrix(n, p) == right_eigen_oracle(n, p))
-            yield f"poly-form n={n} p={p}", not why and same, why
+            yield _case(f"poly-form n={n} p={p}",
+                        lambda: right_eigen_matrix(n, p) == right_eigen_oracle(n, p))
 
 
 # --- duality -------------------------------------------------------------
@@ -219,16 +232,12 @@ def suite_duality(n_max: int = 5) -> Iterator:
     yield f"p in {{2,3,3/2,4,4/3}}, n<={n_max}"
     for p in ps:
         for n in range(1, n_max + 1):
-            yield f"left n={n} p={p}", duality_check_left(n, p)
-            yield f"right n={n} p={p}", duality_check_right(n, p)
+            yield _case(f"left n={n} p={p}", lambda: duality_check_left(n, p))
+            yield _case(f"right n={n} p={p}", lambda: duality_check_right(n, p))
     if n_max < 1:  # an empty grid: the rejects-p=1 cases below must not pass alone
         return
     for check in (duality_check_left, duality_check_right):
-        try:
-            check(2, 1)
-            yield f"{check.__name__} rejects p=1", False
-        except ValueError:
-            yield f"{check.__name__} rejects p=1", True
+        yield _case(f"{check.__name__} rejects p=1", lambda: _refuses(check, 2, 1))
 
 
 # --- symmetry ------------------------------------------------------------
@@ -238,22 +247,19 @@ def suite_symmetry() -> Iterator:
     yield "p=1: b<=5; p=2: odd b<=7; p>1: smallest valid b"
     for b in range(2, 6):
         for n in range(1, 5):
-            results = symmetry_check(make_process("+", b, n, 1))
+            results = cache(lambda: symmetry_check(make_process("+", b, n, 1)))  # both clauses
             for clause in ("centro", "sign-flip-p1"):
-                yield f"{clause} b={b} n={n}", results.get(clause, False)
+                yield _case(f"{clause} b={b} n={n}", lambda: results().get(clause, False))
     for b in (3, 5, 7):
         for n in range(1, 5):
-            results = symmetry_check(make_process("+", b, n, 2))
-            yield f"sign-flip-p2 b={b} n={n}", results.get("sign-flip-p2", False)
+            yield _case(f"sign-flip-p2 b={b} n={n}", lambda: symmetry_check(
+                make_process("+", b, n, 2)).get("sign-flip-p2", False))
     for p in (Fraction(2), Fraction(3), Fraction(3, 2), Fraction(4)):
         for sign in ("+", "-"):
             b = smallest_valid_bases(sign, p, count=1)[0]
             for n in range(1, 5):
-                results = symmetry_check(make_process(sign, b, n, p))
-                yield (
-                    f"conjugate sign={sign} b={b} n={n} p={p}",
-                    results.get("conjugate", False),
-                )
+                yield _case(f"conjugate sign={sign} b={b} n={n} p={p}", lambda: symmetry_check(
+                    make_process(sign, b, n, p)).get("conjugate", False))
 
 
 # --- stirling-frobenius --------------------------------------------------
@@ -264,28 +270,26 @@ def suite_sf_numbers(n_max: int = 6) -> Iterator:
     yield f"p in {{1,2,3}}, n<={n_max}"
     for p in (Fraction(1), Fraction(2), Fraction(3)):
         for n in range(0, n_max + 1):
-            row = stirling_frobenius(n, p)
             if n == 0:
-                yield f"w(0) p={p}", row == (1,)
+                yield _case(f"w(0) p={p}", lambda: stirling_frobenius(n, p) == (1,))
                 continue
-            scale = factorial(n) * p**n
-            top = right_eigen_matrix(n, p)[0]
-            if p == 1:
-                # w_0 = 0 and the matrix has only n columns; compare w_1..w_n.
-                ok = row[0] == 0 and all(
-                    row[j] == scale * top[n - j] for j in range(1, n + 1)
-                )
-                ok = ok and all(
-                    row[j] == abs(stirling_first(n, j)) for j in range(n + 1)
-                )
-            else:
-                ok = all(row[j] == scale * top[n - j] for j in range(n + 1))
-            yield f"row n={n} p={p}", ok
+
+            def row_holds():
+                row, scale = stirling_frobenius(n, p), factorial(n) * p**n
+                top = right_eigen_matrix(n, p)[0]
+                # At p = 1, w_0 = 0 and the matrix has only n columns: compare w_1..w_n with
+                # it, and the row with the unsigned Stirling numbers of the first kind.
+                first = 1 if p == 1 else 0
+                return all(row[j] == scale * top[n - j] for j in range(first, n + 1)) and (
+                    p != 1 or row[0] == 0 and all(
+                        row[j] == abs(stirling_first(n, j)) for j in range(n + 1)))
+
+            yield _case(f"row n={n} p={p}", row_holds)
     if n_max < 0:  # an empty grid: the reference rows below must not pass alone
         return
     for (n, p), expected in reference.STIRLING_FROBENIUS_ROWS.items():
-        got = stirling_frobenius(n, p)
-        yield f"reference row n={n} p={p}", got == tuple(expected), f"got {got}"
+        yield _case(f"reference row n={n} p={p}", lambda: (
+            (got := stirling_frobenius(n, p)) == tuple(expected), f"got {got}"))
 
 
 # --- descent statistics --------------------------------------------------
@@ -299,30 +303,31 @@ def suite_descent_stats(n_max: int = 5, p_max: int = 3) -> Iterator:
                       "group elements + 2 x letters")
     yield f"p<={p_max}, n<={n_max}"
     for n, p in grid:
-        standard = descent_statistics(n, p, "standard")
-        dash = descent_statistics(n, p, "dash")
-        counts, dash_counts = descent_histograms(n, p)
-        observed = tuple(counts.get(k, 0) for k in range(len(standard)))
-        yield (
-            f"standard n={n} p={p}",
-            standard == observed and sum(standard) == counts.total() == group_order(n, p),
-            f"table {standard} vs counts {observed}",
-        )
-        observed_dash = tuple(dash_counts.get(k, 0) for k in range(n + 1))
-        if p > 1:
+        # The standard table and one histogram pass, read by both cases.
+        shared = cache(lambda: (descent_statistics(n, p, "standard"), *descent_histograms(n, p)))
+
+        def standard_case():
+            standard, counts, _ = shared()
+            observed = tuple(counts.get(k, 0) for k in range(len(standard)))
+            return (standard == observed and sum(standard) == counts.total() == group_order(n, p),
+                    f"table {standard} vs counts {observed}")
+
+        def dash_case():
+            standard, _, dash_counts = shared()
+            dash = descent_statistics(n, p, "dash")
+            observed_dash = tuple(dash_counts.get(k, 0) for k in range(n + 1))
+            if p == 1:
+                # At p = 1 the dash end always counts: the dash table is the standard one shifted.
+                return dash == observed_dash and dash == (0, *standard)
             reversal = all(
                 dash[k] == standard[n - k] if n - k < len(standard) else dash[k] == 0
                 for k in range(n + 1)
             )
-            yield (
-                f"dash n={n} p={p}",
-                dash == observed_dash and reversal,
-                f"table {dash} vs counts {observed_dash}",
-            )
-        else:
-            # At p = 1 the dash end always counts: the dash table is the standard one shifted.
-            yield (f"dash==standard counting n={n} p=1",
-                   dash == observed_dash and dash == (0, *standard))
+            return dash == observed_dash and reversal, f"table {dash} vs counts {observed_dash}"
+
+        yield _case(f"standard n={n} p={p}", standard_case)
+        yield _case(f"dash n={n} p={p}" if p > 1 else f"dash==standard counting n={n} p=1",
+                    dash_case)
 
 
 # --- moments -------------------------------------------------------------
@@ -336,8 +341,7 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
                         "units of states^2 x (r+1) x (s+1)")
     yield f"both signs, b<={b_max}, n<={n_max}, all valid p, r<={r_max}, s<={s_max}"
     for params in starmap(make_process, chains):
-        failure, refusal = _refused(lambda: _moments_failure(params, r_max, s_max))
-        yield _param_key(params), not (failure or refusal), failure or refusal
+        yield _case(_param_key(params), lambda: _moments_failure(params, r_max, s_max))
     if not chains:  # an empty grid: the oracle-object spot points must not pass alone
         return
     # Exercise the public oracle object on a few spot points.
@@ -349,8 +353,7 @@ def suite_moments(b_max: int = 8, n_max: int = 4, r_max: int = 5, s_max: int = 5
                     and rep.variance == variance_conditional(params, 1, 0)
                     and rep.covariance == covariance_conditional(params, 1, 1, 0)
                     and (rep_pi.mean, rep_pi.covariance) == stationary_moments(params, 1))
-        ok, why = _refused(oracle_object_holds)
-        yield f"oracle-object {_param_key(params)}", not why and ok, why
+        yield _case(f"oracle-object {_param_key(params)}", oracle_object_holds)
 
 
 def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
@@ -407,13 +410,9 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
         return ""
     # Where the closed forms are refused, show they deserve it: each must
     # refuse, and the exact one-step variance must leave the claimed value.
-    for attempt in (lambda: variance_conditional(params, 1, 0),
-                    lambda: covariance_conditional(params, 1, 1, 0),
-                    lambda: stationary_moments(params, 1)):
-        try:
-            attempt()
-        except ValueError:
-            continue
+    if not (_refuses(variance_conditional, params, 1, 0)
+            and _refuses(covariance_conditional, params, 1, 1, 0)
+            and _refuses(stationary_moments, params, 1)):
         return "closed form answered off its domain"
     claimed = Fraction(n + 1, 12) * (1 - Fraction(1, params.b**2))
     if all(oracle.law_moments(i, 1)[1] == claimed for i in range(dim)):
@@ -499,18 +498,18 @@ def _suite_bijection(sign: str, cases, mc_case, samples: int, seed: int) -> Iter
                              f"false-alarm rate 10^-6, got {samples}")
     yield f"exhaustive {list(cases)}, sampled {mc_case}"
     for b, n, p, places in cases:
-        why = _bijection_failure(sign, b, n, p, places)
-        yield f"exhaustive b={b} n={n} p={p} N={places}", not why, why
+        yield _case(*_bijection_case(sign, b, n, p, places))
     if mc_case is not None:
         b, n, p, places = mc_case
-        batches = _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), places, samples)
-        counts = Counter(chain.from_iterable(values for _, values in batches))
-        tv = _total_variation(exact, counts, samples)
-        yield (
-            f"sampled b={b} n={n} p={p} N={places} samples={samples}",
-            tv < TV_BOUND,
-            f"total variation {float(tv):.5f}",
-        )
+
+        def sampled_case():
+            batches = _stack_batches(_composer(n, p, sign), draw_words(seed, b, n), places,
+                                     samples)
+            counts = Counter(chain.from_iterable(values for _, values in batches))
+            tv = _total_variation(exact, counts, samples)
+            return tv < TV_BOUND, f"total variation {float(tv):.5f}"
+
+        yield _case(f"sampled b={b} n={n} p={p} N={places} samples={samples}", sampled_case)
 
 
 def _sample_floor(support: int) -> int:
@@ -525,8 +524,9 @@ def _sample_floor(support: int) -> int:
     return ceil(2 * (support * log(2) + log(10**6)) / float(2 * TV_BOUND) ** 2)
 
 
-def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
-    """The first way the construction fails over every summand array, or "" if none.
+def _bijection_case(sign: str, b: int, n: int, p: int, places: int) -> tuple:
+    """One exhaustive case, checked and priced at once: its key and its check, which returns
+    the first way the construction fails over every summand array, or "" if none.
 
     Each array's words must run through its carries, and no two arrays may
     share words; as each word permutes a column of digits in {0..b-1}, the
@@ -534,18 +534,22 @@ def _bijection_failure(sign: str, b: int, n: int, p: int, places: int) -> str:
     """
     check_steps(places)  # a negative N is refused as a step count, N = 0 as no digit places
     check_count("digit places", places)
-    params = make_process(sign, b, n, p)
-    trace = _composer(n, p, sign).trace
-    seen = set()
-    for flat in enumerate_words(f"exhaustive b={b} n={n} p={p} N={places}", b, n * places,
-                                "summand arrays"):
-        rows = tuple(zip(*[iter(flat)] * places))
-        kappas = simulate_trace(params, places, columns=list(zip(*rows))).kappas[1:]
-        words = tuple(_bijection_stages(b, rows, p, sign)[3])
-        if trace(words)[1] != kappas:
-            return f"mismatch at rows={rows}"
-        seen.add(words)
-    return "" if len(seen) == b ** (n * places) else "word map not injective"
+    params, key = make_process(sign, b, n, p), f"exhaustive b={b} n={n} p={p} N={places}"
+    arrays = enumerate_words(key, b, n * places, "summand arrays")
+
+    def failure() -> str:
+        trace = _composer(n, p, sign).trace
+        seen = set()
+        for flat in arrays:
+            rows = tuple(zip(*[iter(flat)] * places))
+            kappas = simulate_trace(params, places, columns=list(zip(*rows))).kappas[1:]
+            words = tuple(_bijection_stages(b, rows, p, sign)[3])
+            if trace(words)[1] != kappas:
+                return f"mismatch at rows={rows}"
+            seen.add(words)
+        return "" if len(seen) == b ** (n * places) else "word map not injective"
+
+    return key, failure
 
 
 def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4, 3, 3))) -> Iterator:
@@ -559,44 +563,40 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
         params = make_process("+", b, n, p)
         batches = _stack_batches(_composer(n, p, "+"), _word_stacks(b, n, 1), 1, b**n)
         counts = Counter(chain.from_iterable(values for _, values in batches))
-        matrix = transition_matrix(params)
-        enumerated = tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix.dim))
-        yield (f"enumerated b={b} n={n} p={p}", enumerated == matrix[0],
-               f"{enumerated} vs {matrix[0]}")
-        table = gessel_coefficients(n, p, 0)
+        matrix = cache(lambda: transition_matrix(params))  # read by all three cases
+        table = cache(lambda: gessel_coefficients(n, p, 0))
+        yield _case(f"enumerated b={b} n={n} p={p}", lambda: (
+            (law := tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix().dim)))
+            == matrix()[0], f"{law} vs {matrix()[0]}"))
         for r in (1, 2):
             m = (b**r - 1) // p
-            law = tuple(
+            yield _case(f"factorization-route b={b} n={n} p={p} r={r}", lambda: tuple(
                 Fraction(
-                    sum(table[i][j] * comb(n + m - i, n) for i in range(n + 1)),
+                    sum(table()[i][j] * comb(n + m - i, n) for i in range(n + 1)),
                     b ** (r * n),
                 )
-                for j in range(matrix.dim)
-            )
-            yield (
-                f"factorization-route b={b} n={n} p={p} r={r}",
-                law == matrix.power(r)[0],
-            )
+                for j in range(matrix().dim)
+            ) == matrix().power(r)[0])
 
 
 def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> Iterator:
     """Single-element law: sums to one and matches every word stack run through the engine."""
     yield f"cases {list(cases)}"
     for b, n, p in cases:
+        parameter_ratio("+", b, p)  # a bad (b, p) is input: refused here, not by the closed form
         elements = list(enumerate_group(n, p))
         run = _composer(n, p, "+")
         laws = {}
         for r in (2, 1):  # r = 2 is refused first
             batches = _stack_batches(run, _word_stacks(b, n, r), r, b ** (n * r))
             laws[r] = Counter(_window_pairs(w, p) for windows, _ in batches for w in windows)
-        total = sum(shuffle_probability(e, b) for e in elements)
-        yield f"sums-to-one b={b} n={n} p={p}", total == 1, f"total {total}"
+        yield _case(f"sums-to-one b={b} n={n} p={p}", lambda: (
+            (total := sum(shuffle_probability(e, b) for e in elements)) == 1, f"total {total}"))
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
-            ok = all(
+            yield _case(f"{key} b={b} n={n} p={p}", lambda: all(
                 shuffle_probability(e, b, r) == Fraction(laws[r].get(e.pairs, 0), b ** (r * n))
                 for e in elements
-            )
-            yield f"{key} b={b} n={n} p={p}", ok
+            ))
 
 
 def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> Iterator:
@@ -615,17 +615,16 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> Iterator:
         descents = {e: descent_count(e) for e in enumerate_group(n, p)}  # once for every d
         factors = [(inverse(mu), j) for mu, j in descents.items()]
         for d in sorted(set(descents.values())):
-            why, total = _gessel_failure(n, p, d, cutoff, factors, descents)
-            yield (f"n={n} p={p} d={d}", not why and total == group_order(n, p),
-                   why or f"total {total}")
+            yield _case(f"n={n} p={p} d={d}",
+                        lambda: _gessel_case(n, p, d, cutoff, factors, descents))
 
 
-def _gessel_failure(n: int, p: int, d: int, cutoff: int, factors: list,
-                    descents: dict) -> tuple[str, int]:
-    """The oracle at descent count d: the first way its counts fail, or "", and their total.
-    Each representative sigma's c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j} takes one
-    composition per (mu^-1, d(mu)) of ``factors``: the first's must meet the generating
-    identity, and every one's must equal ``gessel_coefficients``."""
+def _gessel_case(n: int, p: int, d: int, cutoff: int, factors: list,
+                 descents: dict) -> tuple[bool, str]:
+    """The oracle's case at d: (False, the first way its counts fail) or (their total is |G|,
+    "total T").  Each representative sigma's c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j}
+    takes one composition per (mu^-1, d(mu)) of ``factors``: the first's must meet the
+    generating identity, and every one's must equal ``gessel_coefficients``."""
     closed = gessel_coefficients(n, p, d)
     for k, sigma in enumerate(e for e, descent in descents.items() if descent == d):
         counts = [[0] * (n + 1) for _ in range(n + 1)]
@@ -641,10 +640,12 @@ def _gessel_failure(n: int, p: int, d: int, cutoff: int, factors: list,
                     for j in range(min(c, n) + 1)
                 )
                 if lhs != comb(n + p * a * c + a + c - d, n):
-                    return f"generating identity fails at (s^{a}, t^{c}) for n={n} p={p} d={d}", 0
+                    return False, (f"generating identity fails at (s^{a}, t^{c}) "
+                                   f"for n={n} p={p} d={d}")
         if counts != closed:
-            return f"the counts at {sigma.to_text()} differ from the closed form", 0
-    return "", sum(map(sum, closed))
+            return False, f"the counts at {sigma.to_text()} differ from the closed form"
+    total = sum(map(sum, closed))
+    return total == group_order(n, p), f"total {total}"
 
 
 # --- golden examples -----------------------------------------------------
@@ -661,39 +662,37 @@ def suite_examples_golden() -> Iterator:
               for sign in ("+", "-") for b in smallest_valid_bases(sign, 2)]
     ex = reference.INVERSE_EXAMPLE
     sigma = ColoredPermutation(ex["n"], ex["p"], ex["pairs"])
-    rows = [  # (case, (computed, what computing it raised), expected)
-        *((f"scaled-right n=3 p={p}", _refused(lambda: right_eigen_matrix(3, p).scale(6 * p**3)),
+    rows = [  # (case, computing it, expected); a thunk binds its loop variable, read later
+        *((f"scaled-right n=3 p={p}", lambda p=p: right_eigen_matrix(3, p).scale(6 * p**3),
            RationalMatrix(scaled)) for p, scaled in reference.SCALED_RIGHT_N3.items()),
-        ("matrix + b=2 n=2 p=1", _refused(lambda: transition_matrix(make_process("+", 2, 2, 1))),
+        ("matrix + b=2 n=2 p=1", lambda: transition_matrix(make_process("+", 2, 2, 1)),
          RationalMatrix([[3 * quarter, quarter], [quarter, 3 * quarter]])),
-        ("matrix + b=3 n=1 p=2", _refused(lambda: transition_matrix(make_process("+", 3, 1, 2))),
+        ("matrix + b=3 n=1 p=2", lambda: transition_matrix(make_process("+", 3, 1, 2)),
          RationalMatrix([[2 * third, third], [third, 2 * third]])),
-        ("eigenvalues - b=8 n=3 p=3", _refused(lambda: eigen_values(make_process("-", 8, 3, 3))),
+        ("eigenvalues - b=8 n=3 p=3", lambda: eigen_values(make_process("-", 8, 3, 3)),
          (1, Fraction(-1, 8), Fraction(1, 64), Fraction(-1, 512))),
         # The closed-form stationary law, proved P's one fixed law, agrees with the reference.
-        *((f"stationary sign={c.sign} b={c.b} n=3 p=2", _refused(lambda: stationary_fixed_point(c)),
+        *((f"stationary sign={c.sign} b={c.b} n=3 p=2", lambda c=c: stationary_fixed_point(c),
            (pi_48, 23 * pi_48, 23 * pi_48, pi_48)) for c in chains),
-        ("left row0 n=3 p=1", _refused(lambda: left_eigen_matrix(3, 1)[0]), (1, 4, 1)),
-        ("left row0 n=3 p=2", _refused(lambda: left_eigen_matrix(3, 2)[0]), (1, 23, 23, 1)),
+        ("left row0 n=3 p=1", lambda: left_eigen_matrix(3, 1)[0], (1, 4, 1)),
+        ("left row0 n=3 p=2", lambda: left_eigen_matrix(3, 2)[0], (1, 23, 23, 1)),
         ("window inversion example",
-         _refused(lambda: (inverse(sigma).pairs, descent_count(inverse(sigma)),
-                           gsr_to_permutation(ex["unique_word"], ex["p"]).pairs,
-                           shuffle_probability(sigma, 7))),
+         lambda: (inverse(sigma).pairs, descent_count(inverse(sigma)),
+                  gsr_to_permutation(ex["unique_word"], ex["p"]).pairs,
+                  shuffle_probability(sigma, 7)),
          (ex["inverse_pairs"], ex["inverse_descents"], ex["pairs"], Fraction(1, 7**7))),
     ]
-    for key, (got, why), expected in rows:
-        ok = not why and got == expected
-        yield key, ok, why or ("" if ok else f"got {got}")
+    for key, compute, expected in rows:
+        yield _case(key, lambda: "" if (got := compute()) == expected else f"got {got}")
     for b, n, p, labels, pairs in reference.GSR_EXAMPLES:
-        got, why = _refused(lambda: gsr_to_permutation(labels, p))
-        yield f"gsr b={b} n={n} p={p}", not why and got.pairs == pairs, why or got.to_text()
+        yield _case(f"gsr b={b} n={n} p={p}", lambda: (
+            (got := gsr_to_permutation(labels, p)).pairs == pairs, got.to_text()))
     star = reference.STAR_EXAMPLE
-    got, why = _refused(lambda: star_map([star["word1"], star["word2"]])[1])
-    yield "star example", not why and got == star["starred2"], why or str(got)
+    yield _case("star example", lambda: (
+        (got := star_map([star["word1"], star["word2"]])[1]) == star["starred2"], str(got)))
     for key, sign, ex in (("positive-base pipeline", "+", reference.PLUS_PIPELINE),
                           ("negative-base pipeline", "-", reference.MINUS_PIPELINE)):
-        failure, refusal = _refused(lambda: _pipeline_mismatch(sign, ex))
-        yield key, not (failure or refusal), failure or refusal
+        yield _case(key, lambda: _pipeline_mismatch(sign, ex))
 
 
 def _pipeline_mismatch(sign: str, ex: dict) -> str:

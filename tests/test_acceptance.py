@@ -103,6 +103,32 @@ def test_only_run_suite_builds_a_report():
     assert sum(map(_report_builds, trees.values())) == _report_builds(runner) == 1
 
 
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_every_case_is_yielded_through_one_case_form():
+    # After its grid text, a suite yields each case as `_case(key, check)`, which runs the
+    # check in the suite's frame and turns a closed form that raises into a failed case; a
+    # `yield from` may only delegate to the shared bijection suite.
+    tree = ast.parse((Path(carrieslab.__file__).parent / "verify.py").read_text())
+    suites = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("suite_") or node.name == "_suite_bijection")]
+    assert len(suites) == len(SUITES) + 1
+    for suite in suites:
+        yields = sorted((node for node in ast.walk(suite)
+                         if isinstance(node, (ast.Yield, ast.YieldFrom))),
+                        key=lambda node: (node.lineno, node.col_offset))
+        delegated = [node for node in yields if isinstance(node, ast.YieldFrom)]
+        assert all(_calls(node.value, "_suite_bijection") for node in delegated), suite.name
+        if delegated:
+            assert yields == delegated, suite.name
+            continue
+        grid, *cases = yields
+        assert isinstance(grid.value, (ast.Constant, ast.JoinedStr)), suite.name
+        assert cases and all(_calls(node.value, "_case") for node in cases), suite.name
+
+
 def test_seeded_streams_match_the_benchmark_pins(tmp_path):
     # The benchmark's seeded operations at its seed 0: both sampled tiers and one simulate run.
     pinned = json.loads(PINS.read_text())["workloads"]

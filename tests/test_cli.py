@@ -371,7 +371,17 @@ def test_moments_grid_is_bounded_before_its_first_case():
 def test_verify_case_values_out_of_range_name_the_quantity(capsys):
     for argv, quantity in ((("bijection-plus", "--b", "3", "--n", "2", "--p", "1", "--N", "-1"),
                             "step count must be nonnegative"),
-                           (("shuffle-prob", "--b", "3", "--n", "-2", "--p", "1"), "cards n")):
+                           (("shuffle-prob", "--b", "3", "--n", "-2", "--p", "1"), "cards n"),
+                           # A bad (b, p) in an explicit case is input, refused before its
+                           # cases, never a failed case of the closed form that refuses it too.
+                           (("shuffle-prob", "--b", "4", "--n", "2", "--p", "2"),
+                            "invalid parameter"),
+                           (("shuffle-onestep", "--b", "4", "--n", "2", "--p", "2"),
+                            "invalid parameter"),
+                           (("bijection-plus", "--b", "4", "--n", "2", "--p", "2", "--N", "2"),
+                            "invalid parameter"),
+                           (("bijection-minus", "--b", "3", "--n", "2", "--p", "3", "--N", "2"),
+                            "invalid parameter")):
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "") and quantity in err and "repeat" not in err
 
@@ -631,6 +641,10 @@ def _refuses_variance(params, r, i=None):
     raise ValueError("the variance closed form needs n >= 2")
 
 
+def _raises(*args):
+    raise ValueError("a planted refusal")
+
+
 @pytest.mark.parametrize("suite, patches, failed", [
     ("examples-golden", [(shuffle, "_running_totals", lambda values, modulus: list(
         accumulate(values)))], _PIPELINES),
@@ -649,9 +663,22 @@ def _refuses_variance(params, r, i=None):
                      lambda params: _one_entry_short(_TRANSITION(params)))], 280),
     ("eigen", [(verify, "right_eigen_matrix", lambda n, p: _one_entry_short(_RIGHT(n, p)))],
      [f"poly-form n={n} p={p}" for p in ("1", "2", "3", "3/2", "4") for n in range(1, 7)]),
+    # Each closed form below raising fails every case that reads it: the three cases of a
+    # shuffle-onestep chain read its one matrix, both clauses of a p = 1 chain one
+    # symmetry_check.
+    ("shuffle-onestep", [(verify, "transition_matrix", _raises)], 15),
+    ("symmetry", [(verify, "symmetry_check", _raises)], 76),
+    ("gessel", [(verify, "gessel_coefficients", _raises)], 15),
+    ("shuffle-prob", [(verify, "shuffle_probability", _raises)], 9),
+    ("descent-stats", [(verify, "descent_statistics", _raises)], 30),
+    ("sf-numbers", [(verify, "stirling_frobenius", _raises)], 26),
+    # 25 left cases; its rejects-p=1 case holds, as the planted form does refuse p = 1.
+    ("duality", [(verify, "duality_check_left", _raises)], 25),
 ], ids=["golden-totals-without-mod", "golden-gsr-without-mod", "golden-compose-without-mod",
         "golden-unstar-off-by-one", "golden-digits-in-base-b+1", "moments-variance-refuses",
-        "moments-quadratic-at-n1", "transition-short-rows", "eigen-short-rows"])
+        "moments-quadratic-at-n1", "transition-short-rows", "eigen-short-rows",
+        "onestep-matrix-raises", "symmetry-check-raises", "gessel-table-raises",
+        "shuffle-law-raises", "descent-table-raises", "sf-row-raises", "duality-left-raises"])
 def test_a_closed_form_that_raises_fails_its_cases_and_exits_one(capsys, monkeypatch, suite,
                                                                   patches, failed):
     # A fault that makes a computation inside a case raise ValueError or ArithmeticError is a

@@ -443,8 +443,19 @@ def test_the_renderer_writes_what_json_dumps_writes(obj):
 # arrays, about 40 s) is still accepted in this space, and the fixed draw does not reach it.
 SMALL_VALUES = ("1", "2", "3", "4", "+", "-")
 EDGE_VALUES = ("0", "-1", str(10**30), "3/2", "1/0", "", "abc")
-# A planted fault, and the suites whose cases it fails: the conditional mean 10^-6 off.
-PLANTED_SUITES = ("moments",)
+_MEAN = verify.mean_conditional
+
+
+def _refused_table(*args):
+    raise ValueError("a planted refusal")
+
+
+# The planted faults: the name each patches on verify, the fault, and the suites whose cases
+# it fails.  The conditional mean 10^-6 off; the Gessel table refused, which a closed form
+# that raises must turn into failed cases, never an exit 2.
+PLANTS = {"mean": ("mean_conditional", lambda *args: _MEAN(*args) + Fraction(1, 10**6),
+                   ("moments",)),
+          "gessel": ("gessel_coefficients", _refused_table, ("gessel", "shuffle-onestep"))}
 
 
 def _parses(convert, value):
@@ -492,26 +503,29 @@ def command_lines(draw, out_dir):
 @settings(BOUNDED, max_examples=300)
 @given(st.data())
 def test_every_command_line_exits_zero_or_two_without_a_traceback(data):
-    planted = data.draw(st.booleans(), label="planted")
-    closed_form = verify.mean_conditional
-
-    def shifted(*args):
-        return closed_form(*args) + Fraction(1, 10**6)
-
+    plant = data.draw(st.sampled_from((None, *PLANTS)), label="plant")
+    name, fault, planted = PLANTS[plant] if plant else (None, None, ())
     with tempfile.TemporaryDirectory() as out_dir:
         argv = data.draw(command_lines(out_dir), label="argv")
-        out, err = io.StringIO(), io.StringIO()
-        with (mock.patch.object(verify, "mean_conditional", shifted if planted else closed_form),
-              redirect_stdout(out), redirect_stderr(err)):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exit_:  # argparse refuses by exiting
-                code = exit_.code
-    err = err.getvalue()
+        code, err = _exit_and_stderr(argv, {name: fault} if plant else {})
+        suite = argv[argv.index("verify") + 1] if "verify" in argv else None
+        if plant == "gessel" and suite in planted and code != 1:
+            # Rerun unplanted: a line that the suite accepts must fail its cases, not exit 2.
+            assert _exit_and_stderr(argv, {})[0] == 2, argv
     assert "Traceback" not in err and "internal consistency failure" not in err
     if code == 1:
-        suite = argv[argv.index("verify") + 1]
-        assert planted and suite in PLANTED_SUITES, argv
+        assert suite in planted, argv
         assert f"reproduce: carries-lab verify {suite}" in err
     else:
         assert code in (0, 2), argv
+
+
+def _exit_and_stderr(argv, patches: dict) -> tuple:
+    """The exit code and stderr of ``cli.main(argv)`` with ``patches`` set on ``verify``."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(vars(verify), patches), redirect_stdout(out), redirect_stderr(err)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:  # argparse refuses by exiting
+            code = exit_.code
+    return code, err.getvalue()

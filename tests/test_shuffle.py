@@ -278,7 +278,7 @@ def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
     monkeypatch.setattr(shuffle, "_gsr_pairs", counted)
     for sign, negations in (("+", 1), ("-", 2)):  # b = 3, n = 2: nine words
         words.clear()
-        assert verify._bijection_failure(sign, 3, 2, 2, 2) == ""
+        assert verify._bijection_case(sign, 3, 2, 2, 2)[1]() == ""
         assert len(words) <= negations * 9
 
 
@@ -291,7 +291,7 @@ def test_an_exhaustive_tier_enters_at_most_60_python_frames_per_array(sign, b, n
     gc.disable()
     sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(None))
     try:
-        assert verify._bijection_failure(sign, b, n, p, places) == ""
+        assert verify._bijection_case(sign, b, n, p, places)[1]() == ""
     finally:
         sys.setprofile(previous)
         gc.enable()
