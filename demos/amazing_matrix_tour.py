@@ -13,7 +13,7 @@ from fractions import Fraction
 from carrieslab import (
     eigen_system,
     make_process,
-    stationary_distribution,
+    stationary_fixed_point,
     transition_matrix,
 )
 
@@ -37,7 +37,7 @@ def main() -> None:
     print("L does not depend on b, and R is its exact inverse.  Left matrix:")
     show(system.left)
 
-    pi = stationary_distribution(params)
+    pi = stationary_fixed_point(params)
     print("\nStationary law (row 0 of L, normalized):", ", ".join(map(str, pi)))
 
     print("\nDistance to stationarity from a cold start, shrinking like 1/b:")
@@ -54,7 +54,7 @@ def main() -> None:
     values = eigen_system(params).eigenvalues
     print("Eigenvalues now alternate in sign:", ", ".join(map(str, values)))
     print("so the chain overshoots and corrects as it settles into")
-    print("its stationary law:", ", ".join(map(str, stationary_distribution(params))))
+    print("its stationary law:", ", ".join(map(str, stationary_fixed_point(params))))
 
 
 if __name__ == "__main__":

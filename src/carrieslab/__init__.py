@@ -71,7 +71,6 @@ from .spectral import (
     left_eigen_oracle,
     right_eigen_matrix,
     right_eigen_oracle,
-    stationary_distribution,
     stationary_fixed_point,
     stirling_first,
     stirling_frobenius,

@@ -198,28 +198,22 @@ def eigen_system(params: ProcessParams) -> EigenSystem:
     return EigenSystem(left, right, values)
 
 
-def stationary_distribution(params: ProcessParams) -> tuple[Fraction, ...]:
-    """Stationary law of the chain: row 0 of L, normalized to sum 1."""
-    law, d = _stationary_row(params)
-    return tuple(Fraction(x, d) for x in law)
-
-
 def _stationary_row(params: ProcessParams) -> tuple[tuple[int, ...], int]:
-    """``stationary_distribution`` as one reduced integer row (law, d): row 0 of L over its sum."""
+    """The chain's stationary law as one reduced integer row (law, d): row 0 of L over its sum."""
     row, _ = next(_left_integer_rows(params.n, params.p))
     g = gcd(*row) if sum(row) > 0 else -gcd(*row)
     return tuple(x // g for x in row), sum(row) // g
 
 
 def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
-    """``stationary_distribution``, proved P's one fixed law by ``proved_stationary_row``."""
+    """Row 0 of L over its sum, proved P's one stationary law by ``proved_stationary_row``."""
     law, d = proved_stationary_row(transition_matrix(params), params)
     return tuple(Fraction(x, d) for x in law)
 
 
 def proved_stationary_row(matrix: RationalMatrix,
                           params: ProcessParams) -> tuple[tuple[int, ...], int]:
-    """``stationary_distribution(params)`` as one integer row (law, d), d > 0, once proved P =
+    """``_stationary_row(params)``, one integer row (law, d) with d > 0, once proved P =
     ``matrix``'s one stationary law: law / d sums to 1, is fixed by P (law times each column
     (nums_j, e_j) of P gives law_j e_j, in integers), and P is stochastic and primitive, so 1 is a
     simple eigenvalue (Kemeny-Snell, *Finite Markov Chains*, 1960).  A failed proof (a broken

@@ -155,11 +155,11 @@ def _param_key(params: ProcessParams | _Chain) -> str:
 
 def _case(key: str, check) -> tuple:
     """The case ``(key, ok[, detail])`` of ``check()``, which returns ok, an (ok, detail) pair
-    or a failure text ("" when the case held).  A refused check, or a closed form that raises,
-    is a failed case carrying the error's text, not bad input."""
+    or a failure text ("" when the case held).  A refused check, or a closed form that raises
+    (a short row among them), is a failed case carrying the error's text, not bad input."""
     try:
         result = check()
-    except (RuntimeError, ValueError, ArithmeticError) as error:
+    except (RuntimeError, ValueError, ArithmeticError, LookupError, TypeError) as error:
         return key, False, str(error) or repr(error)
     if isinstance(result, str):
         return key, not result, result
@@ -560,13 +560,13 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
     """
     yield f"cases {list(cases)}"
     for b, n, p in cases:
-        params = make_process("+", b, n, p)
-        batches = _stack_batches(_composer(n, p, "+"), _word_stacks(b, n, 1), 1, b**n)
-        counts = Counter(chain.from_iterable(values for _, values in batches))
+        params, stacks = make_process("+", b, n, p), _word_stacks(b, n, 1)  # checked and priced
+        counts = cache(lambda: Counter(chain.from_iterable(  # every word run through the engine
+            values for _, values in _stack_batches(_composer(n, p, "+"), stacks, 1, b**n))))
         matrix = cache(lambda: transition_matrix(params))  # read by all three cases
         table = cache(lambda: gessel_coefficients(n, p, 0))
         yield _case(f"enumerated b={b} n={n} p={p}", lambda: (
-            (law := tuple(Fraction(counts.get((j,), 0), b**n) for j in range(matrix().dim)))
+            (law := tuple(Fraction(counts().get((j,), 0), b**n) for j in range(matrix().dim)))
             == matrix()[0], f"{law} vs {matrix()[0]}"))
         for r in (1, 2):
             m = (b**r - 1) // p
@@ -585,16 +585,15 @@ def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> Iterator:
     for b, n, p in cases:
         parameter_ratio("+", b, p)  # a bad (b, p) is input: refused here, not by the closed form
         elements = list(enumerate_group(n, p))
-        run = _composer(n, p, "+")
-        laws = {}
-        for r in (2, 1):  # r = 2 is refused first
-            batches = _stack_batches(run, _word_stacks(b, n, r), r, b ** (n * r))
-            laws[r] = Counter(_window_pairs(w, p) for windows, _ in batches for w in windows)
+        _word_stacks(b, n, 2)  # prices the r = 2 stacks, the most words, before any case
+        laws = cache(lambda: {r: Counter(_window_pairs(w, p) for windows, _ in _stack_batches(
+            _composer(n, p, "+"), _word_stacks(b, n, r), r, b ** (n * r)) for w in windows)
+            for r in (1, 2)})  # the windows' law after r shuffles, read by two cases
         yield _case(f"sums-to-one b={b} n={n} p={p}", lambda: (
             (total := sum(shuffle_probability(e, b) for e in elements)) == 1, f"total {total}"))
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
             yield _case(f"{key} b={b} n={n} p={p}", lambda: all(
-                shuffle_probability(e, b, r) == Fraction(laws[r].get(e.pairs, 0), b ** (r * n))
+                shuffle_probability(e, b, r) == Fraction(laws()[r].get(e.pairs, 0), b ** (r * n))
                 for e in elements
             ))
 
@@ -612,20 +611,18 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> Iterator:
                       "compositions and identity terms")
     yield f"n<={n_max}, p<={p_max}, all d, cutoff ({cutoff}, {cutoff})"
     for n, p in grid:
-        descents = {e: descent_count(e) for e in enumerate_group(n, p)}  # once for every d
-        factors = [(inverse(mu), j) for mu, j in descents.items()]
-        for d in sorted(set(descents.values())):
-            yield _case(f"n={n} p={p} d={d}",
-                        lambda: _gessel_case(n, p, d, cutoff, factors, descents))
+        descents = cache(lambda: {e: descent_count(e) for e in enumerate_group(n, p)})
+        for d in range(state_count(n, p)):  # the descent counts of Z_p wr S_n
+            yield _case(f"n={n} p={p} d={d}", lambda: _gessel_case(n, p, d, cutoff, descents()))
 
 
-def _gessel_case(n: int, p: int, d: int, cutoff: int, factors: list,
-                 descents: dict) -> tuple[bool, str]:
+def _gessel_case(n: int, p: int, d: int, cutoff: int, descents: dict) -> tuple[bool, str]:
     """The oracle's case at d: (False, the first way its counts fail) or (their total is |G|,
     "total T").  Each representative sigma's c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j}
-    takes one composition per (mu^-1, d(mu)) of ``factors``: the first's must meet the
+    takes one composition per (mu^-1, d(mu)) of the group: the first's must meet the
     generating identity, and every one's must equal ``gessel_coefficients``."""
     closed = gessel_coefficients(n, p, d)
+    factors = [(inverse(mu), j) for mu, j in descents.items()]
     for k, sigma in enumerate(e for e, descent in descents.items() if descent == d):
         counts = [[0] * (n + 1) for _ in range(n + 1)]
         for mu_inverse, j in factors:

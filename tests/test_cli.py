@@ -13,15 +13,12 @@ import subprocess
 import sys
 from enum import IntEnum
 from fractions import Fraction
-from itertools import accumulate
-from math import comb
 from pathlib import Path
 
 import pytest
 
-from carrieslab import cli, colored, shuffle, spectral, verify
-from carrieslab.colored import ColoredPermutation, inverse
-from carrieslab.moments import MomentOracle
+from carrieslab import cli, spectral, verify
+from carrieslab.colored import ColoredPermutation
 from carrieslab.process import (
     ENUMERATION_LIMIT,
     GRID_N_LIMIT,
@@ -437,90 +434,6 @@ def test_verify_failure_exits_one_with_reproduce_line(capsys, monkeypatch):
         assert obj["passed"] is False and obj["cases"][0]["detail"] == "boom"
 
 
-@pytest.mark.parametrize("keeps_sum", [True, False])
-def test_a_broken_stationary_law_fails_its_cases_and_exits_one(capsys, monkeypatch, tmp_path,
-                                                                keeps_sum):
-    # A shifted row 0 of L fails the proof that it is P's one fixed law: each suite that reads
-    # it reports failed cases and exits 1, whether or not the shift keeps the sum at 1.
-    shift, closed_form = Fraction(1, 10**6), spectral._stationary_row
-
-    def shifted(params):  # the law / d of ``stationary_distribution``, as an integer row
-        law, d = closed_form(params)
-        nums = [x * shift.denominator for x in law]
-        return (nums[0] + d, *nums[1:-1], nums[-1] - d * keeps_sum), d * shift.denominator
-
-    monkeypatch.setattr(spectral, "_stationary_row", shifted)
-    for suite, must_fail in (("moments", lambda key: True),
-                             ("examples-golden", lambda key: key.startswith("stationary "))):
-        report = tmp_path / f"{suite}.json"
-        code, out, err = run(capsys, "--out", str(report), "verify", suite)
-        assert (code, out) == (1, "")
-        assert f"reproduce: carries-lab verify {suite}\n" in err
-        cases = json.loads(report.read_text())["cases"]
-        failed = [case["key"] for case in cases if not case["ok"]]
-        assert failed == [case["key"] for case in cases if must_fail(case["key"])]
-        assert len(failed) >= {"moments": 280, "examples-golden": 4}[suite]
-
-
-_SHIFT = Fraction(1, 10**6)
-_MEAN, _VARIANCE, _COVARIANCE = (verify.mean_conditional, verify.variance_conditional,
-                                 verify.covariance_conditional)
-_STATIONARY = verify.stationary_moments
-
-
-class _StationaryMeanShifted(MomentOracle):
-    def law_moments(self, start, k):
-        mean, variance = super().law_moments(start, k)
-        return mean + _SHIFT * (start == "stationary"), variance
-
-
-class _OneStepVarianceClaimed(MomentOracle):
-    """At n = 1 the one-step variance reads what the n >= 2 closed form would claim."""
-
-    def law_moments(self, start, k):
-        mean, variance = super().law_moments(start, k)
-        if (self.params.n, k) == (1, 1):
-            variance = Fraction(2, 12) * (1 - Fraction(1, self.params.b**2))
-        return mean, variance
-
-
-@pytest.mark.parametrize("target,shifted,failed,detail", [
-    ("mean_conditional",
-     lambda params, r, i: _MEAN(params, r, i) + _SHIFT * ((r, i) == (2, 1)),
-     266, "mean i=1 r=2"),  # every chain with a state 1
-    ("variance_conditional",
-     lambda params, r, *i: _VARIANCE(params, r, *i) + _SHIFT * (r == 3),
-     210, "variance i=0 r=3"),  # every chain with n >= 2
-    ("covariance_conditional",
-     lambda params, s, r, *i: _COVARIANCE(params, s, r, *i) + _SHIFT * ((s, r) == (2, 4)),
-     210, "covariance i=0 s=2 r=4"),
-    ("MomentOracle", _StationaryMeanShifted, 280, "stationary mean"),  # every chain
-    ("stationary_moments",
-     lambda params, r=0: tuple(x + _SHIFT * (r == 0) for x in _STATIONARY(params, r)),
-     210, "stationary variance"),
-    ("stationary_moments",
-     lambda params, r=0: tuple(x + _SHIFT * (r == 3) for x in _STATIONARY(params, r)),
-     210, "stationary covariance r=3"),
-    ("variance_conditional",  # answers at n = 1 instead of refusing
-     lambda params, r, *i: Fraction(params.n + 1, 12) * (1 - Fraction(1, params.b ** (2 * r))),
-     70, "closed form answered off its domain"),  # every chain with n = 1
-    ("MomentOracle", _OneStepVarianceClaimed, 70, "variance formula held beyond its domain"),
-])
-def test_a_shifted_conditional_moment_fails_its_cases_and_exits_one(capsys, monkeypatch, target,
-                                                                    shifted, failed, detail):
-    # A closed form, or the suite's oracle, off by 10^-6 at one point of the grid fails every
-    # chain that reaches the point, each at the first (start, s, r) the suite compares there;
-    # so does a closed form that answers, or an oracle that agrees with it, at n = 1.  The
-    # oracle-object spot points read lag 1, n >= 2 and their own oracle, so they still hold.
-    # No one fault reaches the two decaying-eigenvector checks: any matrix that breaks them
-    # fails the r = 1 mean or variance check first.
-    monkeypatch.setattr(verify, target, shifted)
-    code, out, err = run(capsys, "verify", "moments")
-    assert code == 1 and "reproduce: carries-lab verify moments" in err
-    details = [case["detail"] for case in json.loads(out)["cases"] if not case["ok"]]
-    assert (len(details), set(details)) == (failed, {detail})
-
-
 def test_verify_moments_forms_no_matrix_product_or_power(capsys, monkeypatch):
     # The moments oracle walks integer vectors through P, so its default grid runs and passes
     # with every RationalMatrix product and power refused.
@@ -535,13 +448,13 @@ def test_verify_moments_forms_no_matrix_product_or_power(capsys, monkeypatch):
 
 
 def test_a_shifted_right_eigen_matrix_is_an_internal_failure(capsys, monkeypatch):
-    # R L != I is a broken closed form, not bad input: `eigen --check` exits 1 and names it,
-    # and `verify eigen` fails every chain case with it and says how to reproduce the run.
+    # R L != I is a broken closed form, not bad input: `eigen --check` exits 1 and names it
+    # (tests/test_faults.py runs `verify eigen` on the same fault).
     closed_form = spectral.right_eigen_matrix
 
     def shifted(n, p):
         rows = [list(row) for row in closed_form(n, p).rows]
-        rows[0][0] += _SHIFT
+        rows[0][0] += Fraction(1, 10**6)
         return RationalMatrix(rows)
 
     monkeypatch.setattr(spectral, "right_eigen_matrix", shifted)
@@ -550,253 +463,6 @@ def test_a_shifted_right_eigen_matrix_is_an_internal_failure(capsys, monkeypatch
     assert (code, out) == (1, "")
     assert err.startswith("carries-lab: internal consistency failure: R L != I for ")
     assert err.count("\n") == 1
-    code, out, err = run(capsys, "verify", "eigen")
-    assert code == 1 and "reproduce: carries-lab verify eigen" in err
-    cases = json.loads(out)["cases"]
-    chains = [case for case in cases if not case["key"].startswith("poly-form ")]
-    assert [case for case in cases if not case["ok"]] == chains and len(chains) == 120
-    assert all(case["detail"].startswith("R L != I for ") for case in chains)
-
-
-def test_a_non_integer_table_fails_its_cases_and_exits_one(capsys, monkeypatch):
-    # A broken recursion is an internal failure, not bad input: each suite names the
-    # cases that read the non-integer table and exits 1, never 2.
-    shift = Fraction(1, 10**6)
-    left, frobenius = spectral._left_integer_rows, verify.stirling_frobenius
-
-    def shifted_left(n, p):  # every entry of L(2, 2) up by shift, as integer rows
-        for nums, den in left(n, p):
-            if (n, p) == (2, 2):
-                nums, den = [x * shift.denominator + den for x in nums], den * shift.denominator
-            yield nums, den
-
-    def shifted_frobenius(n, p):
-        row = frobenius(n, p)
-        return row if (n, p) != (3, 2) else tuple(v + shift for v in row)
-
-    monkeypatch.setattr(spectral, "_left_integer_rows", shifted_left)
-    monkeypatch.setattr(verify, "stirling_frobenius", shifted_frobenius)
-    for suite, failed in (("descent-stats", ["dash n=2 p=2", "standard n=2 p=2"]),
-                          ("sf-numbers", ["reference row n=3 p=2", "row n=3 p=2"])):
-        code, out, err = run(capsys, "verify", suite)
-        assert code == 1 and "non-integer" not in err
-        assert f"reproduce: carries-lab verify {suite}" in err
-        assert [case["key"] for case in json.loads(out)["cases"] if not case["ok"]] == failed
-
-
-def _failed_cases(capsys, suite, *flags):
-    """The failed cases of ``verify suite *flags``, which must exit 1 with a report and a
-    reproduce line, never as an internal consistency failure."""
-    code, out, err = run(capsys, "verify", suite, *flags)
-    assert code == 1 and " ".join(("reproduce: carries-lab verify", suite, *flags)) in err
-    assert "internal consistency failure" not in err
-    return [case for case in json.loads(out)["cases"] if not case["ok"]]
-
-
-def test_a_fault_in_the_integer_construction_fails_its_bijection_suites(capsys, monkeypatch):
-    # The bar's running totals kept mod b^(N-1) fail both signs; the flip moved to the even
-    # places fails '-' only, as do '-' phase factors that keep their colors (p = 3, where
-    # negation moves colors).  The bar without any mod would be no fault: the products are
-    # taken mod b^N, which reduces the same residue.
-    real_values, real_totals = shuffle._row_values, shuffle._running_totals
-
-    def flip_even(rows, b, flip_odd=False):  # the digits at even indices flipped instead
-        if flip_odd:
-            rows = [tuple(b - 1 - x if k % 2 == 0 else x for k, x in enumerate(row))
-                    for row in rows]
-        return real_values(rows, b)
-
-    case = ("--b", "2", "--n", "3", "--N", "3")
-    for target, fault, failing in (
-            ("_running_totals", lambda values, modulus: real_totals(values, modulus // 2), "+-"),
-            ("_row_values", flip_even, "-"),
-            ("_negate_pairs", lambda pairs, p: pairs, "-")):
-        with monkeypatch.context() as patch:
-            patch.setattr(shuffle, target, fault)
-            for sign, suite, p in (("+", "bijection-plus", "1"), ("-", "bijection-minus", "3")):
-                code, out, err = run(capsys, "verify", suite, *case, "--p", p)
-                if sign not in failing:
-                    assert code == 0, (target, suite)
-                    continue
-                assert code == 1 and f"reproduce: carries-lab verify {suite} --b 2" in err
-                [detail] = [entry["detail"] for entry in json.loads(out)["cases"]]
-                assert detail.startswith(("mismatch at rows=((", "word map not injective"))
-
-
-_GSR_PAIRS, _UNSTAR, _DIGIT_ROWS = shuffle._gsr_pairs, shuffle.unstar_map, shuffle._digit_rows
-_TRANSITION, _RIGHT = verify.transition_matrix, verify.right_eigen_matrix
-_PIPELINES = ["negative-base pipeline", "positive-base pipeline"]
-
-
-def _compose_pairs_without_mod(tau_pairs, sigma_pairs, p):
-    return tuple((tau_pairs[k - 1][0], tau_pairs[k - 1][1] + c) for k, c in sigma_pairs)
-
-
-def _one_entry_short(matrix):
-    """``matrix`` with each row one entry short: no longer square, so RationalMatrix refuses it."""
-    return RationalMatrix.from_integer_rows((nums[:-1], d) for nums, d in matrix.integer_rows)
-
-
-def _refuses_variance(params, r, i=None):
-    raise ValueError("the variance closed form needs n >= 2")
-
-
-def _raises(*args):
-    raise ValueError("a planted refusal")
-
-
-@pytest.mark.parametrize("suite, patches, failed", [
-    ("examples-golden", [(shuffle, "_running_totals", lambda values, modulus: list(
-        accumulate(values)))], _PIPELINES),
-    ("examples-golden", [(shuffle, "_gsr_pairs", lambda labels, p: tuple(
-        (position, labels[card]) for card, (position, _) in enumerate(_GSR_PAIRS(labels, p))))],
-     ["gsr b=3 n=6 p=2", "gsr b=7 n=8 p=3", *_PIPELINES, "window inversion example"]),
-    ("examples-golden", [(colored, "_compose_pairs", _compose_pairs_without_mod),
-                         (shuffle, "_compose_pairs", _compose_pairs_without_mod)], _PIPELINES),
-    ("examples-golden", [(shuffle, "unstar_map", lambda levels: [
-        tuple(x + 1 for x in word) for word in _UNSTAR(levels)])], _PIPELINES),
-    ("examples-golden", [(shuffle, "_digit_rows", lambda values, b, places: _DIGIT_ROWS(
-        values, b + 1, places))], _PIPELINES),
-    ("moments", [(verify, "variance_conditional", _refuses_variance)], 210 + 3),  # n >= 2, spots
-    ("moments", [(verify, "has_quadratic_eigenfunction", lambda params: True)], 70),  # n = 1
-    ("transition", [(verify, "transition_matrix",
-                     lambda params: _one_entry_short(_TRANSITION(params)))], 280),
-    ("eigen", [(verify, "right_eigen_matrix", lambda n, p: _one_entry_short(_RIGHT(n, p)))],
-     [f"poly-form n={n} p={p}" for p in ("1", "2", "3", "3/2", "4") for n in range(1, 7)]),
-    # Each closed form below raising fails every case that reads it: the three cases of a
-    # shuffle-onestep chain read its one matrix, both clauses of a p = 1 chain one
-    # symmetry_check.
-    ("shuffle-onestep", [(verify, "transition_matrix", _raises)], 15),
-    ("symmetry", [(verify, "symmetry_check", _raises)], 76),
-    ("gessel", [(verify, "gessel_coefficients", _raises)], 15),
-    ("shuffle-prob", [(verify, "shuffle_probability", _raises)], 9),
-    ("descent-stats", [(verify, "descent_statistics", _raises)], 30),
-    ("sf-numbers", [(verify, "stirling_frobenius", _raises)], 26),
-    # 25 left cases; its rejects-p=1 case holds, as the planted form does refuse p = 1.
-    ("duality", [(verify, "duality_check_left", _raises)], 25),
-], ids=["golden-totals-without-mod", "golden-gsr-without-mod", "golden-compose-without-mod",
-        "golden-unstar-off-by-one", "golden-digits-in-base-b+1", "moments-variance-refuses",
-        "moments-quadratic-at-n1", "transition-short-rows", "eigen-short-rows",
-        "onestep-matrix-raises", "symmetry-check-raises", "gessel-table-raises",
-        "shuffle-law-raises", "descent-table-raises", "sf-row-raises", "duality-left-raises"])
-def test_a_closed_form_that_raises_fails_its_cases_and_exits_one(capsys, monkeypatch, suite,
-                                                                  patches, failed):
-    # A fault that makes a computation inside a case raise ValueError or ArithmeticError is a
-    # broken closed form, not bad input: it fails the cases that reach it, never exits 2.
-    for module, name, fault in patches:
-        monkeypatch.setattr(module, name, fault)
-    keys = [case["key"] for case in _failed_cases(capsys, suite)]
-    assert keys == sorted(failed) if isinstance(failed, list) else len(keys) == failed
-
-
-def test_a_broken_group_law_fails_the_gessel_oracle(capsys, monkeypatch):
-    # The oracle counts sigma = tau mu with colored.compose.  A law that answers sigma for
-    # every product breaks the generating identity; a law that reads tau = sigma mu meets it
-    # at the first representative of d = 1 and differs from the closed form at a later one.
-    monkeypatch.setattr(verify, "compose", lambda sigma, mu_inverse: sigma)
-    failed = _failed_cases(capsys, "gessel")
-    assert len(failed) == 14
-    assert all(case["detail"].startswith("generating identity fails at ") for case in failed)
-    law = colored.compose
-    monkeypatch.setattr(verify, "compose", lambda sigma, mu_inverse: law(sigma, inverse(
-        mu_inverse)))
-    assert {case["key"]: case["detail"] for case in _failed_cases(capsys, "gessel")} == {
-        "n=3 p=2 d=0": "generating identity fails at (s^1, t^1) for n=3 p=2 d=0",
-        "n=3 p=2 d=1": "the counts at (1,0)(2,1)(3,1) differ from the closed form",
-        "n=3 p=2 d=2": "generating identity fails at (s^1, t^1) for n=3 p=2 d=2",
-        "n=3 p=2 d=3": "generating identity fails at (s^1, t^1) for n=3 p=2 d=3",
-    }
-
-
-def test_a_duality_check_that_accepts_p_one_fails_its_case(capsys, monkeypatch):
-    closed_form = verify.duality_check_left
-
-    def duality_check_left(n, p):  # the case key is the check's name
-        return True if p == 1 else closed_form(n, p)
-
-    monkeypatch.setattr(verify, "duality_check_left", duality_check_left)
-    failed = _failed_cases(capsys, "duality")
-    assert [case["key"] for case in failed] == ["duality_check_left rejects p=1"]
-
-
-def test_an_off_by_one_iterated_shuffle_law_fails_its_cases(capsys, monkeypatch):
-    # m = (b^r - 1)/p + 1 at r = 2: only the r = 2 enumeration sees it, not the r = 1 law.
-    closed_form = verify.shuffle_probability
-
-    def shuffle_probability(sigma, b, r=1):
-        if r != 2:
-            return closed_form(sigma, b, r)
-        n, m = sigma.n, (b**r - 1) // sigma.p + 1
-        return Fraction(comb(n + m - colored.descent_count(inverse(sigma)), n), b ** (r * n))
-
-    monkeypatch.setattr(verify, "shuffle_probability", shuffle_probability)
-    assert [case["key"] for case in _failed_cases(capsys, "shuffle-prob")] == [
-        "iterated r=2 b=3 n=2 p=1", "iterated r=2 b=3 n=3 p=2", "iterated r=2 b=4 n=2 p=3"]
-
-
-def test_a_mirror_that_keeps_each_row_fails_the_symmetry_cases(capsys, monkeypatch):
-    # 68 of the 76 cases fail; only the one-state chains (n = 1 at p = 1) are their own mirror.
-    monkeypatch.setattr(spectral, "_mirrored", lambda matrix: matrix.integer_rows)
-    failed = {case["key"] for case in _failed_cases(capsys, "symmetry")}
-    one_state = {f"{clause} b={b} n=1" for clause in ("centro", "sign-flip-p1") for b in range(2, 6)}
-    assert len(failed) == 68 and not failed & one_state
-
-
-def test_a_raised_dash_entry_fails_its_one_case(capsys, monkeypatch):
-    closed_form = verify.descent_statistics
-
-    def descent_statistics(n, p, variant="standard"):
-        row = closed_form(n, p, variant)
-        return (row[0] + 1, *row[1:]) if (n, p, variant) == (3, 2, "dash") else row
-
-    monkeypatch.setattr(verify, "descent_statistics", descent_statistics)
-    assert [case["key"] for case in _failed_cases(capsys, "descent-stats")] == ["dash n=3 p=2"]
-
-
-def test_an_identity_unstar_map_fails_both_bijection_suites(capsys, monkeypatch):
-    # Explicit cases, so that no sampled tier runs.
-    monkeypatch.setattr(shuffle, "unstar_map", lambda levels: levels)
-    for suite, case in (("bijection-plus", ("3", "2", "1", "2")),
-                        ("bijection-minus", ("3", "2", "2", "3"))):
-        flags = [x for pair in zip(("--b", "--n", "--p", "--N"), case) for x in pair]
-        failed = _failed_cases(capsys, suite, *flags)
-        assert [case["key"] for case in failed] == ["exhaustive b={} n={} p={} N={}".format(*case)]
-
-
-def test_unsigned_stirling_numbers_fail_eigen_and_sf_numbers(capsys, monkeypatch):
-    # |s(k, l)| by its own recursion: abs() of the real one would fill its cache from this one.
-    @functools.lru_cache(maxsize=None)
-    def unsigned(k, l):
-        if k < 0 or l < 0 or l > k:
-            return 0
-        if k == 0:
-            return int(l == 0)
-        return unsigned(k - 1, l - 1) + (k - 1) * unsigned(k - 1, l)
-
-    monkeypatch.setattr(spectral, "stirling_first", unsigned)
-    assert len(_failed_cases(capsys, "eigen")) == 124
-    assert [case["key"] for case in _failed_cases(capsys, "sf-numbers")] == [
-        f"row n={n} p={p}" for n in range(2, 7) for p in (1, 2, 3)]
-
-
-def test_a_shifted_gessel_table_fails_both_suites_that_read_it(capsys, monkeypatch):
-    # Entry (0, 0) of the closed form up by one: every gessel case differs from the count at
-    # its first representative, and every factorization-route case of shuffle-onestep fails.
-    closed_form = verify.gessel_coefficients
-
-    def shifted(n, p, d):
-        table = closed_form(n, p, d)
-        table[0][0] += 1
-        return table
-
-    monkeypatch.setattr(verify, "gessel_coefficients", shifted)
-    failed = _failed_cases(capsys, "gessel")
-    assert len(failed) == 15
-    assert all(case["detail"].endswith(" differ from the closed form") for case in failed)
-    failed = _failed_cases(capsys, "shuffle-onestep")
-    assert [case["key"] for case in failed] == [
-        f"factorization-route b={b} n={n} p={p} r={r}"
-        for b, n, p in ((3, 2, 1), (3, 3, 1), (4, 2, 3), (4, 3, 3), (5, 2, 2)) for r in (1, 2)]
 
 
 def test_argparse_rejections_exit_two(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from carrieslab import (
     ColoredPermutation,
-    colored,
     compose,
     dash_descent_count,
     descent_count,
@@ -140,45 +139,6 @@ def test_descent_stats_suite_enumerates_each_group_once(monkeypatch):
     report = verify.run_suite("descent-stats", n_max=3, p_max=2)
     assert report.passed
     assert calls == [(n, p) for p in (1, 2) for n in (1, 2, 3)]
-
-
-def test_descent_stats_fails_when_the_counts_miss_the_group_order(monkeypatch):
-    # A count past the table's last index leaves every compared entry equal, so only
-    # the total against the group order can catch it.
-    def padded(n, p):
-        standard, dash = descent_histograms(n, p)
-        return standard + Counter({n + 2: 1}), dash
-
-    monkeypatch.setattr(verify, "descent_histograms", padded)
-    report = verify.run_suite("descent-stats", n_max=2, p_max=2)
-    assert [case.key for case in report.cases if not case.ok] == [
-        f"standard n={n} p={p}" for p in (1, 2) for n in (1, 2)]
-
-
-def test_descent_stats_fails_without_the_dash_end_at_one_color(monkeypatch):
-    # The shuffle engine counts the dash end at p = 1; dropping it must fail those cases.
-    keep = colored._end_descent
-
-    def no_dash_end(color, p, dash=False):
-        return not dash and keep(color, p, dash)
-
-    monkeypatch.setattr(colored, "_end_descent", no_dash_end)
-    report = verify.run_suite("descent-stats", n_max=3, p_max=1)
-    assert [(case.key, case.ok) for case in report.cases if case.key.startswith("dash")] == [
-        (f"dash==standard counting n={n} p=1", False) for n in (1, 2, 3)]
-
-
-def test_descent_stats_fails_when_the_dash_count_forks_at_one_color(monkeypatch):
-    # A dash count that falls back to the standard count at p = 1 drops the
-    # dash end there; every p = 1 dash case of the default grid must catch it.
-    def forked(n, p):
-        standard, dash = descent_histograms(n, p)
-        return standard, standard if p == 1 else dash
-
-    monkeypatch.setattr(verify, "descent_histograms", forked)
-    report = verify.run_suite("descent-stats")
-    failed = [case.key for case in report.cases if not case.ok]
-    assert failed == [f"dash==standard counting n={n} p=1" for n in range(1, 6)]
 
 
 def test_group_suites_refuse_an_over_cap_grid_before_any_case(monkeypatch):

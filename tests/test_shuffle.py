@@ -21,7 +21,6 @@ from carrieslab import (
     gessel_coefficients,
     gsr_to_permutation,
     make_process,
-    reference,
     sharp_compose,
     shuffle_probability,
     simulate_trace,
@@ -228,43 +227,6 @@ def test_gessel_factorizations_above_the_enumeration_limit_are_refused():
     assert len(verify.run_suite("gessel").cases) == 15
 
 
-def _failed(report, prefix):
-    return [case.key for case in report.cases if case.key.startswith(prefix) and not case.ok]
-
-
-def _without_end_rule(order_is_dash):
-    """The engine's descent rule with the end predicate of one order dropped."""
-    def mutated(pairs, p, dash=False):
-        end = pairs[-1][1]
-        fired = dash == order_is_dash and (end == p - 1 if dash else end != 0)
-        return colored._descents(pairs, p, dash) - fired
-    return mutated
-
-
-def test_word_tiers_check_the_engine_they_run_on(monkeypatch):
-    # The enumerated word tiers read their law from the trace engine, so a
-    # fault planted in the engine's descent or composition rule must show.
-    assert verify.run_suite("shuffle-onestep").passed and verify.run_suite("shuffle-prob").passed
-
-    with monkeypatch.context() as patch:
-        patch.setattr(shuffle, "_descents", _without_end_rule(False))
-        assert _failed(verify.run_suite("shuffle-onestep"), "enumerated")
-
-    # The dash end (color p-1) drives the odd steps of every negative-base trace.
-    with monkeypatch.context() as patch:
-        patch.setattr(shuffle, "_descents", _without_end_rule(True))
-        report = verify.run_suite("bijection-minus", mc_case=None)
-        failed = [case for case in report.cases if not case.ok]
-        assert failed and all(case.detail.startswith("mismatch at rows=") for case in failed)
-
-    def no_colour_sum(tau_pairs, sigma_pairs, p):
-        return tuple(tau_pairs[k - 1] for k, _ in sigma_pairs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(shuffle, "_compose_pairs", no_colour_sum)
-        assert _failed(verify.run_suite("shuffle-prob"), "iterated r=2")
-
-
 def test_exhaustive_bijection_tier_builds_each_factor_once(monkeypatch):
     # One trace engine per case: a word becomes a window at most once
     # per color negation, however many digit arrays drive it.
@@ -324,20 +286,3 @@ def test_trace_engine_builds_nothing_before_the_first_word():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def test_golden_pipelines_name_the_first_wrong_stage(monkeypatch):
-    assert verify.run_suite("examples-golden").passed
-    ex = reference.MINUS_PIPELINE
-    wrong = ex["elements"][:-1] + (ex["elements"][0],)
-    with monkeypatch.context() as patch:
-        patch.setitem(ex, "elements", wrong)
-        failed = [case for case in verify.run_suite("examples-golden").cases if not case.ok]
-        assert [case.key for case in failed] == ["negative-base pipeline"]
-        assert failed[0].detail.startswith("elements: got ")
-    # A reference stage the table does not compute is refused, not skipped.
-    with monkeypatch.context() as patch:
-        patch.setitem(ex, "sorted_rows", ex["rows"])
-        failed = [case for case in verify.run_suite("examples-golden").cases if not case.ok]
-        assert [(case.key, case.detail) for case in failed] == [
-            ("negative-base pipeline", "sorted_rows: no computed stage")]

@@ -21,7 +21,6 @@ from carrieslab import (
     make_process,
     right_eigen_matrix,
     right_eigen_oracle,
-    stationary_distribution,
     stationary_fixed_point,
     stirling_first,
     stirling_frobenius,
@@ -141,20 +140,6 @@ def test_eigen_system_multiplies_twice(monkeypatch):
     assert len(calls) == 2
 
 
-def test_eigen_suite_fails_on_a_wrong_spectrum(monkeypatch):
-    # The suite proves the spectrum only through R D L = P; a wrong eigenvalue must fail it.
-    keep = spectral.eigen_values
-
-    def doubled_last(params):
-        values = keep(params)
-        return values[:-1] + (2 * values[-1],)
-
-    monkeypatch.setattr(spectral, "eigen_values", doubled_last)
-    report = run_suite("eigen", n_max=2)
-    failed = [case.key for case in report.cases if not case.ok]
-    assert len(failed) == 40 and not any(key.startswith("poly-form") for key in failed)
-
-
 def test_transition_matrix_takes_one_binomial_table_per_row(monkeypatch):
     # One table of n + 1 binomials per row plus the n + 1 signed ones, not a
     # batch of binomials for every entry.
@@ -186,9 +171,10 @@ def test_stirling_first_classical_row():
 @pytest.mark.parametrize("sign,b,n,p", PARAMS)
 def test_stationary_is_the_fixed_point(sign, b, n, p):
     params = make_process(sign, b, n, p)
-    pi = stationary_distribution(params)
+    pi = stationary_fixed_point(params)
     assert sum(pi) == 1 and all(x > 0 for x in pi)
-    assert pi == stationary_fixed_point(params)
+    row = left_eigen_matrix(n, p)[0]
+    assert pi == tuple(x / sum(row) for x in row)  # row 0 of L, normalized
     matrix = transition_matrix(params)
     assert matrix.row_mul(pi) == pi
 
@@ -214,7 +200,8 @@ def test_no_stationary_law_needs_a_linear_solve(monkeypatch):
     for suite in ("moments", "examples-golden"):
         assert run_suite(suite).passed
     params = make_process("-", 8, 30, 3)  # the largest chain of the large-chain benchmark
-    assert stationary_fixed_point(params) == stationary_distribution(params)
+    row = left_eigen_matrix(30, 3)[0]
+    assert stationary_fixed_point(params) == tuple(x / sum(row) for x in row)
 
 
 def test_dualities_and_their_domain():
