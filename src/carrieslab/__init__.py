@@ -68,7 +68,6 @@ from .spectral import (
     eigen_system,
     eigen_values,
     left_eigen_matrix,
-    left_eigen_oracle,
     right_eigen_matrix,
     right_eigen_oracle,
     stationary_fixed_point,

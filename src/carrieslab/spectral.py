@@ -54,15 +54,14 @@ def transition_matrix(params: ProcessParams) -> RationalMatrix:
 def transition_oracle(params: ProcessParams) -> RationalMatrix:
     """Transition matrix by exhaustive enumeration of all digit columns.
 
-    Tallies every tuple in {0..b-1}^n (``enumerate_words`` bounds b^n) by its sum
-    in one C-level pass: a column's carry depends on it only through its sum (Holte
-    1997).  ``step_carry`` then steps each state once per sum, weighted by its tally,
-    on one real column with that sum: digits b-1 while they fit, the rest, then 0s.
+    A column's carry depends on it only through its sum (Holte 1997), so
+    ``_digit_sum_tally`` counts the columns by sum, once per (b, n).  ``step_carry`` then
+    steps each state once per sum, weighted by its tally, on one real column with that
+    sum: digits b-1 while they fit, the rest, then 0s.
     """
     b, n = params.b, params.n
     counts = [[0] * params.state_count for _ in params.states]
-    columns = enumerate_words(f"the transition oracle at b={b} n={n}", b, n, "digit tuples")
-    for total, ways in Counter(map(sum, columns)).items():
+    for total, ways in _digit_sum_tally(b, n):
         digits = ((b - 1,) * (total // (b - 1)) + (total % (b - 1),) + (0,) * n)[:n]
         for i in params.states:
             j, _ = step_carry(params, i, digits)
@@ -70,33 +69,32 @@ def transition_oracle(params: ProcessParams) -> RationalMatrix:
     return RationalMatrix.from_integer_rows((row, b**n) for row in counts)
 
 
+@lru_cache(maxsize=64)  # the default transition grid: 28 (b, n) pairs, each read by 2b chains
+def _digit_sum_tally(b: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Every tuple in {0..b-1}^n (``enumerate_words`` bounds b^n) tallied by its sum in one
+    C-level pass, as (sum, count) pairs."""
+    columns = enumerate_words(f"the transition oracle at b={b} n={n}", b, n, "digit tuples")
+    return tuple(Counter(map(sum, columns)).items())
+
+
 def right_eigen_oracle(n: int, p) -> RationalMatrix:
     """Right eigenvector matrix R by its O(n^4) double-sum closed form.
 
     Entry (i, j) is
     sum_{k=i}^{n} sum_{l=n-j}^{k} s(k,l) (-1)^(n-j-l) / (k! p^l)
-    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers, each term
-    s(k,l)/(k! p^l) computed once per call.  Independent of the generating
-    polynomial ``right_eigen_matrix`` expands; used to check it.
+    C(l, n-j) C(n-i, n-k) with s the signed Stirling numbers; for p = a/c, s(k,l)/(k! p^l)
+    is the integer s(k,l) (n!/k!) c^l a^(n-l) over n! a^n, computed once per call.
+    Independent of the generating polynomial ``right_eigen_matrix`` expands; used to check it.
     """
     p = Fraction(p)
+    a, c = p.numerator, p.denominator
     dim = check_shape(n, p)
-    term = [[Fraction(stirling_first(k, l), factorial(k)) / p**l for l in range(k + 1)]
-            for k in range(n + 1)]
-    return RationalMatrix(
-        [sum(term[k][l] * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
-             for k in range(i, n + 1) for l in range(n - j, k + 1)) for j in range(dim)]
-        for i in range(dim)
-    )
-
-
-def left_eigen_oracle(n: int, p) -> RationalMatrix:
-    """The ``Fraction`` double sum for L that ``left_eigen_matrix`` is checked against."""
-    p = Fraction(p)
-    dim = check_shape(n, p)
-    return RationalMatrix(
-        [sum((-1) ** r * comb(n + 1, r) * (p * (j - r) + 1) ** (n - i)
-             for r in range(j + 1)) for j in range(dim)]
+    denom = factorial(n) * a**n
+    term = [[stirling_first(k, l) * (factorial(n) // factorial(k)) * c**l * a ** (n - l)
+             for l in range(k + 1)] for k in range(n + 1)]
+    return RationalMatrix.from_integer_rows(
+        ([sum(term[k][l] * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
+              for k in range(i, n + 1) for l in range(n - j, k + 1)) for j in range(dim)], denom)
         for i in range(dim)
     )
 
@@ -118,8 +116,7 @@ def left_eigen_matrix(n: int, p) -> RationalMatrix:
     is a left eigenvector of every valid chain for eigenvalue (+-1/b)^i.
     For p = a/c in lowest terms, p m + 1 = (a m + c)/c, so row i is the
     integers sum_r (-1)^r C(n+1, r) (a(j-r) + c)^(n-i) over c^(n-i): one
-    power table per row, and one integer row each.  ``left_eigen_oracle``
-    sums the same terms as ``Fraction``s to check it.
+    power table per row, and one integer row each.
     """
     return RationalMatrix.from_integer_rows(_left_integer_rows(n, p))
 
@@ -227,23 +224,29 @@ def proved_stationary_row(matrix: RationalMatrix,
     return law, d
 
 
-def _conjugate_reflection(n: int, p, build, reflect) -> bool:
-    """Whether build(n, p*) equals reflect(build(n, p), i, j, p*/p) entrywise.
+def _conjugate_reflection(n: int, p, build, mirror) -> bool:
+    """Whether build(n, p*) is the reflection of build(n, p): for (k, l, s, e) = mirror(i, j),
+    entry (i, j) at p* is (-1)^s (p*/p)^e times entry (k, l) at p.
 
-    ``build`` is ``left_eigen_matrix`` or ``right_eigen_matrix``; p must
-    exceed 1 so that the conjugate p* = p/(p-1) exists.
+    ``build`` is ``left_eigen_matrix`` or ``right_eigen_matrix``; p must exceed 1 so that the
+    conjugate p* = p/(p-1) exists.  With p*/p = 1/(p-1) = c/a, the integer rows (x, d) at p*
+    and (y, f) at p compare cross-multiplied: x_j a^e f = (-1)^s c^e y_l d, the two powers
+    swapped for e < 0.
     """
     p = Fraction(p)
     if p == 1:
         raise ValueError("p = 1 is self-conjugate in the degenerate sense; no dual matrix")
-    conj = p / (p - 1)
-    at_p = build(n, p).rows
-    at_conj = build(n, conj).rows
-    return all(
-        at_conj[i][j] == reflect(at_p, i, j, conj / p)
-        for i in range(n + 1)
-        for j in range(n + 1)
-    )
+    a, c = (p - 1).as_integer_ratio()
+    at_p = build(n, p).integer_rows
+    at_conj = build(n, p / (p - 1)).integer_rows
+
+    def holds(i: int, j: int) -> bool:
+        k, l, s, e = mirror(i, j)
+        (x, d), (y, f) = at_conj[i], at_p[k]
+        up, down = (c**e, a**e) if e >= 0 else (a**-e, c**-e)
+        return x[j] * down * f == (-1) ** s * up * y[l] * d
+
+    return all(holds(i, j) for i in range(n + 1) for j in range(n + 1))
 
 
 def duality_check_left(n: int, p) -> bool:
@@ -251,10 +254,7 @@ def duality_check_left(n: int, p) -> bool:
 
     The identity: v[i, j] at p* equals (-1)^i (p*/p)^(n-i) v[i, n-j] at p.
     """
-    return _conjugate_reflection(
-        n, p, left_eigen_matrix,
-        lambda left, i, j, ratio: (-1) ** i * ratio ** (n - i) * left[i][n - j],
-    )
+    return _conjugate_reflection(n, p, left_eigen_matrix, lambda i, j: (i, n - j, i, n - i))
 
 
 def duality_check_right(n: int, p) -> bool:
@@ -262,10 +262,7 @@ def duality_check_right(n: int, p) -> bool:
 
     The identity: u[i, j] at p* equals (-1)^j (p/p*)^(n-j) u[n-i, j] at p.
     """
-    return _conjugate_reflection(
-        n, p, right_eigen_matrix,
-        lambda right, i, j, ratio: (-1) ** j * ratio ** (j - n) * right[n - i][j],
-    )
+    return _conjugate_reflection(n, p, right_eigen_matrix, lambda i, j: (n - i, j, j, j - n))
 
 
 def symmetry_check(params: ProcessParams) -> dict[str, bool]:

@@ -24,7 +24,8 @@ from typing import Iterator
 from . import reference
 from .colored import (
     ColoredPermutation,
-    compose,
+    _check_group,
+    _compose_pairs,
     dash_descent_count,
     descent_count,
     descent_histograms,
@@ -581,20 +582,22 @@ def suite_shuffle_onestep(cases=((3, 2, 1), (5, 2, 2), (4, 2, 3), (3, 3, 1), (4,
 
 def suite_shuffle_prob(cases=((3, 2, 1), (4, 2, 3), (3, 3, 2))) -> Iterator:
     """Single-element law: sums to one and matches every word stack run through the engine."""
-    yield f"cases {list(cases)}"
     for b, n, p in cases:
         parameter_ratio("+", b, p)  # a bad (b, p) is input: refused here, not by the closed form
-        elements = list(enumerate_group(n, p))
-        _word_stacks(b, n, 2)  # prices the r = 2 stacks, the most words, before any case
+        _check_group(n, p)  # prices |G| before any case enumerates it
+        _word_stacks(b, n, 2)  # prices the r = 2 stacks, the most words
+    yield f"cases {list(cases)}"
+    for b, n, p in cases:
+        elements = cache(lambda: list(enumerate_group(n, p)))  # read by all three cases
         laws = cache(lambda: {r: Counter(_window_pairs(w, p) for windows, _ in _stack_batches(
             _composer(n, p, "+"), _word_stacks(b, n, r), r, b ** (n * r)) for w in windows)
             for r in (1, 2)})  # the windows' law after r shuffles, read by two cases
         yield _case(f"sums-to-one b={b} n={n} p={p}", lambda: (
-            (total := sum(shuffle_probability(e, b) for e in elements)) == 1, f"total {total}"))
+            (total := sum(shuffle_probability(e, b) for e in elements())) == 1, f"total {total}"))
         for r, key in ((1, "matches-enumeration"), (2, "iterated r=2")):
             yield _case(f"{key} b={b} n={n} p={p}", lambda: all(
                 shuffle_probability(e, b, r) == Fraction(laws()[r].get(e.pairs, 0), b ** (r * n))
-                for e in elements
+                for e in elements()
             ))
 
 
@@ -619,14 +622,15 @@ def suite_gessel(n_max: int = 3, p_max: int = 2, cutoff: int = 3) -> Iterator:
 def _gessel_case(n: int, p: int, d: int, cutoff: int, descents: dict) -> tuple[bool, str]:
     """The oracle's case at d: (False, the first way its counts fail) or (their total is |G|,
     "total T").  Each representative sigma's c[i][j] = #{mu : d(sigma mu^-1) = i, d(mu) = j}
-    takes one composition per (mu^-1, d(mu)) of the group: the first's must meet the
-    generating identity, and every one's must equal ``gessel_coefficients``."""
+    takes one composition of windows per (mu^-1, d(mu)) of the group: the first's must meet
+    the generating identity, and every one's must equal ``gessel_coefficients``."""
     closed = gessel_coefficients(n, p, d)
-    factors = [(inverse(mu), j) for mu, j in descents.items()]
+    by_window = {e.pairs: j for e, j in descents.items()}
+    factors = [(inverse(mu).pairs, j) for mu, j in descents.items()]
     for k, sigma in enumerate(e for e, descent in descents.items() if descent == d):
         counts = [[0] * (n + 1) for _ in range(n + 1)]
         for mu_inverse, j in factors:
-            counts[descents[compose(sigma, mu_inverse)]][j] += 1
+            counts[by_window[_compose_pairs(sigma.pairs, mu_inverse, p)]][j] += 1
         # At the first representative, through degree ``cutoff`` in each variable: sum c[i][j]
         # s^i t^j / ((1-s)(1-t))^(n+1) has coefficient C(n + p a b + a + b - d, n) at s^a t^b.
         for a in range(cutoff + 1 if k == 0 else 0):

@@ -3,6 +3,7 @@
 import ast
 import inspect
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -17,7 +18,6 @@ from carrieslab import (
     dash_descent_count,
     descent_count,
     left_eigen_matrix,
-    left_eigen_oracle,
     make_process,
     right_eigen_matrix,
     right_eigen_oracle,
@@ -89,11 +89,28 @@ def test_transition_oracle_steps_each_state_once_per_column_sum(monkeypatch):
 
 def test_transition_oracle_uses_no_closed_form():
     # The oracle counts enumerated columns; a formula for the counts would check P with itself.
-    tree = ast.parse(inspect.getsource(spectral.transition_oracle))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = set()
+    for function in (spectral.transition_oracle, spectral._digit_sum_tally):
+        tree = ast.parse(inspect.getsource(function))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "step_carry" in names and "enumerate_words" in names
     assert not names & {"comb", "_signed_binomial_convolution", "transition_matrix"}
+
+
+def test_the_default_transition_grid_tallies_each_base_and_length_once(monkeypatch):
+    # 280 chains share 28 (b, n) pairs: the tally depends on the pair, not the chain, and its
+    # cache is bounded.
+    calls = []
+    enumerate_words = spectral.enumerate_words
+    monkeypatch.setattr(spectral, "enumerate_words", lambda *args: calls.append(args[1:3]) or
+                        enumerate_words(*args))
+    spectral._digit_sum_tally.cache_clear()
+    report = run_suite("transition")
+    spectral._digit_sum_tally.cache_clear()  # no tally read through the patch stays cached
+    assert report.passed and len(report.cases) == 280
+    assert sorted(calls) == [(b, n) for b in range(2, 9) for n in range(1, 5)]
+    assert spectral._digit_sum_tally.cache_parameters()["maxsize"] is not None  # bounded
 
 
 def test_classical_two_summand_matrix():
@@ -120,10 +137,24 @@ def test_right_polynomial_form_agrees():
             assert right_eigen_matrix(n, p) == right_eigen_oracle(n, p), (n, p)
 
 
-def test_left_integer_form_agrees():
+def _fraction_right_oracle(n, p):
+    """The double sum of R term by term in ``Fraction``s, kept as the reference the integer
+    oracle must equal."""
+    p = Fraction(p)
+    dim = n if p == 1 else n + 1
+    term = [[Fraction(stirling_first(k, l), factorial(k)) / p**l for l in range(k + 1)]
+            for k in range(n + 1)]
+    return RationalMatrix(
+        [sum(term[k][l] * ((-1) ** ((n - j - l) % 2) * comb(l, n - j) * comb(n - i, n - k))
+             for k in range(i, n + 1) for l in range(n - j, k + 1)) for j in range(dim)]
+        for i in range(dim)
+    )
+
+
+def test_right_oracle_equals_its_fraction_double_sum():
     for p in (1, 2, 3, 4, Fraction(3, 2), Fraction(4, 3)):
         for n in range(1, 9):
-            assert left_eigen_matrix(n, p) == left_eigen_oracle(n, p), (n, p)
+            assert right_eigen_oracle(n, p) == _fraction_right_oracle(n, p), (n, p)
 
 
 def test_eigen_system_multiplies_twice(monkeypatch):
@@ -202,6 +233,36 @@ def test_no_stationary_law_needs_a_linear_solve(monkeypatch):
     params = make_process("-", 8, 30, 3)  # the largest chain of the large-chain benchmark
     row = left_eigen_matrix(30, 3)[0]
     assert stationary_fixed_point(params) == tuple(x / sum(row) for x in row)
+
+
+def _fraction_reflection(n, p, build, reflect):
+    """The duality check entry by entry in ``Fraction``s, kept as the reference the
+    cross-multiplied integer check must equal: build(n, p*) against reflect(build(n, p))."""
+    p = Fraction(p)
+    conj = p / (p - 1)
+    at_p, at_conj = build(n, p).rows, build(n, conj).rows
+    return all(at_conj[i][j] == reflect(at_p, i, j, conj / p)
+               for i in range(n + 1) for j in range(n + 1))
+
+
+def _moved(build):
+    """``build`` with entry (n, 0) one higher: the reflection that reads it fails."""
+    return lambda n, p: RationalMatrix([[x + ((i, j) == (n, 0)) for j, x in enumerate(row)]
+                                        for i, row in enumerate(build(n, p).rows)])
+
+
+def test_duality_checks_equal_their_fraction_reflections(monkeypatch):
+    for check, name, reflect in (
+            (duality_check_left, "left_eigen_matrix",
+             lambda n: lambda left, i, j, ratio: (-1) ** i * ratio ** (n - i) * left[i][n - j]),
+            (duality_check_right, "right_eigen_matrix",
+             lambda n: lambda right, i, j, ratio: (-1) ** j * ratio ** (j - n) * right[n - i][j])):
+        build = getattr(spectral, name)
+        for matrix, holds in ((build, True), (_moved(build), False)):
+            monkeypatch.setattr(spectral, name, matrix)
+            for p in (2, 3, 4, Fraction(3, 2), Fraction(4, 3)):
+                for n in range(1, 9):
+                    assert check(n, p) == _fraction_reflection(n, p, matrix, reflect(n)) == holds
 
 
 def test_dualities_and_their_domain():
