@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count, islice, repeat, takewhile
 from json.encoder import encode_basestring_ascii
 
@@ -97,6 +98,7 @@ def _add_chain_flags(parser: argparse.ArgumentParser, with_d: bool = False) -> N
         parser.add_argument("--d", type=int, default=None, help="digit set offset, 1-b <= d <= 0")
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carries-lab",
@@ -456,8 +458,7 @@ def _render(result, args) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "matrix": cmd_matrix,
         "eigen": cmd_eigen,

@@ -137,11 +137,15 @@ class RationalMatrix:
 
     def is_primitive(self) -> bool:
         """Whether some power of this nonnegative matrix is positive: by Wielandt's bound, every
-        power past (d-1)^2, so the zero pattern, as bitmask rows, is squared till it gets there."""
+        power past (d-1)^2, so the zero pattern, as bitmask rows, is squared till it gets there,
+        or till it is full, as every later power of a full pattern is."""
+        full = (1 << self.dim) - 1
         reach = [sum(1 << k for k, x in enumerate(nums) if x) for nums, _ in self.integer_rows]
         for _ in range(((self.dim - 1) ** 2).bit_length()):  # square: OR the rows each reaches
+            if min(reach) == full:
+                return True
             reach = [reduce(or_, (x for k, x in enumerate(reach) if r >> k & 1), 0) for r in reach]
-        return all(r == (1 << self.dim) - 1 for r in reach)
+        return min(reach) == full
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination of [self | I] over ``Fraction``s; raises

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterator
 
@@ -211,15 +211,19 @@ def stationary_fixed_point(params: ProcessParams) -> tuple[Fraction, ...]:
 def proved_stationary_row(matrix: RationalMatrix,
                           params: ProcessParams) -> tuple[tuple[int, ...], int]:
     """``_stationary_row(params)``, one integer row (law, d) with d > 0, once proved P =
-    ``matrix``'s one stationary law: law / d sums to 1, is fixed by P (law times each column
-    (nums_j, e_j) of P gives law_j e_j, in integers), and P is stochastic and primitive, so 1 is a
-    simple eigenvalue (Kemeny-Snell, *Finite Markov Chains*, 1960).  A failed proof (a broken
-    closed form) raises RuntimeError."""
+    ``matrix``'s one stationary law: law / d sums to 1, is fixed by P (with P's rows (nums_i, e_i)
+    and den the lcm of the e_i, the weights law_i den / e_i times column j of the nums give
+    law_j den, in integers), and P is stochastic and primitive, so 1 is a simple eigenvalue
+    (Kemeny-Snell, *Finite Markov Chains*, 1960).  A failed proof (a broken closed form) raises
+    RuntimeError."""
     law, d = _stationary_row(params)
-    columns = matrix.transpose().integer_rows
+    rows = matrix.integer_rows
+    den = lcm(*(e for _, e in rows))
+    weights = [x * (den // e) for x, (_, e) in zip(law, rows)]
     if not (len(law) == matrix.dim and sum(law) == d > 0 and matrix.is_stochastic()
             and matrix.is_primitive()
-            and all(sum(map(mul, law, nums)) == x * e for (nums, e), x in zip(columns, law))):
+            and all(sum(map(mul, weights, column)) == x * den
+                    for column, x in zip(zip(*(nums for nums, _ in rows)), law))):
         raise RuntimeError("stationary law: row 0 of L is not proved P's one fixed law")
     return law, d
 

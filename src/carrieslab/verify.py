@@ -362,14 +362,19 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
     oracle = MomentOracle(params)
     dim, n = oracle.dim, params.n
     quad = has_quadratic_eigenfunction(params)
+    dens = [oracle.den**k for k in range(r_max + 2 * s_max + 1)]
     if quad:
-        # No second-moment form depends on the start: one value per r and (s, r), with its vector.
-        variances = [(oracle.walk(0, r), variance_conditional(params, r)) for r in range(r_max + 1)]
-        covariances = [[(oracle.walk(r, s), covariance_conditional(params, s, r))
-                        for s in range(s_max + 1)] for r in range(r_max + 1)]
+        # No second-moment form depends on the start: one value per r and (s, r), taken apart
+        # once into its vector, its denominator and the product each start's check must meet.
+        def parts(vector, q, scale):
+            return vector, q.denominator, q.numerator * scale
+
+        variances = [parts(oracle.walk(0, r), variance_conditional(params, r), dens[r] * dens[r])
+                     for r in range(r_max + 1)]
+        covariances = [[parts(oracle.walk(r, s), covariance_conditional(params, s, r),
+                              dens[2 * s + r]) for s in range(s_max + 1)] for r in range(r_max + 1)]
     # The state after k steps from i has mean means[k][i] / den^k: each check cross-multiplies.
     means = [oracle.walk("state", k) for k in range(r_max + s_max + 1)]
-    dens = [oracle.den**k for k in range(r_max + 2 * s_max + 1)]
     for i in range(dim):
         for r in range(r_max + 1):
             m1, d, q = means[r][i], dens[r], mean_conditional(params, r, i)
@@ -377,12 +382,11 @@ def _moments_failure(params: ProcessParams, r_max: int, s_max: int) -> str:
                 return f"mean i={i} r={r}"
             if not quad:
                 continue
-            square, q = variances[r]
-            if (square[i] * d - m1 * m1) * q.denominator != q.numerator * d * d:
+            square, q_den, target = variances[r]
+            if (square[i] * d - m1 * m1) * q_den != target:
                 return f"variance i={i} r={r}"
-            for s, (cross, q) in enumerate(covariances[r]):
-                cov = cross[i] * dens[s] - means[s][i] * means[s + r][i]
-                if cov * q.denominator != q.numerator * dens[2 * s + r]:
+            for s, (cross, q_den, target) in enumerate(covariances[r]):
+                if (cross[i] * dens[s] - means[s][i] * means[s + r][i]) * q_den != target:
                     return f"covariance i={i} s={s} r={r}"
     # Stationary law (a failed proof raises, and fails the case) and pair: the law and
     # mean hold for every chain, second moments only with the quadratic eigenfunction.

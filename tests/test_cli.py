@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -478,6 +479,33 @@ def test_argparse_rejections_exit_two(capsys):
             cli.main(argv)
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys, monkeypatch):
+    # The parser is built once per process; parse_args keeps nothing between calls, so each
+    # call in a sequence writes what it writes as the first call of a fresh parser.
+    shared = cli.build_parser()
+    assert cli.build_parser() is shared
+    calls = (["verify", "not-a-suite"],
+             ["verify", "sf-numbers", "--n", "3"],
+             ["simulate", "--sign", "+", "--b", "3", "--n", "2", "--p", "1", "--N", "5"],
+             ["--format", "csv", "--float", "--digits", "3", "simulate", "--sign", "-", "--b", "5",
+              "--n", "2", "--p", "3", "--N", "3", "--seed", "7"])
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"wall_time_s": [0-9.e+-]+', "", out), err
+
+    in_sequence = [outcome(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert in_sequence == [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in in_sequence] == [2, 0, 0, 0]
+    for argv in calls[1:]:  # no option of an earlier call leaks into a later namespace
+        assert vars(shared.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("in_missing_directory", [True, False])

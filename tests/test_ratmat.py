@@ -2,13 +2,15 @@
 
 import ast
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import carrieslab
-from carrieslab import RationalMatrix
+from carrieslab import RationalMatrix, make_process, ratmat, transition_matrix
 from carrieslab.ratmat import solve_linear
 
 
@@ -120,6 +122,49 @@ def test_is_primitive_named_cases():
     wielandt = RationalMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [half, half, 0, 0]])
     assert wielandt.is_primitive()
     assert not _positive(wielandt.power(9)) and _positive(wielandt.power(10))
+
+
+def _full_squaring_is_primitive(matrix):
+    """Primitivity with the zero pattern squared all ((d-1)^2).bit_length() times, full or not:
+    the test before its early return, kept as the reference the early return must equal."""
+    reach = [sum(1 << k for k, x in enumerate(nums) if x) for nums, _ in matrix.integer_rows]
+    for _ in range(((matrix.dim - 1) ** 2).bit_length()):
+        reach = [reduce(or_, (x for k, x in enumerate(reach) if r >> k & 1), 0) for r in reach]
+    return all(r == (1 << matrix.dim) - 1 for r in reach)
+
+
+def test_is_primitive_agrees_with_full_squaring():
+    for dim in (1, 2, 3):  # every 0/1 pattern
+        for bits in range(1 << dim * dim):
+            m = RationalMatrix([[bits >> (dim * i + j) & 1 for j in range(dim)]
+                                for i in range(dim)])
+            assert m.is_primitive() == _full_squaring_is_primitive(m), (dim, bits)
+    rng = Random(40)
+    for dim in range(4, 10):  # seeded patterns from sparse to dense, both answers seen
+        answers = set()
+        for trial in range(80):
+            density = 0.1 + 0.5 * trial / 80
+            m = RationalMatrix([[int(rng.random() < density) for _ in range(dim)]
+                                for _ in range(dim)])
+            answers.add(m.is_primitive())
+            assert m.is_primitive() == _full_squaring_is_primitive(m), m
+        assert answers == {True, False}, dim
+
+
+def test_a_positive_matrix_is_primitive_without_a_squaring(monkeypatch):
+    squarings = []
+
+    def counting_reduce(*args):
+        squarings.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(ratmat, "reduce", counting_reduce)
+    positive = transition_matrix(make_process("+", 10, 4, 1))
+    assert all(min(nums) > 0 for nums, _ in positive.integer_rows) and positive.is_primitive()
+    assert squarings == []
+    half = Fraction(1, 2)
+    assert RationalMatrix([[half, half], [1, 0]]).is_primitive()  # positive only at P^2
+    assert squarings
 
 
 def test_integer_rows_are_canonical_however_they_are_scaled():

@@ -222,6 +222,24 @@ def test_the_stationary_proof_refuses_a_fixed_law_that_is_not_the_only_one():
             spectral.proved_stationary_row(matrix, params)
 
 
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("p", [1, 3, Fraction(3, 2)])
+def test_the_stationary_proof_builds_no_matrix(monkeypatch, sign, p):
+    # The proof reads P's integer rows as they are: no transpose, and no other matrix.
+    params = make_process(sign, verify.smallest_valid_bases(sign, p)[1], 4, p)
+    matrix = transition_matrix(params)
+
+    def refuse(*args):
+        raise AssertionError("a RationalMatrix was built")
+
+    for name in ("__init__", "from_integer_rows", "transpose"):
+        monkeypatch.setattr(RationalMatrix, name, refuse)
+    law, d = spectral.proved_stationary_row(matrix, params)
+    monkeypatch.undo()
+    row = left_eigen_matrix(params.n, p)[0]
+    assert tuple(Fraction(x, d) for x in law) == tuple(x / sum(row) for x in row)
+
+
 def test_no_stationary_law_needs_a_linear_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("a linear solve ran")
